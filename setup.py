@@ -11,22 +11,28 @@ from setuptools.command.build_ext import build_ext
 
 
 def _extensions():
+    """The compiled kernel: cythonized from the .pyx when Cython is present,
+    otherwise compiled from the shipped, already generated .cpp."""
     try:
         import numpy
-        from Cython.Build import cythonize
     except ImportError:
-        warnings.warn("Cython/numpy unavailable; building without the compiled kernel")
-        return [], []
+        warnings.warn("numpy unavailable; building without the compiled kernel")
+        return []
     from setuptools import Extension
 
+    try:
+        from Cython.Build import cythonize
+    except ImportError:
+        cythonize = None
+    source = "_speedups.pyx" if cythonize else "_speedups.cpp"
     ext = Extension(
         "u4class.kernels._speedups",
-        sources=["src/u4class/kernels/_speedups.pyx"],
+        sources=[f"src/u4class/kernels/{source}"],
         include_dirs=[numpy.get_include()],
         define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
         language="c++",
     )
-    return cythonize([ext], language_level=3), []
+    return cythonize([ext], language_level=3) if cythonize else [ext]
 
 
 class OptionalBuildExt(build_ext):
@@ -45,5 +51,4 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"compiled kernel skipped: {exc}")
 
 
-exts, _ = _extensions()
-setup(ext_modules=exts, cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=_extensions(), cmdclass={"build_ext": OptionalBuildExt})

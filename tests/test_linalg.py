@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from u4class import linalg
@@ -9,7 +10,7 @@ from u4class.kernels import gf2
 from u4class.linalg import AbelianGroup, IntMatrix
 
 from helpers import (group_counts, oracle_homology, oracle_invariant_factors,
-                     random_unimodular)
+                     random_unimodular, saturated_kernel_basis)
 
 
 class TestAbelianGroup:
@@ -384,6 +385,216 @@ class TestKernelSolve:
         m = IntMatrix.from_dense([[1, 1]])
         x = linalg.solve(m, [5])
         assert x is not None and sum(x) == 5
+
+
+def _bar_coboundary(spec, degree):
+    from u4class.groups import parse_group
+    from u4class.modules import trivial_integers
+    from u4class.resolutions import BarResolution
+    group = parse_group(spec)
+    return BarResolution(group, degree).coboundary_matrix(
+        trivial_integers(group), degree)
+
+
+def _random_dense(rng, nr, nc, entries):
+    return [[rng.choice(entries) if rng.random() < 0.6 else 0
+             for _ in range(nc)] for _ in range(nr)]
+
+
+def _same_saturated_lattice(basis, other):
+    """Both bases saturated, of one rank, and jointly of that rank: then
+    they span the same lattice (sympy Smith forms only)."""
+    k = len(basis)
+    if k != len(other):
+        return False
+    if not k:
+        return True
+    ones = [1] * k
+    return (oracle_invariant_factors(IntMatrix.from_dense(basis)) == ones
+            and oracle_invariant_factors(IntMatrix.from_dense(other)) == ones
+            and len(oracle_invariant_factors(
+                IntMatrix.from_dense(basis + other))) == k)
+
+
+def _oracle_contains(m, vec):
+    """vec lies in the column lattice of m iff adjoining it keeps the rank
+    and the product of the Smith diagonal (the index of the lattice in
+    its saturation)."""
+    import math
+    before = oracle_invariant_factors(m)
+    after = oracle_invariant_factors(m.hstack(IntMatrix.from_dense(
+        [[x] for x in vec])))
+    return len(before) == len(after) and \
+        math.prod(before) == math.prod(after)
+
+
+class TestLatticeEchelon:
+    # sha256 of json.dumps(integer_kernel(bar delta^2 over Z)), recorded
+    # with the dict-of-rows engine this one replaced
+    @pytest.mark.parametrize("spec, shape, count, digest", [
+        ("C15", (2744, 196), 14, "7909c1de31ea9495312e73b29ae2bf89"
+                                 "a1af635faef98abac9340e836cc927c6"),
+        ("C3xC3", (512, 64), 8, "1c931e1061c7bff1466281fb3b61096c"
+                                "468d80bf49bc7ce7336fcfe2b95c55cb"),
+        ("C3", (8, 4), 2, "c6baadb276a18df2e56c2762fc9177b0"
+                          "e8846d860a34b1f196b034214faa55ce")],
+        ids=["C15", "C3xC3", "C3"])
+    def test_integer_kernel_pinned(self, spec, shape, count, digest):
+        import hashlib
+        import json
+        m = _bar_coboundary(spec, 2)
+        assert (m.nrows, m.ncols) == shape
+        basis = linalg.integer_kernel(m)
+        assert len(basis) == count
+        assert all(type(x) is int for vec in basis for x in vec)
+        assert hashlib.sha256(
+            json.dumps(basis).encode()).hexdigest() == digest
+
+    def test_gcd_branch_pinned(self):
+        # bases recorded with the previous engine; each takes the
+        # extended-gcd combination, which the bar matrices above never do
+        for dense, want in (
+                ([[4, 6, 10, 15]],
+                 [[1, 1, -1, 0], [0, 5, -3, 0], [0, 0, -3, 2]]),
+                ([[2, 3, 5, -7, 0], [6, -4, 9, 0, 5]],
+                 [[1, 15, 6, 11, 0], [0, 1, -9, -6, 17],
+                  [0, 0, -35, -25, 63]]),
+                ([[6, 10, 15], [4, -6, 9]], [[90, 3, -38]])):
+            assert linalg.integer_kernel(IntMatrix.from_dense(dense)) == want
+
+    def test_witness_pinned(self):
+        import hashlib
+        import json
+        from u4class import groups, hypothesis
+        g = groups.parse_group("D3xC5")
+        verdict = hypothesis.thom_simplification_applicable(g).verdict
+        assert verdict.witness == \
+            "1*e0 + 1*e1 + 1*e3 + 1*e4 + 1*e6 + 1*e7 + ..."
+        assert verdict.acting_element == 15
+        decomp = groups.odd_normal_complement(g)
+        identity = tuple(range(decomp.kernel.order))
+        alpha = next(a for a in groups.conjugation_action(decomp)
+                     if a.mapping != identity)
+        z = hypothesis.action_witness_in_degree(decomp.kernel, alpha, 2)
+        assert hashlib.sha256(json.dumps(z).encode()).hexdigest() == \
+            "d0c122dcdbbacce96ee80d36249e7abc1b0b2f31b5618f239645611d955ee364"
+
+    def test_kernel_matches_oracle(self, monkeypatch):
+        calls = []
+        gcdex = linalg._gcdex
+        monkeypatch.setattr(linalg, "_gcdex",
+                            lambda a, b: calls.append(1) or gcdex(a, b))
+        rng = random.Random(29)
+        for _ in range(40):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 7)
+            dense = _random_dense(rng, nr, nc, [-6, -4, -3, -1, 1, 2, 3, 5])
+            m = IntMatrix.from_dense(dense)
+            basis = linalg.integer_kernel(m)
+            for vec in basis:
+                assert all(sum(r[j] * vec[j] for j in range(nc)) == 0
+                           for r in dense)
+            assert _same_saturated_lattice(
+                basis, saturated_kernel_basis(dense, nr, nc))
+        assert calls  # the extended-gcd combination ran
+
+    @pytest.mark.parametrize("scale", [1, 2**20, 2**45, 2**70],
+                             ids=["1", "2^20", "2^45", "2^70"])
+    def test_contains_matches_oracle(self, scale):
+        rng = random.Random(31)
+        hits = misses = 0
+        for _ in range(25):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            dense = _random_dense(rng, nr, nc, [-4, -2, -1, 1, 3, 6])
+            dense = [[x * scale for x in row] for row in dense]
+            m = IntMatrix.from_dense(dense)
+            lattice = linalg.ColumnLattice(m)
+            for _ in range(4):
+                coef = [rng.randint(-3, 3) for _ in range(nc)]
+                vec = [sum(r[j] * coef[j] for j in range(nc)) for r in dense]
+                assert lattice.contains(vec)
+                vec[rng.randrange(nr)] += rng.choice([1, 2, 3]) * scale
+                want = _oracle_contains(m, vec)
+                assert lattice.contains(vec) == want
+                hits += want
+                misses += not want
+        assert hits and misses
+
+    @staticmethod
+    def _echelon_dtype(m):
+        a = linalg._lattice_array(m, list(range(m.ncols)), m.nrows + m.ncols)
+        assert a.dtype == np.int64
+        a[range(m.ncols), range(m.nrows, m.nrows + m.ncols)] = 1
+        return linalg._echelon(a)[0].dtype
+
+    def _check_kernel(self, dense, want):
+        m = IntMatrix.from_dense(dense)
+        assert linalg.integer_kernel(m) == want
+        assert _same_saturated_lattice(
+            want, saturated_kernel_basis(dense, m.nrows, m.ncols))
+        return m
+
+    def test_int64_promotion_boundary(self):
+        # columns (1, 0), (b, e), 0, (1, 0): the one step that can grow
+        # clears b under the first pivot, bounded by |b| + max(|b|, |e|)
+        b = 2**61
+        for e, exact in ((2**61, True), (2**61 + 1, False)):
+            assert b + e == linalg._INT64_SAFE + (not exact)
+            m = self._check_kernel([[1, b, 0, 1], [0, e, 0, 0]],
+                                   [[0, 0, 1, 0], [-1, 0, 0, 1]])
+            assert (self._echelon_dtype(m) == np.int64) == exact
+
+    def test_gcd_step_boundary(self):
+        # columns (2, p), (3, q), 0: gcd(2, 3) = 1 = -2 + 3 makes the row
+        # -3 (2, p) + 2 (3, q), bounded by 3|p| + 2|q|, which its entry
+        # -3p + 2q reaches when p and q have opposite signs
+        for p, q, exact in ((2**60, -2**59, True),
+                            (2**60 + 1, -(2**59 - 1), False)):
+            assert 3 * abs(p) + 2 * abs(q) == \
+                linalg._INT64_SAFE + (not exact)
+            m = self._check_kernel([[2, 3, 0], [p, q, 0]], [[0, 0, 1]])
+            assert (self._echelon_dtype(m) == np.int64) == exact
+        # the new pivot row -(2, 0) + (3, q) carries q = -2^60 from the
+        # row; clearing 8 under it then needs 8 |q|, past int64
+        m = self._check_kernel([[2, 3, 8], [0, -2**60, 0]], [[-4, 0, 1]])
+        assert self._echelon_dtype(m) == object
+
+    def test_true_maxima_rescue_int64(self):
+        # columns (1, 0), (0, 1), (b, e): after b is cleared (bound 2^62)
+        # the carried bound for clearing e is 2^62 + 2^61, past the limit;
+        # the row's true maximum is 2^61, so the step stays in int64
+        b = e = 2**61
+        m = self._check_kernel([[1, 0, b], [0, 1, e]], [[-b, -e, 1]])
+        assert self._echelon_dtype(m) == np.int64
+
+    def test_growth_promotes_midway(self):
+        # rows x_i + 2 x_{i+1} and x_{n-1} + x_n: entries of at most 2 and
+        # every step subtracts 1 or 2 times a pivot row, yet the kernel
+        # vector reaches 2^79; only the carried bounds see it coming
+        n = 80
+        dense = [[0] * (n + 1) for _ in range(n)]
+        for i in range(n):
+            dense[i][i], dense[i][i + 1] = 1, 1 if i == n - 1 else 2
+        want = [-(-2) ** (n - 1 - i) for i in range(n)] + [1]
+        m = self._check_kernel(dense, [want])
+        assert self._echelon_dtype(m) == object
+
+    def test_huge_entries_match_oracle(self):
+        rng = random.Random(37)
+        for big in (2**40, 2**61, 2**64):
+            for _ in range(6):
+                dense = [[rng.randint(-big, big) if rng.random() < 0.7
+                          else 0 for _ in range(5)] for _ in range(3)]
+                basis = linalg.integer_kernel(IntMatrix.from_dense(dense))
+                assert all(type(x) is int for vec in basis for x in vec)
+                assert _same_saturated_lattice(
+                    basis, saturated_kernel_basis(dense, 3, 5))
+
+    def test_empty_shapes(self):
+        assert linalg.integer_kernel(IntMatrix(0, 2)) == [[1, 0], [0, 1]]
+        assert linalg.integer_kernel(IntMatrix(3, 0)) == []
+        assert linalg.integer_kernel(IntMatrix(2, 2)) == [[1, 0], [0, 1]]
+        lattice = linalg.ColumnLattice(IntMatrix(2, 3))
+        assert lattice.contains([0, 0]) and not lattice.contains([0, 1])
 
 
 class TestLatticeQuotient:
