@@ -202,9 +202,6 @@ class CohomologyRingSlice:
     labels: tuple              # per degree, tuple of basis labels
     products: dict             # (p, q) -> tuple[i][j] of coordinate tuples
 
-    def cup_coordinates(self, p, q, i, j):
-        return self.products[(p, q)][i][j]
-
     def to_json(self):
         return {
             "group": self.group_name,

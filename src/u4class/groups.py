@@ -129,16 +129,20 @@ class FiniteGroup:
             frontier = nxt
         return tuple(sorted(seen))
 
+    def _members(self, elements):
+        """The element set as a sorted index array and a membership mask."""
+        member = np.zeros(self.order, dtype=bool)
+        member[list(elements)] = True
+        return np.flatnonzero(member), member
+
     def is_subgroup(self, elements):
-        s = set(elements)
-        if 0 not in s:
-            return False
-        return all(self.multiply(a, b) in s for a in s for b in s)
+        s, member = self._members(elements)
+        return bool(member[0] and member[self.mul[np.ix_(s, s)]].all())
 
     def is_normal(self, elements):
-        s = set(elements)
-        return all(self.conjugate(g, k) in s
-                   for g in range(self.order) for k in s)
+        s, member = self._members(elements)
+        conj = self.mul[self.mul[:, s], self.inverse_table[:, None]]
+        return bool(member[conj].all())
 
     def subgroup(self, elements, name=None):
         """Materialize a subgroup; returns (FiniteGroup, embedding hom).
@@ -238,11 +242,6 @@ class GroupHom:
 
     def kernel_elements(self):
         return tuple(a for a, b in enumerate(self.mapping) if b == 0)
-
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self after inner."""
-        return GroupHom(inner.source, self.target,
-                        tuple(self.mapping[x] for x in inner.mapping))
 
 
 def cyclic_group(n, name=None):

@@ -5,11 +5,15 @@ reduces to the functions here: Smith normal form, kernels, and homology
 subquotients, all exact over the integers.  Some steps run in int64, each
 only where a bound checked first proves that no entry can leave the int64
 range, and fall back to Python integers otherwise: ``IntMatrix``
-canonicalisation and products; the structural-pivot pre-pass in front of
-the unit-pivot phase, which forms Schur complements of large matrices and
-abandons a round whose bound fails; and the lattice echelon behind
-``integer_kernel`` and ``ColumnLattice``, which checks a bound before
-every row operation and goes on in Python integers once one fails.
+canonicalisation, which sums repeated positions in int64 while the
+largest |value| times the number of values is at most ``_INT64_SAFE``;
+``IntMatrix`` products, which go through scipy while the inner dimension
+times both largest |entries| is at most ``_INT64_SAFE``; the
+structural-pivot pre-pass in front of the unit-pivot phase, which forms
+Schur complements of large matrices and abandons a round whose bound
+fails; and the lattice echelon behind ``integer_kernel`` and
+``ColumnLattice``, which checks a bound before every row operation and
+goes on in Python integers once one fails.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ __all__ = [
     "ColumnLattice",
 ]
 
-_SCIPY_LIMIT = 2**31 - 1
+# every int64 intermediate is proven to stay within this magnitude
+_INT64_SAFE = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -212,54 +217,10 @@ class IntMatrix:
             self.cols = list(cols)
             self.vals = list(vals)
         else:
-            rows, cols, vals = list(rows), list(cols), list(vals)
-            built = None
-            if len(rows) == len(cols) == len(vals) > 512:
-                built = self._canonicalize_fast(rows, cols, vals)
-            if built is not None:
-                self.rows, self.cols, self.vals = built
-            else:
-                acc = {}
-                for r, c, v in zip(rows, cols, vals):
-                    if not 0 <= r < self.nrows or not 0 <= c < self.ncols:
-                        raise ValueError(f"entry ({r},{c}) out of range")
-                    key = (r, c)
-                    acc[key] = acc.get(key, 0) + int(v)
-                self.rows, self.cols, self.vals = [], [], []
-                for (r, c), v in sorted(acc.items()):
-                    if v:
-                        self.rows.append(r)
-                        self.cols.append(c)
-                        self.vals.append(v)
-
-    def _canonicalize_fast(self, rows, cols, vals):
-        """Vectorized sort-and-accumulate; None when int64 cannot hold the
-        entries or their sums exactly."""
-        try:
-            r = np.asarray(rows, dtype=np.int64)
-            c = np.asarray(cols, dtype=np.int64)
-            v = np.asarray(vals, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        if v.size and int(np.abs(v).max()) * v.size >= 2 ** 62:
-            return None
-        if self.nrows * self.ncols >= 2 ** 62:
-            return None
-        if r.size and (r.min() < 0 or r.max() >= self.nrows
-                       or c.min() < 0 or c.max() >= self.ncols):
-            raise ValueError("entry out of range")
-        order = np.lexsort((c, r))
-        r, c, v = r[order], c[order], v[order]
-        key = r * self.ncols + c
-        starts = np.empty(key.size, dtype=bool)
-        if key.size:
-            starts[0] = True
-            starts[1:] = key[1:] != key[:-1]
-        idx = np.flatnonzero(starts)
-        sums = np.add.reduceat(v, idx) if idx.size else v
-        keep = sums != 0
-        return (r[idx][keep].tolist(), c[idx][keep].tolist(),
-                sums[keep].tolist())
+            r, c, v = _canonical_triplets(self.nrows, self.ncols,
+                                          rows, cols, vals)
+            self.rows, self.cols, self.vals = r.tolist(), c.tolist(), \
+                v.tolist()
 
     # -- constructors -------------------------------------------------------
 
@@ -364,14 +325,10 @@ class IntMatrix:
 
     def _matmul_scipy(self, other):
         # int64 product is exact when a crude bound on entry growth holds
-        try:
-            import numpy as np
-            from scipy import sparse
-        except ImportError:  # pragma: no cover
-            return None
+        from scipy import sparse
         inner = max(1, self.ncols)
         bound = inner * max(1, self.max_abs()) * max(1, other.max_abs())
-        if bound > _SCIPY_LIMIT:
+        if bound > _INT64_SAFE:
             return None
         a = sparse.coo_matrix(
             (np.asarray(self.vals, dtype=np.int64),
@@ -400,6 +357,45 @@ class IntMatrix:
             if v & 1:
                 out[c] ^= 1 << r
         return out
+
+
+def _canonical_triplets(nrows, ncols, rows, cols, vals):
+    """Triplets (lists or arrays) as arrays sorted by (row, column), with
+    repeated positions summed and zero sums dropped.
+
+    The sums run in int64 when the largest |value| times the number of
+    values is at most ``_INT64_SAFE``, so that no partial sum can leave
+    int64, and in Python ints (dtype=object) otherwise.
+    """
+    try:
+        r = np.asarray(rows, dtype=np.int64)
+        c = np.asarray(cols, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("entry out of range") from None
+    if not r.size == c.size == len(vals):
+        raise ValueError("triplet lengths differ")
+    try:
+        v = np.asarray(vals, dtype=np.int64)
+    except OverflowError:
+        v = np.array([int(x) for x in vals], dtype=object)
+    if _array_max_abs(v) * v.size > _INT64_SAFE:
+        v = v.astype(object)
+    if r.size and (r.min() < 0 or r.max() >= nrows
+                   or c.min() < 0 or c.max() >= ncols):
+        raise ValueError("entry out of range")
+    order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], v[order]
+    starts = np.ones(r.size, dtype=bool)
+    starts[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    starts = np.flatnonzero(starts)
+    sums = np.add.reduceat(v, starts) if r.size else v
+    keep = sums != 0
+    return r[starts][keep], c[starts][keep], sums[keep]
+
+
+def _array_max_abs(a):
+    """Largest |entry| of an int64 or object array, as a Python int."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +638,6 @@ _PREPASS_MIN_NNZ = 2000
 # most 15.1 times; those of D4's delta^4 up to 32.2, so one of them is
 # abandoned and the unit-pivot phase finishes that matrix
 _PREPASS_WORK = 32
-# every int64 intermediate is proven to stay within this magnitude
-_INT64_SAFE = 2**62
 
 
 def _structural_prepass(nrows, ncols, rows, cols, vals, mod2=False):

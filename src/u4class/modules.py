@@ -104,9 +104,6 @@ class GModule:
         return AbelianGroup.from_cyclic_orders(
             [0] * (self.ngens - sf.rank) + list(sf.nontrivial))
 
-    def action_matrix(self, g) -> IntMatrix:
-        return IntMatrix.from_dense([list(r) for r in self.actions[g]])
-
 
 class TwistedIntegers(GModule):
     """The integers with a group acting through the sign (-1)^character."""

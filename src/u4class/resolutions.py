@@ -4,6 +4,11 @@ Three constructions: the normalized bar resolution (any group), the
 2-periodic resolution (cyclic groups), and tensor products of resolutions
 (direct products).  The latter two keep direct-product groups of order up
 to ~100 inside the feasibility bound that the bar resolution would blow.
+
+Each construction gives its boundaries in one array form (see
+``Resolution``); the bar resolution computes its own faces, so it stays an
+independent check on the other two.  ``Resolution`` alone turns that form
+into coboundary and chain matrices for any module and checks d d = 0.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import os
 import numpy as np
 
 from .groups import FiniteGroup
-from .linalg import IntMatrix
+from .linalg import _INT64_SAFE, IntMatrix, _array_max_abs
 from .modules import GModule
 
 __all__ = [
@@ -46,8 +51,11 @@ class Resolution:
     """Truncated free resolution: modules F_0..F_{N+1} over Z[G] with
     boundaries d_n: F_n -> F_{n-1} for 1 <= n <= N+1.
 
-    Boundaries are stored blockwise: blocks(n) maps (row_gen, col_gen) to a
-    dict {group element -> integer coefficient}.
+    boundary(n) gives d_n as four int64 arrays of equal length: row
+    generator of F_{n-1}, column generator of F_n, group element and
+    coefficient.  Column generator c maps to the sum of coefficient *
+    element * (row generator) over its entries; repeated (row, column,
+    element) triples add up.
     """
 
     group: FiniteGroup
@@ -57,7 +65,7 @@ class Resolution:
     def rank(self, n):
         return self.ranks[n] if 0 <= n <= self.degree + 1 else 0
 
-    def blocks(self, n) -> dict:
+    def boundary(self, n):
         raise NotImplementedError
 
     # -- matrix assembly ----------------------------------------------------
@@ -72,40 +80,36 @@ class Resolution:
             cache = self._cob_cache = {}
         key = (module, n)
         if key not in cache:
-            cache[key] = self._build_coboundary(module, n)
+            rows, cols, elems, coeffs = self.boundary(n + 1)
+            cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
+                                          self.rank(n + 1), self.rank(n))
         return cache[key]
-
-    def _build_coboundary(self, module, n):
-        flipped = {(col, row): coeffs
-                   for (row, col), coeffs in self.blocks(n + 1).items()}
-        return self._hom_matrix(flipped, module,
-                                self.rank(n + 1), self.rank(n),
-                                inverse=False)
 
     def chain_matrix(self, module: GModule, n) -> IntMatrix:
         """d_n tensored with M: (M x F_n)_G -> (M x F_{n-1})_G."""
         if n < 1:
             return IntMatrix.zeros(0, self.rank(0) * module.ngens)
-        return self._hom_matrix(self.blocks(n), module, self.rank(n - 1),
-                                self.rank(n), inverse=True)
+        rows, cols, elems, coeffs = self.boundary(n)
+        return self._hom_matrix(rows, cols, self.group.inverse_table[elems],
+                                coeffs, module, self.rank(n - 1),
+                                self.rank(n))
 
-    def _hom_matrix(self, blocks, module, nrow_gens, ncol_gens, inverse):
+    def _hom_matrix(self, rows, cols, elems, coeffs, module, nrow_gens,
+                    ncol_gens):
+        """Block (row, col) of size ngens x ngens gets coefficient times the
+        action matrix of the element, once per entry."""
         k = module.ngens
-        rows, cols, vals = [], [], []
-        for (rg, cg), coeffs in blocks.items():
-            acc = [[0] * k for _ in range(k)]
-            for g, c in coeffs.items():
-                act = module.actions[self.group.inverse(g) if inverse else g]
-                for i in range(k):
-                    for j in range(k):
-                        acc[i][j] += c * act[i][j]
-            for i in range(k):
-                for j in range(k):
-                    if acc[i][j]:
-                        rows.append(rg * k + i)
-                        cols.append(cg * k + j)
-                        vals.append(acc[i][j])
-        return IntMatrix(nrow_gens * k, ncol_gens * k, rows, cols, vals)
+        acts = np.array(module.actions).reshape(self.group.order, k, k)
+        if acts.dtype != np.int64:
+            acts = acts.astype(object)
+        vals = _exact_product(coeffs[:, None, None], acts[elems])
+        i = np.arange(k, dtype=np.int64)
+        shape = vals.shape
+        block_rows = np.broadcast_to(rows[:, None, None] * k + i[:, None],
+                                     shape)
+        block_cols = np.broadcast_to(cols[:, None, None] * k + i, shape)
+        return IntMatrix(nrow_gens * k, ncol_gens * k, block_rows.ravel(),
+                         block_cols.ravel(), vals.ravel())
 
     # -- verification -------------------------------------------------------
 
@@ -114,30 +118,42 @@ class Resolution:
         for n in range(2, self.degree + 2):
             self._dd_check(n)
         # augmentation: eps(d_1 e) = 0 for every generator of F_1
-        sums = {}
-        for (_, cg), coeffs in self.blocks(1).items():
-            sums[cg] = sums.get(cg, 0) + sum(coeffs.values())
-        if any(sums.get(cg, 0) for cg in range(self.rank(1))):
+        _, cols, _, coeffs = self.boundary(1)
+        if not IntMatrix(1, self.rank(1), np.zeros_like(cols), cols,
+                         coeffs).is_zero:
             raise ValueError("augmentation of d_1 is nonzero")
         if self.rank(0) < 1:
             raise ValueError("augmentation cannot surject")
         return True
 
     def _dd_check(self, n):
-        mul = self.group.multiply
-        outer = self.blocks(n)
-        inner = self.blocks(n - 1)
-        acc = {}
-        for (mid, cg), coeffs1 in outer.items():
-            for (rg, mid2), coeffs2 in inner.items():
-                if mid2 != mid:
-                    continue
-                for g1, c1 in coeffs1.items():
-                    for g2, c2 in coeffs2.items():
-                        key = (rg, cg, mul(g1, g2))
-                        acc[key] = acc.get(key, 0) + c1 * c2
-        if any(acc.values()):
+        """d_{n-1} d_n = 0 over the group ring: an entry (r1, c, g1, v1) of
+        d_n and an entry (s, r1, g2, v2) of d_{n-1} give the term
+        v1 v2 (g1 g2) at generator s of F_{n-2}, and all terms must
+        cancel."""
+        r1, c1, g1, v1 = self.boundary(n)
+        r2, c2, g2, v2 = self.boundary(n - 1)
+        order = np.argsort(c2, kind="stable")
+        r2, c2, g2, v2 = r2[order], c2[order], g2[order], v2[order]
+        start = np.searchsorted(c2, r1, side="left")
+        count = np.searchsorted(c2, r1, side="right") - start
+        outer = np.repeat(np.arange(r1.size), count)
+        inner = (np.arange(outer.size) + start[outer]
+                 - np.repeat(np.cumsum(count) - count, count))
+        m = self.group.order
+        elems = self.group.mul[g1[outer], g2[inner]]
+        terms = IntMatrix(self.rank(n - 2) * m, self.rank(n),
+                          r2[inner] * m + elems, c1[outer],
+                          _exact_product(v1[outer], v2[inner]))
+        if not terms.is_zero:
             raise ValueError(f"d_{n-1} d_{n} != 0")
+
+
+def _exact_product(a, b):
+    """Elementwise a * b, in Python ints when int64 could overflow."""
+    if _array_max_abs(a) * _array_max_abs(b) > _INT64_SAFE:
+        a, b = a.astype(object), b.astype(object)
+    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +175,16 @@ class PeriodicResolution(Resolution):
             self._powers.append(group.multiply(self._powers[-1],
                                                self.generator))
 
-    def blocks(self, n):
+    def boundary(self, n):
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
         if n % 2 == 1:
-            coeffs = {self.generator: 1, 0: -1}
-            if self.group.order == 1:
-                coeffs = {0: 0}
+            elems, coeffs = [self.generator, 0], [1, -1]
         else:
-            coeffs = {}
-            for p in self._powers:
-                coeffs[p] = coeffs.get(p, 0) + 1
-        return {(0, 0): dict(coeffs)}
+            elems, coeffs = self._powers, [1] * len(self._powers)
+        zeros = np.zeros(len(elems), dtype=np.int64)
+        return (zeros, zeros, np.asarray(elems, dtype=np.int64),
+                np.asarray(coeffs, dtype=np.int64))
 
 
 def periodic_resolution(group, degree):
@@ -201,154 +215,36 @@ class BarResolution(Resolution):
                 "raise it)")
         self.ranks = [(m - 1)**n for n in range(degree + 2)]
 
-    # face data for d_d: list of (source-kept mask or None, target index
-    # array, actor element array or 0, sign)
-
-    def faces(self, d):
-        m = self.group.order
-        base = m - 1
-        r = self.ranks[d]
-        idx = np.arange(r, dtype=np.int64)
-        digits = np.empty((r, d), dtype=np.int64)
-        rest = idx
-        for pos in range(d - 1, -1, -1):
-            digits[:, pos] = rest % base
-            rest = rest // base
-        powers = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        out = []
-        # face 0: drop the first entry, first element acts
-        target = idx % (base ** (d - 1)) if d >= 1 else idx * 0
-        out.append((None, target, digits[:, 0] + 1, 1))
-        # middle faces: multiply adjacent entries, drop if identity
-        mul = self.group.mul
-        for i in range(1, d):
-            prod = mul[digits[:, i - 1] + 1, digits[:, i] + 1].astype(
-                np.int64)
-            keep = prod != 0
-            nd = np.delete(digits, i, axis=1).copy()
-            nd[:, i - 1] = prod - 1
-            target = nd @ powers[1:]
-            out.append((keep, target, None, -1 if i % 2 else 1))
-        # face d: drop the last entry
-        if d >= 1:
-            out.append((None, idx // base, None, -1 if d % 2 else 1))
-        return out
-
-    def blocks(self, n):
+    def boundary(self, n):
+        """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then
+        (-1)^i [...|g_i g_{i+1}|...] for 0 < i < n (dropped when the
+        product is the identity), then (-1)^n [g_1|...|g_{n-1}]."""
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
-        acc = {}
-        for keep, target, actor, sign in self.faces(n):
-            r = self.ranks[n]
-            for col in range(r):
-                if keep is not None and not keep[col]:
-                    continue
-                g = int(actor[col]) if actor is not None else 0
-                block = acc.setdefault((int(target[col]), col), {})
-                block[g] = block.get(g, 0) + sign
-        return {key: {g: c for g, c in blk.items() if c}
-                for key, blk in acc.items()
-                if any(blk.values())}
-
-    def _rank_one_matrix(self, signs, n, inverse):
-        """Matrix of d_n against a free rank-1 module with the given
-        +-1 action values; rows F_{n-1}, cols F_n (chain orientation)."""
-        signs = np.asarray(signs, dtype=np.int64)
-        inv = self.group.inverse_table
-        rows_list, cols_list, vals_list = [], [], []
-        r = self.ranks[n]
-        col_idx = np.arange(r, dtype=np.int64)
-        for keep, target, actor, sign in self.faces(n):
-            if actor is None:
-                act = np.ones(r, dtype=np.int64)
-            else:
-                elems = inv[actor] if inverse else actor
-                act = signs[elems]
-            vals = sign * act
-            if keep is not None:
-                rows_list.append(target[keep])
-                cols_list.append(col_idx[keep])
-                vals_list.append(vals[keep])
-            else:
-                rows_list.append(target)
-                cols_list.append(col_idx)
-                vals_list.append(vals)
-        rows = np.concatenate(rows_list)
-        cols = np.concatenate(cols_list)
-        vals = np.concatenate(vals_list)
-        return _coo_to_intmatrix(self.ranks[n - 1], r, rows, cols, vals)
-
-    def _build_coboundary(self, module, n):
-        if module.ngens == 1:
-            signs = tuple(a[0][0] for a in module.actions)
-            if all(s in (1, -1) for s in signs):
-                chain = self._rank_one_matrix(signs, n + 1, inverse=False)
-                return chain.transpose()
-        return super()._build_coboundary(module, n)
-
-    def chain_matrix(self, module, n):
-        if n < 1:
-            return IntMatrix.zeros(0, self.rank(0) * module.ngens)
-        if module.ngens == 1:
-            signs = tuple(a[0][0] for a in module.actions)
-            if all(s in (1, -1) for s in signs):
-                return self._rank_one_matrix(signs, n, inverse=True)
-        return super().chain_matrix(module, n)
-
-    def _dd_check(self, n):
-        """Vectorized check that d_{n-1} d_n = 0 over the group ring."""
-        mul = self.group.mul
-        m = self.group.order
-        r2 = self.ranks[n - 2]
-        outer = self.faces(n)
-        inner = self.faces(n - 1)
-        r = self.ranks[n]
-        col = np.arange(r, dtype=np.int64)
-        keys, weights = [], []
-        for keep1, target1, actor1, sign1 in outer:
-            if keep1 is None:
-                c1, t1 = col, target1
-                a1 = actor1 if actor1 is not None else None
-            else:
-                c1, t1 = col[keep1], target1[keep1]
-                a1 = actor1[keep1] if actor1 is not None else None
-            g1 = a1 if a1 is not None else np.zeros(len(c1), dtype=np.int64)
-            for keep2, target2, actor2, sign2 in inner:
-                if keep2 is not None:
-                    sel = keep2[t1]
-                    cc, tt, gg = c1[sel], target2[t1[sel]], g1[sel]
-                    g2 = np.zeros(len(cc), dtype=np.int64)
-                else:
-                    cc, tt, gg = c1, target2[t1], g1
-                    g2 = actor2[t1] if actor2 is not None else \
-                        np.zeros(len(cc), dtype=np.int64)
-                prod = mul[gg, g2].astype(np.int64)
-                keys.append((cc * m + prod) * r2 + tt)
-                weights.append(np.full(len(cc), sign1 * sign2,
-                                       dtype=np.int64))
-        keys = np.concatenate(keys)
-        weights = np.concatenate(weights)
-        _, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=weights.astype(np.float64))
-        if np.any(sums != 0):
-            raise ValueError(f"d_{n-1} d_{n} != 0")
+        base = self.group.order - 1
+        col = np.arange(self.ranks[n], dtype=np.int64)
+        digits = np.empty((col.size, n), dtype=np.int64)
+        rest = col
+        for pos in range(n - 1, -1, -1):
+            digits[:, pos] = rest % base
+            rest = rest // base
+        powers = base ** np.arange(n - 2, -1, -1, dtype=np.int64)
+        zeros = np.zeros(col.size, dtype=np.int64)
+        ones = np.ones(col.size, dtype=np.int64)
+        faces = [(col % base ** (n - 1), col, digits[:, 0] + 1, ones)]
+        for i in range(1, n):
+            prod = self.group.mul[digits[:, i - 1] + 1, digits[:, i] + 1]
+            keep = prod != 0
+            merged = np.delete(digits, i, axis=1)
+            merged[:, i - 1] = prod - 1
+            faces.append(((merged @ powers)[keep], col[keep], zeros[keep],
+                          ones[keep] * (-1) ** i))
+        faces.append((col // base, col, zeros, ones * (-1) ** n))
+        return tuple(np.concatenate(part) for part in zip(*faces))
 
 
 def bar_resolution(group, degree):
     return BarResolution(group, degree)
-
-
-def _coo_to_intmatrix(nrows, ncols, rows, cols, vals):
-    from scipy import sparse
-    coo = sparse.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    coo = csr.tocoo()
-    keep = coo.data != 0
-    order = np.lexsort((coo.col[keep], coo.row[keep]))
-    return IntMatrix(nrows, ncols, coo.row[keep][order].tolist(),
-                     coo.col[keep][order].tolist(),
-                     coo.data[keep][order].tolist(), canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,68 +271,40 @@ class TensorResolution(Resolution):
         self.res_a = res_a
         self.res_b = res_b
         self.degree = min(res_a.degree, res_b.degree)
-        self._gens = []
-        self._index = []
+        # generator (i, a, b) of degree n sits at
+        # offsets[n][i] + a * rank_B(n - i) + b
+        self._offsets = []
         for n in range(self.degree + 2):
-            gens = []
-            for i in range(n + 1):
-                for a in range(res_a.rank(i)):
-                    for b in range(res_b.rank(n - i)):
-                        gens.append((i, a, b))
-            self._gens.append(gens)
-            self._index.append({g: t for t, g in enumerate(gens)})
-        self.ranks = [len(g) for g in self._gens]
+            sizes = [res_a.rank(i) * res_b.rank(n - i) for i in range(n + 1)]
+            self._offsets.append(np.cumsum([0] + sizes).tolist())
+        self.ranks = [off[-1] for off in self._offsets]
 
-    def gens(self, n):
-        return self._gens[n]
-
-    def gen_index(self, n, gen):
-        return self._index[n][gen]
-
-    def blocks(self, n):
+    def boundary(self, n):
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
+        rank_a, rank_b = self.res_a.rank, self.res_b.rank
+        here, below = self._offsets[n], self._offsets[n - 1]
         nb = self.res_b.group.order
-        acc = {}
-
-        def add(row, col, elem, coeff):
-            block = acc.setdefault((row, col), {})
-            block[elem] = block.get(elem, 0) + coeff
-
-        blocks_a = {i: self.res_a.blocks(i) for i in range(1, n + 1)}
-        blocks_b = {j: self.res_b.blocks(j) for j in range(1, n + 1)}
-        for col, (i, a, b) in enumerate(self._gens[n]):
-            if i >= 1:
-                for (ra, ca), coeffs in blocks_a[i].items():
-                    if ca != a:
-                        continue
-                    row = self._index[n - 1][(i - 1, ra, b)]
-                    for ga, c in coeffs.items():
-                        add(row, col, ga * nb, c)
+        parts = []
+        for i in range(n + 1):
             j = n - i
+            if i >= 1:
+                # dx o y: (i, a, b) -> (i - 1, a', b), element (ga, 0)
+                r, c, g, v = self.res_a.boundary(i)
+                b = np.arange(rank_b(j))
+                parts.append(np.broadcast_arrays(
+                    below[i - 1] + r[:, None] * rank_b(j) + b,
+                    here[i] + c[:, None] * rank_b(j) + b,
+                    g[:, None] * nb, v[:, None]))
             if j >= 1:
-                sign = -1 if i % 2 else 1
-                for (rb, cb), coeffs in blocks_b[j].items():
-                    if cb != b:
-                        continue
-                    row = self._index[n - 1][(i, a, rb)]
-                    for gb, c in coeffs.items():
-                        add(row, col, gb, sign * c)
-        return {key: {g: c for g, c in blk.items() if c}
-                for key, blk in acc.items() if any(blk.values())}
-
-    def factor_leaves(self):
-        """Flattened (leaf resolution, index offset multiplier) list; the
-        element index of a product is sum of leaf indices times offsets."""
-        out = []
-        for res, other_size in ((self.res_a, self.res_b.group.order),
-                                (self.res_b, 1)):
-            if isinstance(res, TensorResolution):
-                for leaf, off in res.factor_leaves():
-                    out.append((leaf, off * other_size))
-            else:
-                out.append((res, other_size))
-        return out
+                # (-1)^i x o dy: (i, a, b) -> (i, a, b'), element (0, gb)
+                r, c, g, v = self.res_b.boundary(j)
+                a = np.arange(rank_a(i))[:, None]
+                parts.append(np.broadcast_arrays(
+                    below[i] + a * rank_b(j - 1) + r,
+                    here[i] + a * rank_b(j) + c, g, v * (-1) ** i))
+        return tuple(np.concatenate([a.ravel() for a in part])
+                     for part in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +314,8 @@ class TensorResolution(Resolution):
 class RelabeledResolution(Resolution):
     """A resolution transported along a group isomorphism.
 
-    Blocks of the inner resolution with every group element relabeled by
-    the isomorphism; lets abelian groups without direct-product provenance
+    Boundaries of the inner resolution with every group element relabeled
+    by the isomorphism; lets abelian groups without direct-product provenance
     (e.g. extracted subgroups) reuse periodic/tensor resolutions.
     """
 
@@ -464,12 +332,11 @@ class RelabeledResolution(Resolution):
         self.group = group
         self.degree = inner.degree
         self.ranks = list(inner.ranks)
-        self._iso = iso.tolist()
+        self._iso = iso
 
-    def blocks(self, n):
-        iso = self._iso
-        return {key: {iso[g]: c for g, c in coeffs.items()}
-                for key, coeffs in self.inner.blocks(n).items()}
+    def boundary(self, n):
+        rows, cols, elems, coeffs = self.inner.boundary(n)
+        return rows, cols, self._iso[elems], coeffs
 
 
 def _abelian_tensor_resolution(group: FiniteGroup,

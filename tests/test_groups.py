@@ -150,6 +150,37 @@ class TestSubgroupQuotient:
         assert q.order == 2
         assert len(reps) == 2
 
+    def test_rejects_non_subgroups(self):
+        d3 = parse_group("D3")
+        rotations = [a for a in range(6) if d3.element_order(a) in (1, 3)]
+        r = rotations[1]
+        s = next(a for a in range(6) if d3.element_order(a) == 2)
+        for bad in ({0, r, s}, set(rotations) - {0}, {r}, set()):
+            with pytest.raises(ValueError, match="not a subgroup"):
+                d3.subgroup(bad)
+            with pytest.raises(ValueError, match="not a normal subgroup"):
+                d3.quotient(bad)
+        # a reflection generates a subgroup of order 2 that is not normal
+        sub, _ = d3.subgroup({0, s})
+        assert sub.order == 2
+        with pytest.raises(ValueError, match="not a normal subgroup"):
+            d3.quotient({0, s})
+
+    def test_subgroup_and_normality_match_enumeration(self):
+        from itertools import combinations
+        for spec in ("D3", "C2xC2", "C4"):
+            g = parse_group(spec)
+            n = g.order
+            for size in range(n + 1):
+                for subset in combinations(range(n), size):
+                    s = set(subset)
+                    closed = 0 in s and all(g.multiply(a, b) in s
+                                            for a in s for b in s)
+                    normal = all(g.conjugate(x, k) in s
+                                 for x in range(n) for k in s)
+                    assert g.is_subgroup(subset) == closed, (spec, s)
+                    assert g.is_normal(subset) == normal, (spec, s)
+
     def test_character_pullback_values(self):
         g = parse_group("C6")
         ch = orientation_characters(g)[0]

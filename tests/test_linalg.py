@@ -79,6 +79,89 @@ class TestIntMatrix:
         b = IntMatrix.from_dense([[big]])
         assert a.matmul(b).to_dense() == [[big * big]]
 
+    @staticmethod
+    def _dict_canonical(rows, cols, vals):
+        acc = {}
+        for r, c, v in zip(rows, cols, vals):
+            acc[(r, c)] = acc.get((r, c), 0) + v
+        keys = sorted(k for k, v in acc.items() if v)
+        return ([r for r, _ in keys], [c for _, c in keys],
+                [acc[k] for k in keys])
+
+    @pytest.mark.parametrize("count", [40, 511, 513, 3000])
+    @pytest.mark.parametrize("scale", [3, 2**40, 2**70])
+    def test_canonical_matches_dict_oracle(self, count, scale):
+        rng = random.Random(count * 7 + scale % 1000)
+        nrows, ncols = 9, 13
+        rows, cols, vals = [], [], []
+        while len(vals) < count:
+            r, c = rng.randrange(nrows), rng.randrange(ncols)
+            v = rng.randint(-scale, scale)
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+            if rng.random() < 0.3:   # an exact cancellation
+                rows.append(r)
+                cols.append(c)
+                vals.append(-v)
+        expect = self._dict_canonical(rows, cols, vals)
+        m = IntMatrix(nrows, ncols, rows, cols, vals)
+        assert (m.rows, m.cols, m.vals) == expect
+        assert all(type(v) is int for v in m.rows + m.cols + m.vals)
+        if scale < 2**62:
+            m = IntMatrix(nrows, ncols, np.array(rows), np.array(cols),
+                          np.array(vals))
+            assert (m.rows, m.cols, m.vals) == expect
+
+    def test_int64_object_boundary(self, monkeypatch):
+        safe = linalg._INT64_SAFE
+        # 4 values of 2^60 at one position: bound * count is exactly 2^62
+        at_bound = ([0] * 4, [1] * 4, [2**60] * 4)
+        # 5 values of (2^62 + 1) / 5: bound * count is 2^62 + 1
+        b = (safe + 1) // 5
+        assert 5 * b == safe + 1
+        past_bound = ([0] * 5, [1] * 5, [b, -b, b, b, b])
+        for triplets, dtype in ((at_bound, np.int64),
+                                (past_bound, object)):
+            r, c, v = linalg._canonical_triplets(2, 2, *triplets)
+            assert v.dtype == dtype
+            expect = self._dict_canonical(*triplets)
+            assert (r.tolist(), c.tolist(), v.tolist()) == expect
+            assert all(type(x) is int for x in v.tolist())
+        # the same triplets through the other path give the same matrix
+        plain = IntMatrix(2, 2, *at_bound)
+        monkeypatch.setattr(linalg, "_INT64_SAFE", safe - 1)
+        assert linalg._canonical_triplets(2, 2, *at_bound)[2].dtype == object
+        assert IntMatrix(2, 2, *at_bound) == plain
+        assert plain.to_dense() == [[0, 2**62], [0, 0]]
+
+    def test_canonical_rejects_bad_triplets(self):
+        for rows, cols in (([2], [0]), ([-1], [0]), ([0], [3]), ([0], [-1]),
+                           ([2**70], [0])):
+            with pytest.raises(ValueError):
+                IntMatrix(2, 3, rows, cols, [1])
+        for rows, cols, vals in (([0, 1], [0], [1]), ([0], [0, 1], [1]),
+                                 ([0], [0], [1, 2]), ([], [], [1])):
+            with pytest.raises(ValueError):
+                IntMatrix(2, 3, rows, cols, vals)
+
+    def test_matmul_int64_boundary(self, monkeypatch):
+        safe = linalg._INT64_SAFE
+        # bound = inner * max|a| * max|b| = 2 * 2^30 * 2^31
+        a = IntMatrix.from_dense([[2**30, -2**30]])
+        b = IntMatrix.from_dense([[2**31], [-2**31]])
+        expect = [[2**62]]
+        fast = a._matmul_scipy(b)
+        assert fast is not None and fast.to_dense() == expect
+        assert all(type(v) is int for v in fast.vals)
+        over = IntMatrix.from_dense([[2**30 + 1, -2**30]])
+        assert 2 * (2**30 + 1) * 2**31 > safe
+        assert over._matmul_scipy(b) is None
+        assert over.matmul(b).to_dense() == [[2**62 + 2**31]]
+        monkeypatch.setattr(linalg, "_INT64_SAFE", safe - 1)
+        assert a._matmul_scipy(b) is None
+        assert a.matmul(b) == fast
+
 
 class TestSmithForm:
     def test_spec_examples(self):
