@@ -151,74 +151,80 @@ def _update(h, m):
     h.update(repr((m.nrows, m.ncols, m.rows, m.cols, m.vals)).encode())
 
 
+# sha256 per (group, resolution, degree) over every coboundary and chain
+# matrix of _pin_modules, recorded with the dict-of-blocks assembly that
+# the array boundaries replaced
+_PINS = {
+    ("C1", "default", 4):
+        "dd33ebfd16737a3d03205ce0258ab9ee440edac84b80989da89008f1fb27550c",
+    ("C1", "bar", 4):
+        "88a9d904d0a9ab046aa7a1f926753cc4bdae8811e6f459b572fc12150706ac31",
+    ("C1", "periodic", 5):
+        "e20d642e6b65df10d966c9f7b9b56be4497d7ddef3cac540f06655879f682d05",
+    ("C2", "default", 4):
+        "667154efe8fb6d6bdeacf555bef85b8b92171e4e10f4727946effc016a2f266d",
+    ("C2", "bar", 4):
+        "667154efe8fb6d6bdeacf555bef85b8b92171e4e10f4727946effc016a2f266d",
+    ("C2", "periodic", 5):
+        "5387e1b3558403a7bb7c71b65efa01a7a5ba6ebea38fd10ebed25412a8be299a",
+    ("C3", "default", 4):
+        "af7f64dbd40b6490557f515e05e0c81be3d6bf33b8957863a11c3a1ea9cc8cc7",
+    ("C3", "bar", 4):
+        "5fb7f909efb6bf4563c300292af6bd31d2a425ee46cedf7a7d9936429fad9d49",
+    ("C3", "periodic", 5):
+        "5fa77003e99652418d665a6452cac97c06b903a20f017137a507907f8daa8a37",
+    ("C4", "default", 4):
+        "d96d8b355a1060a4b241a932af6a5c6a735a7436b30227b9da8de759d09a9ba0",
+    ("C4", "bar", 4):
+        "a3dfcd748a16d68bd58d6951554aca79ffb3bb5288d4421682f415d38eed3d8f",
+    ("C4", "periodic", 5):
+        "48a847d68c866eef297f0171ba2d4ec7d4b2bb60ac600aab73797ae8bd22692b",
+    ("C5", "default", 4):
+        "f07f0d13321534cb5fa09dec9f91fdeaa6c4e8e4aeaa320af91a80fc1b198567",
+    ("C5", "bar", 3):
+        "84e31f68385ddbe479a8cd226cf72adf31a9f72e36b400a7107c321184a90aa7",
+    ("C5", "periodic", 5):
+        "f1f99adfbedb06696081d7cb99b275a7fcda078560345805a2268a4c17d02ada",
+    ("C6", "default", 4):
+        "2b2d53327906dd4b87a906f71ed66f1999b16f6a12469459b41fa2411bff7b47",
+    ("C6", "bar", 3):
+        "b94fe75cfd460a731d93ca27f83ad7fe92d2e5e67c89c9307c3c4caa60888f1a",
+    ("C6", "periodic", 5):
+        "1ca042b6b94b121c69d923698dc778ea4fe3c259bf5c3facc352efe8ec7130ed",
+    ("D3", "bar", 3):
+        "66c51c35db69e6d7525fa378518919e018d9893d7e7893bfd137926e755260ab",
+    ("D4", "bar", 3):
+        "9515df0899173a853f3f3f685ac6de14ff7ca54f8df2cc8bc7e4bc6fd4521eb6",
+    ("C2xC2", "default", 4):
+        "53b99c92817bf707b76a622d5b7ab692a6dd006831b9e0d1454b6e697ba76990",
+    ("C2xC2", "bar", 4):
+        "2cc56ae51b1b222293b9f0e5668c1105f4e2b9daf3adbbb300c74f9c62601a7e",
+    ("C2xC4", "default", 4):
+        "b92dd302e55416938d513c61120e8da169a7dbe219c9a609db21abd4b1e4b08b",
+    ("C2xC4", "bar", 3):
+        "48003c1fad22e569ac84a965a358b5a9a8f175f5b18667f1ca3661eef1197154",
+    ("C3xC6", "default", 3):
+        "45244e44da868f51f70ae0b43bf60ac7b53b0148d21246061fdd81e04a589f2d",
+    ("C3xC6", "bar", 2):
+        "35d19976523d17cbe2ea2f24db28ace5fd0d9cf5505187369b410254a38856f5",
+    ("C2xC2xC5", "default", 3):
+        "434024f63109ba8fbd86b403a0a228f67d9caa741e288b457aa035e823246710",
+    ("C2xC2xC5", "bar", 2):
+        "ec30cdb4bf95252a6418a240221e42e8c7fb30634b1bae9f652fc131707a6007",
+    ("C3xC3<C3xC6", "default", 3):
+        "bc5b0c5be6612ea1e1939523a9f493d809489e7e3bcf42376fc0d82d6c51b8d1",
+    ("C3xC3<C3xC6", "bar", 2):
+        "1693e3d03be75c45d99e56e57e7408c128c5dc2506397ff71324d37c10b07b34",
+}
+
+
 class TestAssemblyPins:
-    """sha256 of every coboundary and chain matrix, recorded with the
+    """sha256 of coboundary and chain matrices, recorded with the
     dict-of-blocks assembly that the array boundaries replaced.  repr()
     also pins that entries are Python ints."""
 
-    @pytest.mark.parametrize("spec, kind, degree, digest", [
-        ("C1", "default", 4,
-         "dd33ebfd16737a3d03205ce0258ab9ee440edac84b80989da89008f1fb27550c"),
-        ("C1", "bar", 4,
-         "88a9d904d0a9ab046aa7a1f926753cc4bdae8811e6f459b572fc12150706ac31"),
-        ("C1", "periodic", 5,
-         "e20d642e6b65df10d966c9f7b9b56be4497d7ddef3cac540f06655879f682d05"),
-        ("C2", "default", 4,
-         "667154efe8fb6d6bdeacf555bef85b8b92171e4e10f4727946effc016a2f266d"),
-        ("C2", "bar", 4,
-         "667154efe8fb6d6bdeacf555bef85b8b92171e4e10f4727946effc016a2f266d"),
-        ("C2", "periodic", 5,
-         "5387e1b3558403a7bb7c71b65efa01a7a5ba6ebea38fd10ebed25412a8be299a"),
-        ("C3", "default", 4,
-         "af7f64dbd40b6490557f515e05e0c81be3d6bf33b8957863a11c3a1ea9cc8cc7"),
-        ("C3", "bar", 4,
-         "5fb7f909efb6bf4563c300292af6bd31d2a425ee46cedf7a7d9936429fad9d49"),
-        ("C3", "periodic", 5,
-         "5fa77003e99652418d665a6452cac97c06b903a20f017137a507907f8daa8a37"),
-        ("C4", "default", 4,
-         "d96d8b355a1060a4b241a932af6a5c6a735a7436b30227b9da8de759d09a9ba0"),
-        ("C4", "bar", 4,
-         "a3dfcd748a16d68bd58d6951554aca79ffb3bb5288d4421682f415d38eed3d8f"),
-        ("C4", "periodic", 5,
-         "48a847d68c866eef297f0171ba2d4ec7d4b2bb60ac600aab73797ae8bd22692b"),
-        ("C5", "default", 4,
-         "f07f0d13321534cb5fa09dec9f91fdeaa6c4e8e4aeaa320af91a80fc1b198567"),
-        ("C5", "bar", 3,
-         "84e31f68385ddbe479a8cd226cf72adf31a9f72e36b400a7107c321184a90aa7"),
-        ("C5", "periodic", 5,
-         "f1f99adfbedb06696081d7cb99b275a7fcda078560345805a2268a4c17d02ada"),
-        ("C6", "default", 4,
-         "2b2d53327906dd4b87a906f71ed66f1999b16f6a12469459b41fa2411bff7b47"),
-        ("C6", "bar", 3,
-         "b94fe75cfd460a731d93ca27f83ad7fe92d2e5e67c89c9307c3c4caa60888f1a"),
-        ("C6", "periodic", 5,
-         "1ca042b6b94b121c69d923698dc778ea4fe3c259bf5c3facc352efe8ec7130ed"),
-        ("D3", "bar", 3,
-         "66c51c35db69e6d7525fa378518919e018d9893d7e7893bfd137926e755260ab"),
-        ("D4", "bar", 3,
-         "9515df0899173a853f3f3f685ac6de14ff7ca54f8df2cc8bc7e4bc6fd4521eb6"),
-        ("C2xC2", "default", 4,
-         "53b99c92817bf707b76a622d5b7ab692a6dd006831b9e0d1454b6e697ba76990"),
-        ("C2xC2", "bar", 4,
-         "2cc56ae51b1b222293b9f0e5668c1105f4e2b9daf3adbbb300c74f9c62601a7e"),
-        ("C2xC4", "default", 4,
-         "b92dd302e55416938d513c61120e8da169a7dbe219c9a609db21abd4b1e4b08b"),
-        ("C2xC4", "bar", 3,
-         "48003c1fad22e569ac84a965a358b5a9a8f175f5b18667f1ca3661eef1197154"),
-        ("C3xC6", "default", 3,
-         "45244e44da868f51f70ae0b43bf60ac7b53b0148d21246061fdd81e04a589f2d"),
-        ("C3xC6", "bar", 2,
-         "35d19976523d17cbe2ea2f24db28ace5fd0d9cf5505187369b410254a38856f5"),
-        ("C2xC2xC5", "default", 3,
-         "434024f63109ba8fbd86b403a0a228f67d9caa741e288b457aa035e823246710"),
-        ("C2xC2xC5", "bar", 2,
-         "ec30cdb4bf95252a6418a240221e42e8c7fb30634b1bae9f652fc131707a6007"),
-        ("C3xC3<C3xC6", "default", 3,
-         "bc5b0c5be6612ea1e1939523a9f493d809489e7e3bcf42376fc0d82d6c51b8d1"),
-        ("C3xC3<C3xC6", "bar", 2,
-         "1693e3d03be75c45d99e56e57e7408c128c5dc2506397ff71324d37c10b07b34"),
-    ])
-    def test_matrices_pinned(self, spec, kind, degree, digest):
+    @pytest.mark.parametrize("spec, kind, degree", list(_PINS))
+    def test_matrices_pinned(self, spec, kind, degree):
         group = _pin_group(spec)
         make = {"default": default_resolution, "bar": BarResolution,
                 "periodic": PeriodicResolution}[kind]
@@ -231,7 +237,7 @@ class TestAssemblyPins:
                 _update(h, res.coboundary_matrix(module, n))
             for n in range(degree + 2):
                 _update(h, res.chain_matrix(module, n))
-        assert h.hexdigest() == digest
+        assert h.hexdigest() == _PINS[(spec, kind, degree)]
 
     @pytest.mark.parametrize("spec, coeff, digest", [
         ("C8", "Z",
@@ -240,7 +246,7 @@ class TestAssemblyPins:
          "833778e395fdc0ac5c356e17b5e96deebf387877827713dbf8dac96154879416"),
         ("C12", "Zw",
          "c4eca387b75c2521f35487a98a2883fd87a06f89714c624f36016c11e75396e7"),
-    ])
+    ], ids=["C8-Z", "C8-Zw", "C12-Zw"])
     def test_bar_delta4_pinned(self, spec, coeff, digest):
         group = parse_group(spec)
         module = trivial_integers(group) if coeff == "Z" else \
