@@ -1,9 +1,15 @@
-"""Benchmark the pure vs compiled unit-pivot elimination backends.
+"""Benchmark the GF(2) layer and the pure vs compiled unit-pivot backends.
 
-Runs the same elimination on representative matrices -- bar-resolution
-coboundaries of cyclic groups (the fill-in-heavy workload the compiled
-kernel exists for) and random sparse matrices -- on both backends,
-checks that the results agree, and prints a timing table.
+The GF(2) section times the two mod-2 steps of the bar cochain complex,
+``IntMatrix.mod2_column_masks`` and ``gf2.kernel``, on the bar delta^4 of
+C6, C8 and C10, and prints each matrix's shape, nnz, rank and kernel
+dimension beside the seconds.  It needs no compiled kernel.
+
+The unit-pivot section runs the same elimination on representative
+matrices -- bar-resolution coboundaries of cyclic groups (the
+fill-in-heavy workload the compiled kernel exists for) and random sparse
+matrices -- on both backends, checks that the results agree, and prints a
+timing table.  It is skipped when the compiled backend is not built.
 
 Usage: python3 benchmarks/bench_kernels.py [--heavy]
 """
@@ -13,7 +19,7 @@ import random
 import time
 
 from u4class.groups import cyclic_group, orientation_characters
-from u4class.kernels import BACKEND, unit_pivot_phase
+from u4class.kernels import BACKEND, gf2, unit_pivot_phase
 from u4class.linalg import _remainder_snf
 from u4class.modules import trivial_integers, twisted_integers
 from u4class.resolutions import BarResolution
@@ -66,16 +72,31 @@ def run(name, m, mod2=False):
           f"[{checked}]", flush=True)
 
 
+def run_gf2(name, m):
+    t0 = time.perf_counter()
+    masks = m.mod2_column_masks()
+    t1 = time.perf_counter()
+    kernel = gf2.kernel(masks)
+    t2 = time.perf_counter()
+    print(f"{name:<34} {m.nrows:>7}x{m.ncols:<7} nnz={m.nnz:<8} "
+          f"rank {m.ncols - len(kernel):<6} kernel {len(kernel):<6} "
+          f"masks {t1 - t0:7.3f}s  kernel {t2 - t1:7.3f}s", flush=True)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--heavy", action="store_true",
                         help="include the larger C10 coboundary cases")
     args = parser.parse_args()
 
+    for order in (6, 8, 10):
+        run_gf2(f"bar C{order} delta^4 (GF(2))", bar_coboundary(order, 4))
+
     if BACKEND != "compiled":
-        raise SystemExit("compiled backend unavailable; build the "
-                         "extension first (python3 setup.py build_ext "
-                         "--inplace)")
+        print("unit-pivot comparison skipped: compiled backend "
+              "unavailable; build the extension first (python3 setup.py "
+              "build_ext --inplace)")
+        return
     print(f"active default backend: {BACKEND}")
 
     run("random 300x300 (5% fill)", random_sparse(300, 300, 4500, seed=7))

@@ -116,9 +116,9 @@ class BarMod2Complex:
         cols = self._delta[n]
         out = 0
         while mask:
-            low = mask & -mask
-            out ^= cols[low.bit_length() - 1]
-            mask ^= low
+            top = mask.bit_length() - 1
+            out ^= cols[top]
+            mask ^= 1 << top
         return out
 
     def _prepare(self, n):
@@ -167,9 +167,9 @@ class BarMod2Complex:
         shift = (self.group.order - 1) ** q
         out = 0
         while a:
-            low = a & -a
-            out |= b << ((low.bit_length() - 1) * shift)
-            a ^= low
+            top = a.bit_length() - 1
+            out |= b << (top * shift)
+            a ^= 1 << top
         return out
 
     def tuple_label(self, n, idx):

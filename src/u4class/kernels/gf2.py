@@ -2,13 +2,16 @@
 
 Bit i of a column integer is row i.  Arbitrary-size XOR on Python ints is
 already implemented in C, so this module has no compiled twin.
+
+The echelon pivots each column on its highest set bit, read in O(1) as
+``vec.bit_length() - 1``; a lowest-bit pivot would cost a pass over the
+whole width per lookup, and every reduction step clears the top bit, so
+the vector being reduced also gets shorter as it goes.  No answer depends
+on the pivot rule: the rank, the ``insert`` results, the kernel basis and
+``coordinates`` are determined by the sequence of inserted columns alone.
 """
 
 __all__ = ["Echelon", "rank", "kernel"]
-
-
-def _low_bit(x):
-    return (x & -x).bit_length() - 1
 
 
 class Echelon:
@@ -18,10 +21,18 @@ class Echelon:
     inserted columns, which input columns sum to pivot column j.  Kernel
     vectors come out in insertion (lexicographic) order, which keeps every
     downstream basis choice reproducible.
+
+    Each stored column is keyed by its highest set bit.  The outputs do not
+    depend on that choice: a column enlarges the span exactly when it is
+    independent of the columns before it, the kernel vector of a dependent
+    column j is the unique sum of e_j and earlier independent columns, and
+    a vector in the span has unique coordinates in the independent columns.
+    Only ``residue`` depends on the pivot rule: it is one representative of
+    the vector's coset, zero exactly when the vector lies in the span.
     """
 
     def __init__(self, columns=()):
-        self.pivots = {}  # low bit -> index into self.cols
+        self.pivots = {}  # highest set bit -> index into self.cols
         self.cols = []
         self.combos = []
         self.kernel = []
@@ -30,13 +41,13 @@ class Echelon:
             self.insert(c)
 
     def _reduce(self, vec, combo):
+        pivots, cols, combos = self.pivots, self.cols, self.combos
         while vec:
-            b = _low_bit(vec)
-            k = self.pivots.get(b)
+            k = pivots.get(vec.bit_length() - 1)
             if k is None:
                 break
-            vec ^= self.cols[k]
-            combo ^= self.combos[k]
+            vec ^= cols[k]
+            combo ^= combos[k]
         return vec, combo
 
     def insert(self, vec):
@@ -45,7 +56,7 @@ class Echelon:
         self.ninserted += 1
         vec, combo = self._reduce(vec, combo)
         if vec:
-            self.pivots[_low_bit(vec)] = len(self.cols)
+            self.pivots[vec.bit_length() - 1] = len(self.cols)
             self.cols.append(vec)
             self.combos.append(combo)
             return True
@@ -57,7 +68,9 @@ class Echelon:
         return len(self.cols)
 
     def residue(self, vec):
-        """Remainder of vec after reduction against the span."""
+        """Remainder of vec after reduction against the span: zero exactly
+        when vec lies in the span, otherwise a representative of its coset
+        that depends on the pivot rule."""
         return self._reduce(vec, 0)[0]
 
     def contains(self, vec):

@@ -5,6 +5,9 @@ H^*(BZ/2; Z/2) = F2[x], Maschke vanishing for odd order, and agreement of
 independently computed Betti numbers.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from u4class.cohomology import (BarMod2Complex, inflation_map,
@@ -191,3 +194,42 @@ class TestInflation:
             a = cohomology(d.quotient, tw_p, n)
             b = cohomology(d.project.source, tw_g, n)
             assert a == b
+
+
+# sha256 of json.dumps(to_json(), sort_keys=True) for mod2_ring(G, 4) and
+# for inflation_map(odd_normal_complement(G).project, 4) onto the order-2
+# quotient, recorded with the lowest-bit GF(2) pivot and the per-entry
+# mod-2 mask loop that the current code replaced
+_ANSWER_PINS = {
+    ("ring", "C2"):
+        "defcfce7d7e4db81a8010c992a8dabeafa7c5a653bd6149f23a6e91c63d4e70f",
+    ("ring", "C6"):
+        "ebf307f4e03ee70e31fceade160b03e79cc9c259136675d8f477bd50881d2593",
+    ("ring", "C10"):
+        "a0dfeb9b99011de0c897e373beda71f0fa98893de1064beeea434dc0584471e7",
+    ("ring", "D3"):
+        "a66e60ffe7508c8bf9145ffd475480564a630cad3af70be0eac14368440ca904",
+    ("ring", "D4"):
+        "4e2a03a9f6bf9a7de109b6142873d0b045a64af89d3da7bf64dacdd8dd0770bd",
+    ("inflation", "C6"):
+        "922a252a2b60e539f5a9c4d936bbf9a087fbf94a0f1058784ad892ad744ec769",
+    ("inflation", "C10"):
+        "28740984468686dc468ae25902cdd920290c0b22ecfd2e88dd82f4abbcadf89a",
+    ("inflation", "D5"):
+        "dacdd507fd9f2cd129226bfa42c95e210098b867ab4261e441739ac16b93ba29",
+}
+
+
+class TestAnswerPins:
+    @pytest.mark.parametrize("kind, spec", list(_ANSWER_PINS),
+                             ids=[f"{k}-{s}" for k, s in _ANSWER_PINS])
+    def test_answer_pinned(self, kind, spec):
+        group = parse_group(spec)
+        if kind == "ring":
+            answer = mod2_ring(group, 4)
+        else:
+            answer = inflation_map(odd_normal_complement(group).project, 4)
+            assert answer.route == "bar"
+        payload = json.dumps(answer.to_json(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == \
+            _ANSWER_PINS[(kind, spec)]

@@ -162,6 +162,32 @@ class TestIntMatrix:
         assert a._matmul_scipy(b) is None
         assert a.matmul(b) == fast
 
+    @pytest.mark.parametrize("left, right", [
+        (IntMatrix.zeros(0, 1), IntMatrix.identity(1)),
+        (IntMatrix.identity(3), IntMatrix.zeros(3, 2)),
+        (IntMatrix.zeros(2, 3), IntMatrix.from_dense([[1], [2], [3]])),
+        (IntMatrix.from_dense([[1, 2]]), IntMatrix.zeros(2, 0)),
+        (IntMatrix.zeros(4, 0), IntMatrix.zeros(0, 5))])
+    def test_matmul_empty_factor(self, left, right):
+        out = left.matmul(right)
+        assert (out.nrows, out.ncols) == (left.nrows, right.ncols)
+        assert out.is_zero
+
+    def test_matmul_empty_factor_skips_scipy(self):
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        code = ("import sys\n"
+                "from u4class.linalg import IntMatrix\n"
+                "IntMatrix.zeros(0, 1).matmul(IntMatrix.identity(1))\n"
+                "print('scipy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
 
 class TestSmithForm:
     def test_spec_examples(self):
@@ -772,3 +798,143 @@ class TestMod2:
             m = IntMatrix.from_dense(
                 [[rng.randint(0, 1) for _ in range(5)] for _ in range(5)])
             assert linalg.mod2_rank(m) == gf2.rank(m.mod2_column_masks())
+
+    @staticmethod
+    def _loop_masks(m):
+        # the per-entry loop the numpy builder replaced
+        out = [0] * m.ncols
+        for r, c, v in zip(m.rows, m.cols, m.vals):
+            if v & 1:
+                out[c] ^= 1 << r
+        return out
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_column_masks_match_loop(self, monkeypatch, block):
+        if block is not None:   # one or a few columns per dense block
+            monkeypatch.setattr(linalg, "_MASK_BLOCK_BYTES", block)
+        rng = random.Random(41)
+        big = [2**63, 2**63 + 1, -(2**70) - 1, 2**64 + 6]
+        cases = [IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 4),
+                 IntMatrix.zeros(5, 0), IntMatrix.zeros(9, 3),
+                 IntMatrix.from_dense([[2, -4], [6, 0]]),
+                 IntMatrix.from_dense([[2**63 + 1], [2**63], [-3]])]
+        for nrows in (1, 7, 8, 13, 64, 65, 130):
+            for ncols in (1, 6, 40):
+                entries = {}
+                for _ in range(rng.randrange(nrows * ncols // 2 + 2)):
+                    # columns 4, 9, 14, ... stay empty
+                    c = rng.randrange(ncols)
+                    if c % 5 != 4:
+                        entries[(rng.randrange(nrows), c)] = rng.choice(
+                            [1, -1, 2, -2, 3, -7, 10] + big)
+                keys = list(entries)
+                cases.append(IntMatrix(
+                    nrows, ncols, [r for r, _ in keys],
+                    [c for _, c in keys], list(entries.values())))
+        for m in cases:
+            masks = m.mod2_column_masks()
+            assert masks == self._loop_masks(m), m
+            assert all(type(x) is int for x in masks)
+
+    def test_column_masks_bar_delta4(self):
+        m = _bar_coboundary("C10", 4)
+        assert (m.nrows, m.ncols) == (59049, 6561)
+        assert m.mod2_column_masks() == self._loop_masks(m)
+
+
+def _dense_gf2_solve(columns, vec, width):
+    """Coefficients (a list of 0/1) writing vec as a sum of the given
+    columns, by Gauss-Jordan elimination on dense 0/1 rows; None when vec
+    is outside their span.  Unique when the columns are independent."""
+    k = len(columns)
+    rows = [[(c >> i) & 1 for c in columns] + [(vec >> i) & 1]
+            for i in range(width)]
+    pivot_cols, r = [], 0
+    for j in range(k):
+        p = next((i for i in range(r, width) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(width):
+            if i != r and rows[i][j]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(j)
+        r += 1
+    if any(row[k] for row in rows[r:]):
+        return None
+    coeffs = [0] * k
+    for i, j in enumerate(pivot_cols):
+        coeffs[j] = rows[i][k]
+    return coeffs
+
+
+class TestGF2Echelon:
+    """gf2.Echelon against a dense GF(2) reference: every answer is fixed
+    by the sequence of inserted columns, whatever bit the pivots sit on."""
+
+    @staticmethod
+    def _columns(rng, width):
+        cols = []
+        for _ in range(rng.randrange(1, 30)):
+            roll = rng.random()
+            if roll < 0.1:
+                cols.append(0)
+            elif roll < 0.25 and cols:
+                cols.append(rng.choice(cols))
+            elif roll < 0.4 and len(cols) >= 2:
+                a, b = rng.sample(cols, 2)
+                cols.append(a ^ b)
+            else:
+                sparse = rng.random() < 0.5
+                bits = {rng.randrange(width)
+                        for _ in range(rng.randrange(1, 4))}
+                cols.append(sum(1 << b for b in bits)
+                            if sparse else rng.getrandbits(width))
+        return cols
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_dense_reference(self, seed):
+        rng = random.Random(seed)
+        for width in (1, 2, 7, 63, 64, 65, 130, 200):
+            cols = self._columns(rng, width)
+            ech = gf2.Echelon()
+            results = [ech.insert(c) for c in cols]
+            independent, want_results, want_kernel = [], [], []
+            for j, c in enumerate(cols):
+                basis = [cols[i] for i in independent]
+                coeffs = _dense_gf2_solve(basis, c, width)
+                want_results.append(coeffs is None)
+                if coeffs is None:
+                    independent.append(j)
+                else:
+                    want_kernel.append((1 << j) | sum(
+                        1 << i for i, a in zip(independent, coeffs) if a))
+            assert results == want_results
+            assert ech.rank == len(independent) == ech.ninserted - len(
+                ech.kernel)
+            assert ech.kernel == want_kernel
+            assert gf2.kernel(cols) == want_kernel
+            assert gf2.rank(cols) == len(independent)
+            for combo in ech.kernel:
+                acc = 0
+                for j, c in enumerate(cols):
+                    if (combo >> j) & 1:
+                        acc ^= c
+                assert acc == 0
+            basis = [cols[i] for i in independent]
+            members = []
+            for _ in range(5):
+                vec = 0
+                for c in cols:
+                    if rng.random() < 0.5:
+                        vec ^= c
+                members.append(vec)
+            for vec in members + [rng.getrandbits(width) for _ in range(5)]:
+                coeffs = _dense_gf2_solve(basis, vec, width)
+                want = None if coeffs is None else sum(
+                    1 << i for i, a in zip(independent, coeffs) if a)
+                assert ech.coordinates(vec) == want
+                assert ech.contains(vec) == (want is not None)
+                assert (ech.residue(vec) == 0) == (want is not None)
+            for vec in members:
+                assert ech.contains(vec)
