@@ -1,33 +1,16 @@
-"""Elimination kernels with a compiled fast path and a pure fallback.
+"""Elimination kernels: the unit-pivot phase and GF(2) linear algebra.
 
-The compiled backend works in int64 and raises OverflowError when entry
-growth threatens the 64-bit range, at which point the call transparently
-re-runs on the arbitrary-precision pure backend.
+``unit_pivot_phase`` is the arbitrary-precision pure-Python engine in
+``pure``; ``linalg`` runs its int64 structural pre-pass in front of it.
 """
 
 from . import gf2, pure
+from .pure import unit_pivot_phase
 
-try:
-    from . import _speedups as _fast
-except ImportError:  # pragma: no cover - depends on build environment
-    _fast = None
-
-BACKEND = "compiled" if _fast is not None else "pure"
+# perfbench records this in its environment probe
+BACKEND = "pure"
+# perfbench reads this: its environment probe and its overflow-fallback
+# counter look for a compiled twin here, and there is none
+_fast = None
 
 __all__ = ["BACKEND", "gf2", "pure", "unit_pivot_phase"]
-
-
-def unit_pivot_phase(nrows, ncols, row_idx, col_idx, values, mod2=False,
-                     backend=None):
-    """Dispatch the unit-pivot elimination phase to the selected backend.
-
-    See ``pure.unit_pivot_phase`` for the contract.
-    """
-    choice = backend or BACKEND
-    if choice == "compiled" and _fast is not None:
-        try:
-            return _fast.unit_pivot_phase(
-                nrows, ncols, row_idx, col_idx, values, mod2)
-        except OverflowError:
-            pass
-    return pure.unit_pivot_phase(nrows, ncols, row_idx, col_idx, values, mod2)

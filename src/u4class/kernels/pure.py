@@ -1,8 +1,7 @@
-"""Pure-Python sparse elimination backend.
+"""Pure-Python sparse elimination: the unit-pivot phase.
 
-This is the arbitrary-precision reference implementation of the unit-pivot
-phase.  The compiled backend in ``_speedups`` mirrors it with int64
-arithmetic and falls back here on overflow.
+This is the arbitrary-precision implementation of the unit-pivot phase;
+entries are Python ints, so no input can overflow it.
 """
 
 import heapq

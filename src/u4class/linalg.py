@@ -666,7 +666,7 @@ def _dense_snf(a, m, n, want):
 
 # smaller matrices go straight to the unit-pivot phase, and a core below
 # this size ends the rounds: timed on the bar coboundaries of C1..C10, D3,
-# C2xC2 and D4 (pure backend), the pre-pass in front took 0.02-0.8x the
+# C2xC2 and D4, the pre-pass in front took 0.02-0.8x the
 # time on every matrix of 1904 or more entries but D4's delta^4 over Z
 # (1.07x, see below), and all but one of those of 1130 or fewer were
 # slower with it
@@ -681,7 +681,7 @@ _PREPASS_WORK = 32
 
 def _structural_prepass(nrows, ncols, rows, cols, vals, mod2=False):
     """Clear structural unit pivots in bulk; same contract as
-    ``kernels.pure.unit_pivot_phase``.
+    ``kernels.unit_pivot_phase``.
 
     Each round picks, for every column holding the leftmost entry of some
     row with value +-1 there, one such row (the shortest).  Ordered by

@@ -228,44 +228,31 @@ class TestSmithForm:
             mine = [d for d in linalg.smith_normal_form(m).diagonal if d]
             assert mine == oracle_invariant_factors(m)
 
-    def test_backend_agreement(self):
-        from u4class import kernels
-        rng = random.Random(3)
-        for _ in range(30):
-            nr, nc = rng.randint(1, 8), rng.randint(1, 8)
-            rows, cols, vals = [], [], []
-            seen = set()
-            for _ in range(rng.randint(0, 20)):
-                r, c = rng.randrange(nr), rng.randrange(nc)
-                if (r, c) in seen:
-                    continue
-                seen.add((r, c))
-                rows.append(r)
-                cols.append(c)
-                vals.append(rng.choice([-3, -1, -1, 1, 1, 2, 5]))
-            for mod2 in (False, True):
-                a = kernels.unit_pivot_phase(nr, nc, rows, cols, vals,
-                                             mod2, backend="pure")
-                b = kernels.unit_pivot_phase(nr, nc, rows, cols, vals,
-                                             mod2, backend="compiled")
-                ma = IntMatrix(nr, nc, a[1], a[2], a[3])
-                mb = IntMatrix(nr, nc, b[1], b[2], b[3])
-                # pivot counts may differ only if elimination order differs,
-                # but the full invariant data must match
-                da = [1] * a[0] + list(linalg.smith_normal_form(ma).diagonal)
-                db = [1] * b[0] + list(linalg.smith_normal_form(mb).diagonal)
-                assert sorted(x for x in da if x) == \
-                    sorted(x for x in db if x)
-
     def test_overflow_falls_back(self):
         from u4class import kernels
-        big = 2**62
-        # compiled backend must refuse; the dispatcher then uses pure
-        if kernels._fast is not None:
-            with pytest.raises(OverflowError):
-                kernels._fast.unit_pivot_phase(1, 1, [0], [0], [big], False)
-        npiv, rr, rc, rv = kernels.unit_pivot_phase(1, 1, [0], [0], [big])
-        assert npiv == 0 and rv == [big]
+        # entries at and past the int64 range stay exact Python ints
+        for big in (2**62, 2**64 + 3):
+            npiv, rr, rc, rv = kernels.unit_pivot_phase(1, 1, [0], [0], [big])
+            assert npiv == 0 and rv == [big]
+            # [[1, big], [1, 0]] has Smith form (1, big): one unit pivot,
+            # and big is left over
+            npiv, rr, rc, rv = kernels.unit_pivot_phase(
+                2, 2, [0, 0, 1], [0, 1, 0], [1, big, 1])
+            assert npiv == 1 and rv == [big]
+        # over GF(2) an odd bigint is a unit and an even one vanishes
+        assert kernels.unit_pivot_phase(
+            1, 1, [0], [0], [2**64 + 3], mod2=True) == (1, [], [], [])
+        assert kernels.unit_pivot_phase(
+            1, 1, [0], [0], [2**64], mod2=True) == (0, [], [], [])
+        assert kernels.unit_pivot_phase(
+            2, 2, [0, 0, 1], [0, 1, 0], [1, 2**64 + 3, 1],
+            mod2=True) == (2, [], [], [])
+
+    def test_one_engine(self):
+        from u4class import kernels
+        assert kernels.BACKEND == "pure"
+        assert kernels._fast is None
+        assert kernels.unit_pivot_phase is kernels.pure.unit_pivot_phase
 
 
 def _plain_elimination(m, mod2=False):
