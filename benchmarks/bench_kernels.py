@@ -1,13 +1,16 @@
-"""Benchmark the GF(2) layer on bar coboundaries.
+"""Benchmark bar coboundary assembly and the GF(2) layer.
 
-Times the two mod-2 steps of the bar cochain complex,
-``IntMatrix.mod2_column_masks`` and ``gf2.kernel``, on the bar delta^4 of
-C6, C8 and C10, and prints each matrix's shape, nnz, rank and kernel
-dimension beside the seconds.
+For the bar delta^4 of C6, C8 and C10, times ``coboundary_matrix`` (the
+assembly and canonicalisation of the ``IntMatrix``) and the two mod-2
+steps of the bar cochain complex, ``IntMatrix.mod2_column_masks`` and
+``gf2.kernel``.  Each row prints the matrix's shape, nnz, rank and kernel
+dimension, the bytes of its three triplet arrays, the seconds of each step
+and the process's peak RSS (``ru_maxrss``) after the row.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
 
+import resource
 import time
 
 from u4class.groups import cyclic_group
@@ -16,26 +19,29 @@ from u4class.modules import trivial_integers
 from u4class.resolutions import BarResolution
 
 
-def bar_coboundary(order, degree):
+def run_gf2(order, degree=4):
     group = cyclic_group(order)
-    return BarResolution(group, degree).coboundary_matrix(
-        trivial_integers(group), degree)
-
-
-def run_gf2(name, m):
+    res = BarResolution(group, degree)
+    module = trivial_integers(group)
     t0 = time.perf_counter()
-    masks = m.mod2_column_masks()
+    m = res.coboundary_matrix(module, degree)
     t1 = time.perf_counter()
-    kernel = gf2.kernel(masks)
+    masks = m.mod2_column_masks()
     t2 = time.perf_counter()
-    print(f"{name:<34} {m.nrows:>7}x{m.ncols:<7} nnz={m.nnz:<8} "
-          f"rank {m.ncols - len(kernel):<6} kernel {len(kernel):<6} "
-          f"masks {t1 - t0:7.3f}s  kernel {t2 - t1:7.3f}s", flush=True)
+    kernel = gf2.kernel(masks)
+    t3 = time.perf_counter()
+    stored = sum(a.nbytes for a in m.arrays)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"bar C{order} delta^{degree} (GF(2))  {m.nrows:>7}x{m.ncols:<7} "
+          f"nnz={m.nnz:<8} rank {m.ncols - len(kernel):<6} "
+          f"kernel {len(kernel):<6} stored {stored / 2**20:6.2f} MB  "
+          f"coboundary {t1 - t0:7.3f}s  masks {t2 - t1:7.3f}s  "
+          f"kernel {t3 - t2:7.3f}s  peak rss {peak:6.1f} MB", flush=True)
 
 
 def main():
     for order in (6, 8, 10):
-        run_gf2(f"bar C{order} delta^4 (GF(2))", bar_coboundary(order, 4))
+        run_gf2(order)
 
 
 if __name__ == "__main__":

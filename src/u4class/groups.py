@@ -37,8 +37,7 @@ class FiniteGroup:
     __slots__ = ("order", "mul", "name", "inverse_table", "_orders",
                  "product_factors", "generator")
 
-    def __init__(self, mul, name, *, product_factors=None, generator=None,
-                 validate=True):
+    def __init__(self, mul, name, *, product_factors=None, generator=None):
         self.mul = np.asarray(mul, dtype=np.int32)
         self.order = int(self.mul.shape[0])
         self.name = name
@@ -46,8 +45,7 @@ class FiniteGroup:
         self.product_factors = product_factors
         # distinguished generator index for groups built as C_n
         self.generator = generator
-        if validate:
-            self._validate()
+        self._validate()
         inv = np.full(self.order, -1, dtype=np.int32)
         for a in range(self.order):
             zeros = np.nonzero(self.mul[a] == 0)[0]

@@ -8,12 +8,20 @@ range, and fall back to Python integers otherwise: ``IntMatrix``
 canonicalisation, which sums repeated positions in int64 while the
 largest |value| times the number of values is at most ``_INT64_SAFE``;
 ``IntMatrix`` products, which go through scipy while the inner dimension
-times both largest |entries| is at most ``_INT64_SAFE``; the
-structural-pivot pre-pass in front of the unit-pivot phase, which forms
-Schur complements of large matrices and abandons a round whose bound
-fails; and the lattice echelon behind ``integer_kernel`` and
-``ColumnLattice``, which checks a bound before every row operation and
-goes on in Python integers once one fails.
+times both largest |entries| is at most ``_INT64_SAFE`` and otherwise
+form every product in Python integers and sum them with the
+canonicaliser; the structural-pivot pre-pass in front of the unit-pivot
+phase, which forms Schur complements of large matrices and abandons a
+round whose bound fails; and the lattice echelon behind
+``integer_kernel`` and ``ColumnLattice``, which checks a bound before
+every row operation and goes on in Python integers once one fails.
+
+An ``IntMatrix`` holds its canonical triplets in read-only numpy arrays,
+with int64 values when every value lies within +-``_INT64_SAFE`` and
+Python integers (dtype=object) otherwise, and each step above reads
+those arrays directly.  Its ``rows``, ``cols`` and ``vals`` are list
+views, built afresh on every call, for the pure-Python unit-pivot phase
+and for callers that walk a small matrix entry by entry.
 """
 
 from __future__ import annotations
@@ -207,23 +215,40 @@ def _factorize(n):
 
 
 class IntMatrix:
-    """Immutable sparse integer matrix in canonical triplet form."""
+    """Immutable sparse integer matrix in canonical triplet form.
 
-    __slots__ = ("nrows", "ncols", "rows", "cols", "vals")
+    The triplets are held in three read-only numpy arrays, sorted by (row,
+    column), with no repeated position and no zero value.  Rows and
+    columns are int64; values are int64 when every value lies within
+    +-``_INT64_SAFE`` and Python ints (dtype=object) otherwise, so the
+    dtype depends only on the values.  ``arrays`` returns the three arrays;
+    ``rows``, ``cols`` and ``vals`` build a fresh list of Python ints on
+    every call, for callers that walk the entries one by one.
+
+    With ``canonical=True`` the triplets must already be canonical; arrays
+    passed so are taken over, not copied, and made read-only.
+    """
+
+    __slots__ = ("nrows", "ncols", "_rows", "_cols", "_vals")
 
     def __init__(self, nrows, ncols, rows=(), cols=(), vals=(), *,
                  canonical=False):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         if canonical:
-            self.rows = list(rows)
-            self.cols = list(cols)
-            self.vals = list(vals)
+            r = np.asarray(rows, dtype=np.int64)
+            c = np.asarray(cols, dtype=np.int64)
+            v = _value_array(vals)
         else:
             r, c, v = _canonical_triplets(self.nrows, self.ncols,
                                           rows, cols, vals)
-            self.rows, self.cols, self.vals = r.tolist(), c.tolist(), \
-                v.tolist()
+        # int64 sums of the canonicaliser are within _INT64_SAFE already
+        if canonical or v.dtype == object:
+            fits = _array_max_abs(v) <= _INT64_SAFE
+            v = v.astype(np.int64 if fits else object, copy=False)
+        for a in (r, c, v):
+            a.flags.writeable = False
+        self._rows, self._cols, self._vals = r, c, v
 
     # -- constructors -------------------------------------------------------
 
@@ -233,8 +258,9 @@ class IntMatrix:
 
     @staticmethod
     def identity(n):
-        rng = list(range(n))
-        return IntMatrix(n, n, rng, rng, [1] * n, canonical=True)
+        rng = np.arange(n)
+        return IntMatrix(n, n, rng, rng, np.ones(n, dtype=np.int64),
+                         canonical=True)
 
     @staticmethod
     def from_dense(rows):
@@ -254,12 +280,29 @@ class IntMatrix:
     # -- basic queries ------------------------------------------------------
 
     @property
+    def arrays(self):
+        """The read-only (rows, cols, vals) arrays."""
+        return self._rows, self._cols, self._vals
+
+    @property
+    def rows(self):
+        return self._rows.tolist()
+
+    @property
+    def cols(self):
+        return self._cols.tolist()
+
+    @property
+    def vals(self):
+        return self._vals.tolist()
+
+    @property
     def nnz(self):
-        return len(self.vals)
+        return self._vals.size
 
     @property
     def is_zero(self):
-        return not self.vals
+        return not self._vals.size
 
     def to_dense(self):
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -268,17 +311,19 @@ class IntMatrix:
         return out
 
     def max_abs(self):
-        vals = self.vals
-        return max(max(vals), -min(vals)) if vals else 0
+        return _array_max_abs(self._vals)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix)
                 and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.vals == other.vals)
+                and np.array_equal(self._rows, other._rows)
+                and np.array_equal(self._cols, other._cols)
+                and np.array_equal(self._vals, other._vals))
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(self.vals)))
+        # the values alone: positions are left to __eq__, as hashing them
+        # would triple the bytes hashed
+        return hash((self.nrows, self.ncols, _value_digest(self._vals)))
 
     def __repr__(self):
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -286,17 +331,17 @@ class IntMatrix:
     # -- structural ops -----------------------------------------------------
 
     def transpose(self):
-        return IntMatrix(self.ncols, self.nrows, self.cols, self.rows,
-                         self.vals)
+        return IntMatrix(self.ncols, self.nrows, self._cols, self._rows,
+                         self._vals)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row mismatch in hstack")
         return IntMatrix(
             self.nrows, self.ncols + other.ncols,
-            self.rows + other.rows,
-            self.cols + [c + self.ncols for c in other.cols],
-            self.vals + other.vals)
+            np.concatenate((self._rows, other._rows)),
+            np.concatenate((self._cols, other._cols + self.ncols)),
+            np.concatenate((self._vals, other._vals)))
 
     def columns_dense(self):
         out = [[0] * self.nrows for _ in range(self.ncols)]
@@ -307,74 +352,59 @@ class IntMatrix:
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        if not self.vals or not other.vals:
+        if not self.nnz or not other.nnz:
             return IntMatrix.zeros(self.nrows, other.ncols)
         fast = self._matmul_scipy(other)
         if fast is not None:
             return fast
-        by_row = {}
-        for r, c, v in zip(other.rows, other.cols, other.vals):
-            by_row.setdefault(r, []).append((c, v))
-        acc = {}
-        for r, k, v in zip(self.rows, self.cols, self.vals):
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + v * w
-        ri, ci, vi = [], [], []
-        for (r, c), v in sorted(acc.items()):
-            if v:
-                ri.append(r)
-                ci.append(c)
-                vi.append(v)
-        return IntMatrix(self.nrows, other.ncols, ri, ci, vi, canonical=True)
+        # past the int64 bound: every product in Python ints, summed by the
+        # canonicaliser (other's rows are sorted, being canonical)
+        outer, inner = _sorted_join(other._rows, self._cols)
+        return IntMatrix(
+            self.nrows, other.ncols, self._rows[outer], other._cols[inner],
+            self._vals[outer].astype(object)
+            * other._vals[inner].astype(object))
 
     def _matmul_scipy(self, other):
         # int64 product is exact when a crude bound on entry growth holds
-        from scipy import sparse
         inner = max(1, self.ncols)
         bound = inner * max(1, self.max_abs()) * max(1, other.max_abs())
         if bound > _INT64_SAFE:
             return None
-        a = sparse.coo_matrix(
-            (np.asarray(self.vals, dtype=np.int64),
-             (np.asarray(self.rows, dtype=np.int64),
-              np.asarray(self.cols, dtype=np.int64))),
-            shape=(self.nrows, self.ncols)).tocsr()
-        b = sparse.coo_matrix(
-            (np.asarray(other.vals, dtype=np.int64),
-             (np.asarray(other.rows, dtype=np.int64),
-              np.asarray(other.cols, dtype=np.int64))),
-            shape=(other.nrows, other.ncols)).tocsr()
-        c = (a @ b).tocoo()
+        c = self._csr() @ other._csr()
+        c.sort_indices()
+        rows = np.repeat(np.arange(self.nrows), np.diff(c.indptr))
         keep = c.data != 0
-        order = np.lexsort((c.col[keep], c.row[keep]))
-        return IntMatrix(self.nrows, other.ncols,
-                         c.row[keep][order].tolist(),
-                         c.col[keep][order].tolist(),
-                         c.data[keep][order].tolist(), canonical=True)
+        return IntMatrix(self.nrows, other.ncols, rows[keep],
+                         c.indices[keep], c.data[keep], canonical=True)
+
+    def _csr(self):
+        """The matrix as a scipy CSR matrix (int64 values only); canonical
+        order is already CSR order."""
+        from scipy import sparse
+        indptr = np.searchsorted(self._rows, np.arange(self.nrows + 1))
+        return sparse.csr_matrix((self._vals, self._cols, indptr),
+                                 shape=(self.nrows, self.ncols))
 
     # -- mod-2 views --------------------------------------------------------
 
     def mod2_column_masks(self):
         """Columns as GF(2) bit integers (bit i = row i).
 
-        The odd entries are sorted by column and written, a block of
-        columns at a time, into a dense bool array of at most
-        ``_MASK_BLOCK_BYTES`` (one column, if a column is taller), which is
-        packed to bytes, an eighth of that, and read into one integer per
-        nonempty column.  Beyond those two arrays it holds a few int64
-        arrays of length nnz.
+        The odd entries are sorted by column.  A block of columns at a time,
+        each entry ORs bit ``row & 7`` into byte ``row >> 3`` of its column
+        in a zeroed uint8 block of at most ``_MASK_BLOCK_BYTES`` (one column,
+        if a column is longer), by ``np.bitwise_or.at``; the block's bytes
+        are read into one integer per nonempty column.  Beyond the block it
+        holds a few arrays of length nnz.
         """
         out = [0] * self.ncols
-        try:
-            odd = np.asarray(self.vals, dtype=np.int64) & 1
-        except OverflowError:
-            odd = np.array([v & 1 for v in self.vals], dtype=np.int64)
-        odd = odd.astype(bool)
-        cols = np.asarray(self.cols, dtype=np.int64)[odd]
+        rows, cols, vals = self.arrays
+        odd = (vals & 1).astype(bool)
+        if not odd.all():
+            rows, cols = rows[odd], cols[odd]
         if not cols.size:
             return out
-        rows = np.asarray(self.rows, dtype=np.int64)[odd]
         order = np.argsort(cols)
         rows, cols = rows[order], cols[order]
         # first entry of each nonempty column (np.unique would import
@@ -382,20 +412,43 @@ class IntMatrix:
         heads = np.ones(cols.size, dtype=bool)
         heads[1:] = cols[1:] != cols[:-1]
         width = (self.nrows + 7) // 8
-        step = max(1, _MASK_BLOCK_BYTES // (8 * width))
+        step = max(1, _MASK_BLOCK_BYTES // width)
         start = 0
         while start < cols.size:
             first = int(cols[start])
             stop = int(np.searchsorted(cols, first + step))
             span = int(cols[stop - 1]) - first + 1
-            block = np.zeros((span, 8 * width), dtype=bool)
-            block[cols[start:stop] - first, rows[start:stop]] = True
-            packed = np.packbits(block, axis=1, bitorder="little").tobytes()
+            r = rows[start:stop]
+            block = np.zeros((span, width), dtype=np.uint8)
+            np.bitwise_or.at(block, (cols[start:stop] - first, r >> 3),
+                             (1 << (r & 7)).astype(np.uint8))
+            packed = block.tobytes()
             for c in cols[start:stop][heads[start:stop]].tolist():
                 at = (c - first) * width
                 out[c] = int.from_bytes(packed[at:at + width], "little")
             start = stop
         return out
+
+
+def _value_array(vals):
+    """Values as an int64 array, or as Python ints (dtype=object) when one
+    does not fit in int64."""
+    try:
+        return np.asarray(vals, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(x) for x in vals], dtype=object)
+
+
+def _value_digest(v):
+    """Hashable digest of a value array: its int64 bytes when the values
+    fit in int64, whichever dtype holds them, so that equal matrices hash
+    alike; a tuple of Python ints otherwise."""
+    if v.dtype == object:
+        try:
+            v = v.astype(np.int64)
+        except OverflowError:
+            return tuple(v.tolist())
+    return v.tobytes()
 
 
 def _canonical_triplets(nrows, ncols, rows, cols, vals):
@@ -413,10 +466,7 @@ def _canonical_triplets(nrows, ncols, rows, cols, vals):
         raise ValueError("entry out of range") from None
     if not r.size == c.size == len(vals):
         raise ValueError("triplet lengths differ")
-    try:
-        v = np.asarray(vals, dtype=np.int64)
-    except OverflowError:
-        v = np.array([int(x) for x in vals], dtype=object)
+    v = _value_array(vals)
     if _array_max_abs(v) * v.size > _INT64_SAFE:
         v = v.astype(object)
     if r.size and (r.min() < 0 or r.max() >= nrows
@@ -430,6 +480,18 @@ def _canonical_triplets(nrows, ncols, rows, cols, vals):
     sums = np.add.reduceat(v, starts) if r.size else v
     keep = sums != 0
     return r[starts][keep], c[starts][keep], sums[keep]
+
+
+def _sorted_join(keys, probes):
+    """Index pairs (outer, inner) with keys[inner] == probes[outer], for
+    keys sorted ascending: outer runs over the probes in order, and inner
+    over each probe's run of equal keys."""
+    start = np.searchsorted(keys, probes, side="left")
+    count = np.searchsorted(keys, probes, side="right") - start
+    outer = np.repeat(np.arange(probes.size), count)
+    inner = (np.arange(outer.size) + start[outer]
+             - np.repeat(np.cumsum(count) - count, count))
+    return outer, inner
 
 
 def _array_max_abs(a):
@@ -495,10 +557,11 @@ def _eliminate_units(m: IntMatrix, mod2=False):
     ``kernels.unit_pivot_phase``: the structural pre-pass on matrices of at
     least ``_PREPASS_MIN_NNZ`` entries, then the unit-pivot phase on what
     is left."""
-    npiv, rr, rc, rv = 0, m.rows, m.cols, m.vals
     if m.nnz >= _PREPASS_MIN_NNZ:
         npiv, rr, rc, rv = _structural_prepass(
-            m.nrows, m.ncols, rr, rc, rv, mod2)
+            m.nrows, m.ncols, *m.arrays, mod2)
+    else:
+        npiv, rr, rc, rv = 0, m.rows, m.cols, m.vals
     more, rr, rc, rv = kernels.unit_pivot_phase(
         m.nrows, m.ncols, rr, rc, rv, mod2=mod2)
     return npiv + more, rr, rc, rv
@@ -703,21 +766,25 @@ def _structural_prepass(nrows, ncols, rows, cols, vals, mod2=False):
     A round that fails either guard is abandoned and the core as it stood
     is returned for the arbitrary-precision path; input with an entry
     beyond the int64 bound comes back unchanged.  Only the matrix is used.
+    The triplets may be lists or arrays, and come back as lists of Python
+    ints in every case.
     """
     from scipy import sparse
 
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
     try:
         v = np.asarray(vals, dtype=np.int64)
     except OverflowError:
-        return 0, rows, cols, vals
+        v = None
+    if v is None or not mod2 and v.size and (v.max() > _INT64_SAFE
+                                             or v.min() < -_INT64_SAFE):
+        return (0, rows.tolist(), cols.tolist(),
+                np.asarray(vals, dtype=object).tolist())
     if mod2:
         v = v & 1
-    elif v.size and (v.max() > _INT64_SAFE or v.min() < -_INT64_SAFE):
-        return 0, rows, cols, vals
-    core = sparse.csr_matrix(
-        (v, (np.asarray(rows, dtype=np.int64),
-             np.asarray(cols, dtype=np.int64))),
-        shape=(nrows, ncols), dtype=np.int64)
+    core = sparse.csr_matrix((v, (rows, cols)), shape=(nrows, ncols),
+                             dtype=np.int64)
     core.eliminate_zeros()
     core.sort_indices()
     row_ids = np.arange(nrows)
@@ -1021,11 +1088,9 @@ def presented_homology_at(d_in: IntMatrix, rel_here: IntMatrix,
     stacked = d_out.hstack(rel_next)
     ker = kernel_basis(stacked)
     # cycle lattice: x-projection of the kernel, plus the relations
-    proj = IntMatrix(
-        k, ker.ncols,
-        [r for r, c, v in zip(ker.rows, ker.cols, ker.vals) if r < k],
-        [c for r, c, v in zip(ker.rows, ker.cols, ker.vals) if r < k],
-        [v for r, c, v in zip(ker.rows, ker.cols, ker.vals) if r < k])
+    rows, cols, vals = ker.arrays
+    top = rows < k
+    proj = IntMatrix(k, ker.ncols, rows[top], cols[top], vals[top])
     numerator = proj.hstack(rel_here)
     denominator = d_in.hstack(rel_here)
     return lattice_quotient(numerator, denominator)
@@ -1063,15 +1128,15 @@ def mod2_kernel_basis(m: IntMatrix) -> list[int]:
 
 def _lattice_array(m: IntMatrix, cols, width):
     """Array whose row k holds column cols[k] of m, zero-padded to
-    ``width``; cols must include every column holding an entry.  int64
-    when every entry is within ``_INT64_SAFE``, Python ints (dtype=object)
-    otherwise."""
-    fits = m.max_abs() <= _INT64_SAFE
-    a = np.zeros((len(cols), width), dtype=np.int64 if fits else object)
+    ``width``; cols must include every column holding an entry.  It has
+    m's value dtype: int64 when every entry is within ``_INT64_SAFE``,
+    Python ints (dtype=object) otherwise."""
+    rows, mcols, vals = m.arrays
+    a = np.zeros((len(cols), width), dtype=vals.dtype)
     if m.nnz:
         where = np.zeros(m.ncols, dtype=np.int64)
         where[cols] = np.arange(len(cols))
-        a[where[m.cols], m.rows] = np.asarray(m.vals, dtype=a.dtype)
+        a[where[mcols], rows] = vals
     return a
 
 
@@ -1156,8 +1221,12 @@ class ColumnLattice:
 
     def __init__(self, m: IntMatrix):
         self.nrows = m.nrows
+        # the nonempty columns, in order (not np.unique, which imports
+        # numpy.ma on its first call)
+        used = np.zeros(m.ncols, dtype=bool)
+        used[m.arrays[1]] = True
         a, pivots = _echelon(
-            _lattice_array(m, sorted(set(m.cols)), m.nrows))
+            _lattice_array(m, np.flatnonzero(used), m.nrows))
         # (pivot column, pivot, the row's nonzero (column, value) pairs)
         self._pivot_rows = []
         for c in sorted(pivots):

@@ -18,7 +18,8 @@ import os
 import numpy as np
 
 from .groups import FiniteGroup
-from .linalg import _INT64_SAFE, IntMatrix, _array_max_abs
+from .linalg import (_INT64_SAFE, IntMatrix, _array_max_abs,
+                     _sorted_join)
 from .modules import GModule
 
 __all__ = [
@@ -135,11 +136,7 @@ class Resolution:
         r2, c2, g2, v2 = self.boundary(n - 1)
         order = np.argsort(c2, kind="stable")
         r2, c2, g2, v2 = r2[order], c2[order], g2[order], v2[order]
-        start = np.searchsorted(c2, r1, side="left")
-        count = np.searchsorted(c2, r1, side="right") - start
-        outer = np.repeat(np.arange(r1.size), count)
-        inner = (np.arange(outer.size) + start[outer]
-                 - np.repeat(np.cumsum(count) - count, count))
+        outer, inner = _sorted_join(c2, r1)
         m = self.group.order
         elems = self.group.mul[g1[outer], g2[inner]]
         terms = IntMatrix(self.rank(n - 2) * m, self.rank(n),

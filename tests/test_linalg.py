@@ -162,6 +162,105 @@ class TestIntMatrix:
         assert a._matmul_scipy(b) is None
         assert a.matmul(b) == fast
 
+    @pytest.mark.parametrize("dense, dtype", [
+        ([[0, 5, 0], [3, 0, -1]], np.int64),
+        ([[0, 2**62, 0], [3, 0, -1]], np.int64),
+        ([[0, 2**62 + 1, 0], [3, 0, -1]], object),
+        ([[0, -2**70, 0], [3, 0, -1]], object)])
+    def test_equal_across_construction_paths(self, monkeypatch, dense,
+                                             dtype):
+        want = IntMatrix.from_dense(dense)
+        assert want.arrays[2].dtype == dtype
+        rows, cols, vals = want.rows, want.cols, want.vals
+        # unsorted, with the first value split in two and a cancelling pair
+        half = vals[0] // 2
+        plain = IntMatrix(2, 3, rows[::-1] + [rows[0], 1, 1],
+                          cols[::-1] + [cols[0], 1, 1],
+                          vals[:0:-1] + [vals[0] - half, half, 7, -7])
+        built = {
+            "plain": plain,
+            "canonical": IntMatrix(2, 3, rows, cols, vals, canonical=True),
+            "canonical arrays": IntMatrix(
+                2, 3, np.array(rows), np.array(cols),
+                np.array(vals, dtype=dtype), canonical=True),
+            "matmul left": IntMatrix.identity(2).matmul(want),
+            "matmul right": want.matmul(IntMatrix.identity(3)),
+            "transpose twice": want.transpose().transpose(),
+        }
+        # the same values held in the other dtype
+        monkeypatch.setattr(linalg, "_INT64_SAFE",
+                            want.max_abs() - 1 if dtype == np.int64
+                            else 2**63)
+        other = IntMatrix(2, 3, rows, cols, vals)
+        monkeypatch.undo()
+        if dtype == np.int64:
+            assert other.arrays[2].dtype == object
+            built["object dtype"] = other
+        elif max(map(abs, vals)) < 2**63:
+            assert other.arrays[2].dtype == np.int64
+            built["int64 dtype"] = other
+        linalg._snf_diagonal.cache_clear()
+        diagonal = linalg._snf_diagonal(want)
+        for name, m in built.items():
+            assert m == want and want == m, name
+            assert (m.rows, m.cols, m.vals) == (rows, cols, vals), name
+            assert hash(m) == hash(want), name
+            hits = linalg._snf_diagonal.cache_info().hits
+            assert linalg._snf_diagonal(m) == diagonal, name
+            assert linalg._snf_diagonal.cache_info().hits == hits + 1, name
+        assert want != IntMatrix(2, 3, [r ^ 1 for r in rows], cols, vals)
+
+    def test_list_views_and_read_only_arrays(self):
+        for dense in ([[0, 5], [-2**70, 1]], [[0, 5], [-3, 1]]):
+            m = IntMatrix.from_dense(dense)
+            views = (m.rows, m.cols, m.vals)
+            assert views == ([0, 1, 1], [1, 0, 1], [5, dense[1][0], 1])
+            assert all(type(x) is int for view in views for x in view)
+            for name, view in zip(("rows", "cols", "vals"), views):
+                again = getattr(m, name)
+                assert again == view and again is not view
+                view.append(0)
+            assert (m.rows, m.cols, m.vals) == \
+                ([0, 1, 1], [1, 0, 1], [5, dense[1][0], 1])
+            for a in m.arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 9
+            assert m.to_dense() == dense
+
+    def test_object_matmul_matches_dense_reference(self):
+        rng = random.Random(11)
+
+        def dense_product(a, b):
+            return [[sum(x * y for x, y in zip(row, col))
+                     for col in zip(*b)] for row in a]
+
+        for _ in range(30):
+            n, k, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            scale = rng.choice([2**20, 2**40, 2**70])
+            a = [[rng.choice([0, rng.randint(-scale, scale)])
+                  for _ in range(k)] for _ in range(n)]
+            b = [[rng.choice([0, rng.randint(-scale, scale)])
+                  for _ in range(p)] for _ in range(k)]
+            # past the int64 bound, and entry (0, 0) cancels to zero
+            a[0] = [2**70] * k
+            if k > 1:
+                for row in b:
+                    row[0] = 0
+                b[0][0], b[1][0] = 3, -3
+            left, right = IntMatrix.from_dense(a), IntMatrix.from_dense(b)
+            if not left.nnz or not right.nnz:
+                continue
+            assert left._matmul_scipy(right) is None
+            out = left.matmul(right)
+            assert out.to_dense() == dense_product(a, b)
+            assert all(type(v) is int for v in out.vals)
+        # every product cancels
+        a = IntMatrix.from_dense([[2**70, 2**70]])
+        b = IntMatrix.from_dense([[5, 1], [-5, -1]])
+        out = a.matmul(b)
+        assert out.is_zero and (out.nrows, out.ncols) == (1, 2)
+
     @pytest.mark.parametrize("left, right", [
         (IntMatrix.zeros(0, 1), IntMatrix.identity(1)),
         (IntMatrix.identity(3), IntMatrix.zeros(3, 2)),
@@ -174,19 +273,36 @@ class TestIntMatrix:
         assert out.is_zero
 
     def test_matmul_empty_factor_skips_scipy(self):
-        import os
-        import subprocess
-        import sys
-        src = os.path.dirname(os.path.dirname(linalg.__file__))
-        code = ("import sys\n"
-                "from u4class.linalg import IntMatrix\n"
-                "IntMatrix.zeros(0, 1).matmul(IntMatrix.identity(1))\n"
-                "print('scipy' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], cwd=src,
-                             env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert not _imports_in_fresh_interpreter(
+            "from u4class.linalg import IntMatrix\n"
+            "IntMatrix.zeros(0, 1).matmul(IntMatrix.identity(1))\n",
+            "scipy")
+
+    def test_array_paths_skip_numpy_ma(self):
+        # np.unique imports numpy.ma (~20 ms) on its first call
+        assert not _imports_in_fresh_interpreter(
+            "from u4class.linalg import IntMatrix, ColumnLattice\n"
+            "m = IntMatrix.from_dense([[1, 2, 0], [0, 3, 4]])\n"
+            "ColumnLattice(m).contains([1, 0])\n"
+            "m.mod2_column_masks()\n"
+            "IntMatrix.from_dense([[2**70]]).matmul(\n"
+            "    IntMatrix.from_dense([[3, 0, 1]]))\n"
+            "hash(m.hstack(m).transpose())\n",
+            "numpy.ma")
+
+
+def _imports_in_fresh_interpreter(code, module):
+    """Whether running code in a fresh interpreter imports module."""
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    code = f"import sys\n{code}print({module!r} in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip() == "True"
 
 
 class TestSmithForm:
