@@ -3,9 +3,12 @@
 For the bar delta^4 of C6, C8 and C10, times ``coboundary_matrix`` (the
 assembly and canonicalisation of the ``IntMatrix``) and the two mod-2
 steps of the bar cochain complex, ``IntMatrix.mod2_column_masks`` and
-``gf2.kernel``.  Each row prints the matrix's shape, nnz, rank and kernel
-dimension, the bytes of its three triplet arrays, the seconds of each step
-and the process's peak RSS (``ru_maxrss``) after the row.
+``gf2.kernel``, twice: over all rows, and over the rows [s|...] with s in
+the group's generating set alone, which is what ``BarMod2Complex`` keeps
+of its top coboundary (both kernels are asserted equal).  Each row prints
+the matrix's shape, nnz, rank and kernel dimension, the bytes of its three
+triplet arrays, the seconds of each step and the process's peak RSS
+(``ru_maxrss``) after the row.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -13,10 +16,20 @@ Usage: python3 benchmarks/bench_kernels.py
 import resource
 import time
 
+from u4class.cohomology import _first_entry_rows
 from u4class.groups import cyclic_group
 from u4class.kernels import gf2
 from u4class.modules import trivial_integers
 from u4class.resolutions import BarResolution
+
+
+def _masks_and_kernel(m):
+    t0 = time.perf_counter()
+    masks = m.mod2_column_masks()
+    t1 = time.perf_counter()
+    kernel = gf2.kernel(masks)
+    t2 = time.perf_counter()
+    return kernel, t1 - t0, t2 - t1
 
 
 def run_gf2(order, degree=4):
@@ -26,17 +39,20 @@ def run_gf2(order, degree=4):
     t0 = time.perf_counter()
     m = res.coboundary_matrix(module, degree)
     t1 = time.perf_counter()
-    masks = m.mod2_column_masks()
-    t2 = time.perf_counter()
-    kernel = gf2.kernel(masks)
-    t3 = time.perf_counter()
+    kernel, t_masks, t_kernel = _masks_and_kernel(m)
+    top = _first_entry_rows(m, group.generating_set(),
+                            (order - 1) ** degree)
+    top_kernel, top_masks, top_kernel_s = _masks_and_kernel(top)
+    assert top_kernel == kernel, f"C{order}: generator-row kernel differs"
     stored = sum(a.nbytes for a in m.arrays)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"bar C{order} delta^{degree} (GF(2))  {m.nrows:>7}x{m.ncols:<7} "
           f"nnz={m.nnz:<8} rank {m.ncols - len(kernel):<6} "
           f"kernel {len(kernel):<6} stored {stored / 2**20:6.2f} MB  "
-          f"coboundary {t1 - t0:7.3f}s  masks {t2 - t1:7.3f}s  "
-          f"kernel {t3 - t2:7.3f}s  peak rss {peak:6.1f} MB", flush=True)
+          f"coboundary {t1 - t0:7.3f}s  masks {t_masks:7.3f}s  "
+          f"kernel {t_kernel:7.3f}s  generator rows {top.nrows:>6}: "
+          f"masks {top_masks:7.3f}s  kernel {top_kernel_s:7.3f}s  "
+          f"peak rss {peak:6.1f} MB", flush=True)
 
 
 def main():

@@ -92,18 +92,63 @@ def homology(group: FiniteGroup, module: GModule, n: int,
 # Mod-2 bar cochain complex
 
 
+def _first_entry_rows(m: IntMatrix, firsts, block) -> IntMatrix:
+    """The rows of a bar coboundary whose tuples start with one of the
+    given elements (ascending), stacked in that order.  The tuples that
+    start with s are the ``block`` consecutive rows from (s-1) * block on,
+    so every slice and the stack of them stay canonical."""
+    rows, cols, vals = m.arrays
+    parts = []
+    for i, s in enumerate(firsts):
+        lo, hi = np.searchsorted(rows, [(s - 1) * block, s * block])
+        parts.append((rows[lo:hi] + (i - s + 1) * block, cols[lo:hi],
+                      vals[lo:hi]))
+    if not parts:
+        return IntMatrix.zeros(0, m.ncols)
+    r, c, v = (np.concatenate(p) for p in zip(*parts))
+    return IntMatrix(len(firsts) * block, m.ncols, r, c, v, canonical=True)
+
+
 class BarMod2Complex:
     """Normalized bar cochains of a finite group over GF(2), as bit masks
-    indexed by nonidentity tuples (big-endian base |G|-1 digits)."""
+    indexed by nonidentity tuples (big-endian base |G|-1 digits).
+
+    The bar complex is that of Brown, *Cohomology of Groups* (GTM 87),
+    III.1.  Its top coboundary is stored over the rows [s|...] with s in
+    a generating set S only, which the following lemma allows.
+
+    Lemma.  Let S, a subset of G without 1, generate G.  A normalized
+    coboundary u = delta f vanishes iff it vanishes on every tuple [s|t]
+    with s in S.
+
+    Proof.  delta u = 0.  For a in S, b != 1 and a tuple t, the value of
+    delta u on [a|b|t] is u(b, t) + u(ab, t) + (terms whose first entry is
+    a) = 0 mod 2, where u(ab, t) = 0 when ab = 1 as u is normalized.  If
+    u vanishes on every [s|...], the last terms vanish and u(ab, t) =
+    u(b, t).  Every g != 1 is a word s_1...s_k in S (G is finite, so
+    inverses are positive powers), and induction on k gives u(g, t) =
+    u(s_k, t) = 0.
+
+    So ker delta^n is the kernel of the S-rows of delta^n.  The output of
+    ``gf2.kernel`` depends on that subspace alone (the dependent columns
+    and each one's unique kernel vector), so bases, labels and coordinates
+    are the same as over all rows.  The lower degrees keep all their rows:
+    their columns span the coboundaries that ``_prepare`` inserts.
+    """
 
     def __init__(self, group: FiniteGroup, max_degree: int):
         self.group = group
         self.max_degree = max_degree
         self.res = BarResolution(group, max_degree)
         free = trivial_integers(group)
-        # columns of delta^n as masks over the degree-(n+1) tuples
+        # columns of delta^n as masks over the degree-(n+1) tuples, those
+        # of the top delta over the tuples [s|...] with s generating only
         self._delta = [self.res.coboundary_matrix(free, n).mod2_column_masks()
-                       for n in range(max_degree + 1)]
+                       for n in range(max_degree)]
+        top = _first_entry_rows(self.res.coboundary_matrix(free, max_degree),
+                                group.generating_set(),
+                                (group.order - 1) ** max_degree)
+        self._delta.append(top.mod2_column_masks())
         self._basis = {}
         self._echelon = {}
         self._rep_positions = {}
@@ -111,15 +156,16 @@ class BarMod2Complex:
     def rank(self, n):
         return self.res.rank(n)
 
-    def delta(self, n, mask):
-        """Coboundary of a degree-n cochain mask."""
+    def is_cocycle(self, n, mask):
+        """Whether a degree-n cochain mask has zero coboundary; in the top
+        degree this is tested on the rows [s|...] alone (see the lemma)."""
         cols = self._delta[n]
         out = 0
         while mask:
             top = mask.bit_length() - 1
             out ^= cols[top]
             mask ^= 1 << top
-        return out
+        return not out
 
     def _prepare(self, n):
         if n in self._basis:
@@ -150,7 +196,7 @@ class BarMod2Complex:
     def coordinates(self, n, mask):
         """Coordinates of a cocycle's class in the chosen basis."""
         self._prepare(n)
-        if self.delta(n, mask):
+        if not self.is_cocycle(n, mask):
             raise ValueError("not a cocycle")
         combo = self._echelon[n].coordinates(mask)
         if combo is None:

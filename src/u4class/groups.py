@@ -127,6 +127,17 @@ class FiniteGroup:
             frontier = nxt
         return tuple(sorted(seen))
 
+    def generating_set(self):
+        """Generators chosen greedily: each element, in index order, that
+        lies outside the closure of the ones chosen before it."""
+        gens = []
+        span = {0}
+        for a in range(1, self.order):
+            if a not in span:
+                gens.append(a)
+                span = set(self.closure(gens))
+        return tuple(gens)
+
     def _members(self, elements):
         """The element set as a sorted index array and a membership mask."""
         member = np.zeros(self.order, dtype=bool)

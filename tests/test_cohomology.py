@@ -10,14 +10,15 @@ import json
 
 import pytest
 
-from u4class.cohomology import (BarMod2Complex, inflation_map,
-                                mod2_dimensions, mod2_ring, cohomology,
-                                homology)
+from u4class.cohomology import (BarMod2Complex, _first_entry_rows,
+                                inflation_map, mod2_dimensions, mod2_ring,
+                                cohomology, homology)
 from u4class.groups import GroupHom, odd_normal_complement, \
     orientation_characters, parse_group
 from u4class.modules import (mod2_integers, pullback_module,
                              trivial_integers, twisted_integers)
-from u4class.resolutions import FeasibilityError
+from u4class.kernels import gf2
+from u4class.resolutions import BarResolution, FeasibilityError
 
 
 def w_module(spec):
@@ -127,6 +128,75 @@ class TestMod2Ring:
         data = s.to_json()
         assert data["dimensions"] == [1, 1, 1]
         assert data["group"] == "C2"
+
+
+def _bar_masks(group, degree):
+    """(matrix, full mod-2 column masks, rows per first tuple entry) of
+    the bar delta^n for each n <= degree."""
+    res = BarResolution(group, degree)
+    free = trivial_integers(group)
+    out = []
+    for n in range(degree + 1):
+        m = res.coboundary_matrix(free, n)
+        out.append((m, m.mod2_column_masks(), (group.order - 1) ** n))
+    return out
+
+
+def _rows_starting_with(masks, firsts, block):
+    """The bits of each mask on the rows [s|...], s in firsts, stacked in
+    that order; read off the full masks bit by bit."""
+    low = (1 << block) - 1
+    return [sum(((c >> ((s - 1) * block)) & low) << (i * block)
+                for i, s in enumerate(firsts)) for c in masks]
+
+
+class TestGeneratorRowsLemma:
+    """A normalized coboundary vanishes iff it vanishes on the tuples that
+    start with a generator, so the kernel of the generator rows of every
+    bar delta^n is the kernel of delta^n."""
+
+    SPECS = tuple(f"C{n}" for n in range(1, 11)) + \
+        ("D3", "D4", "D5", "C2xC2", "C2xC4")
+
+    def test_generator_rows_have_the_full_kernel(self):
+        for spec in self.SPECS:
+            g = parse_group(spec)
+            gens = g.generating_set()
+            for n, (m, full, block) in enumerate(_bar_masks(g, 4)):
+                part = _rows_starting_with(full, gens, block)
+                assert _first_entry_rows(m, gens, block) \
+                    .mod2_column_masks() == part, (spec, n)
+                assert gf2.kernel(part) == gf2.kernel(full), (spec, n)
+
+    @pytest.mark.parametrize("spec, firsts", [
+        ("D3", (3,)), ("C2xC2", (1,)), ("C6", (3,))])
+    def test_non_generating_rows_lose_the_kernel(self, spec, firsts):
+        g = parse_group(spec)
+        assert g.closure(firsts) != tuple(range(g.order))
+        assert any(gf2.kernel(_rows_starting_with(full, firsts, block))
+                   != gf2.kernel(full)
+                   for _, full, block in _bar_masks(g, 4))
+
+    @pytest.mark.parametrize("spec", ["C6", "D3", "C10"])
+    def test_top_degree_cocycle_check_keeps_its_strength(self, spec):
+        g = parse_group(spec)
+        top = 4
+        cx = BarMod2Complex(g, top)
+        masks = _bar_masks(g, top)
+        full = masks[top][1]
+        nonzero = [t for t in range(cx.rank(top)) if full[t]][:50]
+        assert len(nonzero) == 50
+        for t in nonzero:
+            with pytest.raises(ValueError, match="not a cocycle"):
+                cx.coordinates(top, 1 << t)
+        # a representative plus a coboundary keeps its class
+        below = masks[top - 1][1]
+        coboundary = below[0] ^ below[len(below) // 2] ^ below[-1]
+        assert coboundary
+        for i, rep in enumerate(cx.basis(top)):
+            unit = tuple(int(j == i) for j in range(cx.dimension(top)))
+            assert cx.coordinates(top, rep) == unit
+            assert cx.coordinates(top, rep ^ coboundary) == unit
 
 
 class TestMod2Dimensions:

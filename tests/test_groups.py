@@ -191,3 +191,25 @@ class TestSubgroupQuotient:
         for a in range(6):
             if g.element_order(a) % 2 == 1:
                 assert ch.value(a) == 0
+
+
+class TestGeneratingSet:
+    SPECS = ("C1", "C2", "C6", "C10", "D3", "D4", "D5", "C2xC2", "C2xC4",
+             "C3xC6")
+
+    def test_generates_and_each_element_is_new(self):
+        for spec in self.SPECS:
+            g = parse_group(spec)
+            gens = g.generating_set()
+            assert g.closure(gens) == tuple(range(g.order)), spec
+            for i, a in enumerate(gens):
+                assert a not in g.closure(gens[:i]), (spec, i)
+
+    def test_cyclic_groups(self):
+        for n in range(2, 13):
+            assert groups.cyclic_group(n).generating_set() == (1,), n
+        assert groups.cyclic_group(1).generating_set() == ()
+
+    def test_two_generators(self):
+        for spec in ("D3", "D4", "C2xC2"):
+            assert len(parse_group(spec).generating_set()) == 2, spec
