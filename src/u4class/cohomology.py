@@ -1,6 +1,36 @@
 """Group cohomology and homology with module coefficients, the mod-2
 cohomology ring with cup products, and inflation along surjections.
 
+Free coefficients give a complex of free abelian groups, computed by
+``homology_at``; Z/2 coefficients (relations 2 x identity) give one of
+GF(2) vector spaces.  Any other module M = Z^k / R Z^r has a diagonal,
+hence injective, relation matrix R (see ``GModule``), and runs through a
+mapping cone (Weibel, *An Introduction to Homological Algebra*, 1.5):
+
+- Write C_k^n = Hom(F_n, Z^k) and C_r^n = Hom(F_n, Z^r), and f: C_r -> C_k
+  for R on every generator.  As F_n is free, Hom(F_n, M) = C_k^n / f C_r^n.
+- delta_k is the coboundary for the actions A_g on Z^k, delta_r the one
+  for the lifted actions A'_g = R^-1 A_g R on Z^r, so delta_k f = f delta_r.
+- A is a homomorphism only modulo R, so delta_k delta_k need not vanish
+  (for D5's q = 2 module, g acts by -4 and delta delta = [[15]]); its
+  columns lie in im f, and h = -f^-1(delta_k^n delta_k^(n-1)) follows by
+  exact division.  The homotopy h closes the cone.
+
+H^n(G; M) is then the homology of the position of free modules
+
+    C_k^(n-1) + C_r^n  --d_in-->  C_k^n + C_r^(n+1)  --d_out-->  C_k^(n+1)
+
+    d_in = [[delta_k^(n-1), f^n], [h, -delta_r^n]]
+    d_out = [delta_k^n | f^(n+1)]
+
+A cycle (x, y) has y = -f^-1 delta_k x, so the cycles are the x whose
+coboundary lies in im f, and the boundaries are im delta_k + im f: the
+cocycles and coboundaries of Hom(F, M).  The full cone's next term also
+has a C_r^(n+2) row; as f is injective it adds no condition and is left
+out.  ``homology_at`` checks d_out d_in = 0, which is the identity
+f h = -delta_k delta_k together with delta_k f = f delta_r.  Homology
+runs the same way on the chain matrices, with f_(n-1) going out.
+
 Cup products use the Alexander-Whitney diagonal on the normalized bar
 complex.  Mod-2 cochains in degree n are stored as bit integers over the
 (|G|-1)^n nonidentity tuples, so a cup product is a shifted OR and all
@@ -15,8 +45,7 @@ import numpy as np
 
 from .groups import FiniteGroup, GroupHom
 from .kernels import gf2
-from .linalg import AbelianGroup, IntMatrix, homology_at, mod2_rank, \
-    presented_homology_at
+from .linalg import AbelianGroup, IntMatrix, homology_at, mod2_rank
 from .modules import GModule, trivial_integers
 from .resolutions import (BarResolution, FeasibilityError, Resolution,
                           default_resolution, max_generators)
@@ -51,6 +80,28 @@ def _mod2_homology_at(d_in: IntMatrix, d_out: IntMatrix,
     return AbelianGroup.from_cyclic_orders([2] * dim)
 
 
+def _cone_homology_at(module: GModule, d_in: IntMatrix, d_out: IntMatrix,
+                      f_here: IntMatrix, f_next: IntMatrix,
+                      d_lift: IntMatrix) -> AbelianGroup:
+    """Homology at a presented position, as that of the mapping cone of the
+    relation map f (see the module docstring).  d_in and d_out act on
+    generators, f_here and f_next are f at this position and the next,
+    and d_lift is the differential of the lifted module from here to the
+    next."""
+    p = module.relation_preimage(d_out.matmul(d_in))
+    if p is None:
+        raise ValueError("composition nonzero modulo relations")
+    top = d_in.hstack(f_here)
+    low = p.hstack(d_lift)  # the row [h, -d_lift], negated
+    rows, cols, vals = top.arrays
+    low_rows, low_cols, low_vals = low.arrays
+    cone_in = IntMatrix(top.nrows + low.nrows, top.ncols,
+                        np.concatenate((rows, low_rows + top.nrows)),
+                        np.concatenate((cols, low_cols)),
+                        np.concatenate((vals, -low_vals)), canonical=True)
+    return homology_at(cone_in, d_out.hstack(f_next))
+
+
 def cohomology(group: FiniteGroup, module: GModule, n: int,
                resolution: Resolution | None = None) -> AbelianGroup:
     """H^n(G; M) in invariant-factor form."""
@@ -64,9 +115,10 @@ def cohomology(group: FiniteGroup, module: GModule, n: int,
         return homology_at(d_in, d_out)
     if module.is_mod2_free:
         return _mod2_homology_at(d_in, d_out, res.rank(n) * module.ngens)
-    return presented_homology_at(d_in, _relation_block(module, res.rank(n)),
-                                 d_out,
-                                 _relation_block(module, res.rank(n + 1)))
+    return _cone_homology_at(module, d_in, d_out,
+                             _relation_block(module, res.rank(n)),
+                             _relation_block(module, res.rank(n + 1)),
+                             res.coboundary_matrix(module.lifted, n))
 
 
 def homology(group: FiniteGroup, module: GModule, n: int,
@@ -82,10 +134,10 @@ def homology(group: FiniteGroup, module: GModule, n: int,
         return homology_at(d_in, d_out)
     if module.is_mod2_free:
         return _mod2_homology_at(d_in, d_out, res.rank(n) * module.ngens)
-    rel_next = _relation_block(module, res.rank(n - 1)) if n >= 1 \
-        else IntMatrix.zeros(0, 0)
-    return presented_homology_at(d_in, _relation_block(module, res.rank(n)),
-                                 d_out, rel_next)
+    return _cone_homology_at(module, d_in, d_out,
+                             _relation_block(module, res.rank(n)),
+                             _relation_block(module, res.rank(n - 1)),
+                             res.chain_matrix(module.lifted, n))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import gf2
 
 __all__ = [
     "AbelianGroup",
@@ -42,12 +41,7 @@ __all__ = [
     "rank",
     "invariant_factors",
     "homology_at",
-    "presented_homology_at",
-    "kernel_basis",
-    "solve",
-    "lattice_quotient",
     "mod2_rank",
-    "mod2_kernel_basis",
     "integer_kernel",
     "ColumnLattice",
 ]
@@ -506,11 +500,9 @@ def _array_max_abs(a):
 
 @dataclass(frozen=True)
 class SmithForm:
-    """diagonal d_1 | d_2 | ...; optionally U, V with U @ M @ V = diag."""
+    """Smith diagonal d_1 | d_2 | ..., zeros last."""
 
     diagonal: tuple[int, ...]
-    left: tuple | None = None
-    right: tuple | None = None
 
     @property
     def rank(self):
@@ -533,13 +525,7 @@ def _snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def smith_normal_form(m: IntMatrix, keep_transforms=False) -> SmithForm:
-    """Smith normal form; transforms retained only on request."""
-    if keep_transforms:
-        diag, u, v = _dense_snf(m.to_dense(), m.nrows, m.ncols, True)
-        diag += [0] * (min(m.nrows, m.ncols) - len(diag))
-        return SmithForm(tuple(diag), tuple(map(tuple, u)),
-                         tuple(map(tuple, v)))
+def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(_snf_diagonal(m))
 
 
@@ -577,8 +563,7 @@ def _remainder_snf(rr, rc, rv):
     dense = [[0] * len(cmap) for _ in range(len(rmap))]
     for r, c, v in zip(rr, rc, rv):
         dense[rmap[r]][cmap[c]] = v
-    diag, _, _ = _dense_snf(dense, len(rmap), len(cmap), False)
-    return diag
+    return _dense_snf(dense, len(rmap), len(cmap))
 
 
 def _gcdex(a, b):
@@ -596,42 +581,30 @@ def _gcdex(a, b):
     return old_r, old_s, old_t
 
 
-def _dense_snf(a, m, n, want):
-    """Dense Smith reduction; returns (nonzero diagonal, U, V).
+def _dense_snf(a, m, n):
+    """Dense Smith reduction of an m x n list of rows; returns the nonzero
+    diagonal.
 
     Off-pivot entries are cleared with extended-gcd two-row (two-column)
     unimodular combinations rather than Euclidean swap ping-pong, which
     keeps intermediate entry growth polynomial.
     """
     a = [list(row) for row in a]
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if want else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if want else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if want:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if want:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def row_op(i, j, q):  # row i -= q * row j
         ai, aj = a[i], a[j]
         for k in range(n):
             ai[k] -= q * aj[k]
-        if want:
-            ui, uj = u[i], u[j]
-            for k in range(m):
-                ui[k] -= q * uj[k]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        if want:
-            u[i] = [-x for x in u[i]]
 
     def clear_row_entry(t, i):
         """Make a[i][t] = 0 using pivot row t; pivot becomes the gcd."""
@@ -644,10 +617,6 @@ def _dense_snf(a, m, n, want):
         rt = [x * aa + y * bb for aa, bb in zip(a[t], a[i])]
         ri = [-wt * aa + pt * bb for aa, bb in zip(a[t], a[i])]
         a[t], a[i] = rt, ri
-        if want:
-            ut = [x * aa + y * bb for aa, bb in zip(u[t], u[i])]
-            ui = [-wt * aa + pt * bb for aa, bb in zip(u[t], u[i])]
-            u[t], u[i] = ut, ui
         return True
 
     def clear_col_entry(t, j):
@@ -657,9 +626,6 @@ def _dense_snf(a, m, n, want):
             q = w // p
             for row in a:
                 row[j] -= q * row[t]
-            if want:
-                for row in v:
-                    row[j] -= q * row[t]
             return False
         g, x, y = _gcdex(p, w)
         pt, wt = p // g, w // g
@@ -667,11 +633,6 @@ def _dense_snf(a, m, n, want):
             ct, cj = row[t], row[j]
             row[t] = x * ct + y * cj
             row[j] = -wt * ct + pt * cj
-        if want:
-            for row in v:
-                ct, cj = row[t], row[j]
-                row[t] = x * ct + y * cj
-                row[j] = -wt * ct + pt * cj
         return True
 
     t = 0
@@ -720,8 +681,7 @@ def _dense_snf(a, m, n, want):
                 break
             row_op(t, offender, -1)  # fold the offending row into row t
         t += 1
-    diag = [a[i][i] for i in range(t)]
-    return diag, u, v
+    return [a[i][i] for i in range(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -948,94 +908,6 @@ def _drop_duplicate_rows(core, row_ids, mod2):
 
 
 # ---------------------------------------------------------------------------
-# Kernels, solves, lattices
-
-
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Integral kernel basis as columns (dense transform route; small
-    matrices only)."""
-    sf = smith_normal_form(m, keep_transforms=True)
-    r = sf.rank
-    vt = sf.right  # ncols x ncols
-    n = m.ncols
-    cols = [[vt[i][j] for i in range(n)] for j in range(r, n)]
-    ri, ci, vi = [], [], []
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            if x:
-                ri.append(i)
-                ci.append(j)
-                vi.append(x)
-    return IntMatrix(n, n - r, ri, ci, vi)
-
-
-def solve(m: IntMatrix, b) -> list[int] | None:
-    """One integral solution of M x = b, or None."""
-    sf = smith_normal_form(m, keep_transforms=True)
-    ub = [sum(sf.left[i][k] * b[k] for k in range(m.nrows))
-          for i in range(m.nrows)]
-    y = [0] * m.ncols
-    for i in range(m.nrows):
-        d = sf.diagonal[i] if i < len(sf.diagonal) else 0
-        if d:
-            if ub[i] % d:
-                return None
-            if i < m.ncols:
-                y[i] = ub[i] // d
-        elif ub[i]:
-            return None
-    return [sum(sf.right[i][k] * y[k] for k in range(m.ncols))
-            for i in range(m.ncols)]
-
-
-class _LatticeCoords:
-    """Coordinates on the column lattice of a matrix, via its Smith form."""
-
-    def __init__(self, m: IntMatrix):
-        self.sf = smith_normal_form(m, keep_transforms=True)
-        self.nrows = m.nrows
-        self.rank = self.sf.rank
-
-    def coords(self, vec):
-        """Coordinates of vec in the lattice basis, or None if outside."""
-        u = self.sf.left
-        out = []
-        for i in range(self.nrows):
-            w = sum(u[i][k] * vec[k] for k in range(self.nrows))
-            d = self.sf.diagonal[i] if i < len(self.sf.diagonal) else 0
-            if d:
-                if w % d:
-                    return None
-                out.append(w // d)
-            elif w:
-                return None
-        return out[:self.rank]
-
-
-def lattice_quotient(numerator: IntMatrix, denominator: IntMatrix
-                     ) -> AbelianGroup:
-    """span(numerator columns) / span(denominator columns) as an abelian
-    group.  Raises if the denominator is not inside the numerator lattice."""
-    coords = _LatticeCoords(numerator)
-    r = coords.rank
-    den = denominator.columns_dense()
-    ri, ci, vi = [], [], []
-    for j, col in enumerate(den):
-        c = coords.coords(col)
-        if c is None:
-            raise ValueError("denominator lattice not inside numerator")
-        for i, x in enumerate(c):
-            if x:
-                ri.append(i)
-                ci.append(j)
-                vi.append(x)
-    cmat = IntMatrix(r, denominator.ncols, ri, ci, vi)
-    sf = smith_normal_form(cmat)
-    return AbelianGroup.from_cyclic_orders(
-        [0] * (r - sf.rank) + list(sf.nontrivial))
-
-
-# ---------------------------------------------------------------------------
 # Homology of complexes
 
 
@@ -1070,33 +942,6 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroup:
         [0] * free + list(sf.nontrivial))
 
 
-def presented_homology_at(d_in: IntMatrix, rel_here: IntMatrix,
-                          d_out: IntMatrix, rel_next: IntMatrix
-                          ) -> AbelianGroup:
-    """Homology at a presented position (Z^k mod rel_here columns).
-
-    d_in and d_out act on generators and must respect relations; the cycle
-    lattice is the projection of ker[d_out | rel_next] and the boundary
-    lattice is spanned by the d_in and rel_here columns.
-    """
-    k = rel_here.nrows
-    if d_in.nrows != k or d_out.ncols != k:
-        raise ValueError("chain position mismatch")
-    comp = d_out.matmul(d_in)
-    for col in comp.columns_dense():
-        if solve(rel_next, col) is None:
-            raise ValueError("composition nonzero modulo relations")
-    stacked = d_out.hstack(rel_next)
-    ker = kernel_basis(stacked)
-    # cycle lattice: x-projection of the kernel, plus the relations
-    rows, cols, vals = ker.arrays
-    top = rows < k
-    proj = IntMatrix(k, ker.ncols, rows[top], cols[top], vals[top])
-    numerator = proj.hstack(rel_here)
-    denominator = d_in.hstack(rel_here)
-    return lattice_quotient(numerator, denominator)
-
-
 # ---------------------------------------------------------------------------
 # Mod-2 interface
 
@@ -1117,14 +962,8 @@ def mod2_rank(m: IntMatrix, only_cached=False) -> int | None:
     return npiv
 
 
-def mod2_kernel_basis(m: IntMatrix) -> list[int]:
-    """Kernel basis over GF(2), one bit integer per basis vector (bit j =
-    coefficient of column j)."""
-    return gf2.kernel(m.mod2_column_masks())
-
-
 # ---------------------------------------------------------------------------
-# Lattice echelon (no transforms kept)
+# Lattice echelon
 
 
 def _lattice_array(m: IntMatrix, cols, width):

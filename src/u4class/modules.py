@@ -4,8 +4,10 @@ integer-matrix action of the group, including sign-twisted integers.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .groups import Character2, FiniteGroup, GroupHom
-from .linalg import AbelianGroup, IntMatrix, solve
+from .linalg import AbelianGroup, IntMatrix
 
 __all__ = ["GModule", "TwistedIntegers", "trivial_integers",
            "twisted_integers", "mod2_integers", "module_from_abelian_group",
@@ -14,9 +16,17 @@ __all__ = ["GModule", "TwistedIntegers", "trivial_integers",
 
 class GModule:
     """Z^ngens modulo relation columns, with one action matrix per group
-    element (dense row-major tuples; generators are small here)."""
+    element (dense row-major tuples; generators are small here).
 
-    __slots__ = ("group", "ngens", "relations", "actions")
+    The relation matrix R is diagonal up to order: each column has one
+    nonzero entry, each in a row of its own, so R is injective and a
+    vector lies in its column lattice iff each entry is divisible by the
+    relation on its row (and vanishes on a row with none).  The actions
+    need to be a homomorphism only modulo R, and must preserve R's
+    column lattice.
+    """
+
+    __slots__ = ("group", "ngens", "relations", "actions", "lifted")
 
     def __init__(self, group: FiniteGroup, ngens: int, relations: IntMatrix,
                  actions, *, validate=True):
@@ -26,41 +36,72 @@ class GModule:
         self.actions = tuple(tuple(tuple(row) for row in a) for a in actions)
         if validate:
             self._validate()
+        # the relation lattice Z^r (r = relations.ncols) with g acting by
+        # A'_g = R^-1 A_g R, so that A_g R = R A'_g; one object, so that
+        # coboundary caches keyed by it hit.  Where A is a homomorphism
+        # only modulo R, A' is none either: the mapping cone in
+        # ``cohomology`` never composes two of its coboundaries
+        self.lifted = self._lift() if relations.ncols else None
 
     def _validate(self):
-        if self.relations.nrows != self.ngens:
+        rel = self.relations
+        if rel.nrows != self.ngens:
             raise ValueError("relation matrix has wrong height")
+        if sorted(rel.cols) != list(range(rel.ncols)) or \
+                len(set(rel.rows)) != rel.ncols:
+            raise ValueError("relation matrix is not diagonal: each column "
+                             "needs one nonzero entry, in a row of its own")
         if len(self.actions) != self.group.order:
             raise ValueError("one action matrix per group element required")
         ident = tuple(tuple(int(i == j) for j in range(self.ngens))
                       for i in range(self.ngens))
         if self.actions[0] != ident:
             raise ValueError("identity must act as the identity matrix")
+        if not self.ngens:
+            return
+        diffs = []
         for g in range(self.group.order):
             for h in range(self.group.order):
                 prod = _matmat(self.actions[g], self.actions[h])
                 gh = self.actions[self.group.multiply(g, h)]
-                if not self._equal_mod_relations(prod, gh):
-                    raise ValueError("action is not a homomorphism")
-        # action preserves the relation lattice
-        if self.relations.ncols:
-            rel_dense = self.relations.to_dense()
-            for g in range(self.group.order):
-                acted = _matmat(self.actions[g], rel_dense)
-                for j in range(self.relations.ncols):
-                    col = [acted[i][j] for i in range(self.ngens)]
-                    if solve(self.relations, col) is None:
-                        raise ValueError(
-                            "action does not respect relations")
+                diffs.append([[x - y for x, y in zip(pr, qr)]
+                              for pr, qr in zip(prod, gh)])
+        if self.relation_preimage(_side_by_side(diffs)) is None:
+            raise ValueError("action is not a homomorphism")
 
-    def _equal_mod_relations(self, a, b):
-        if tuple(tuple(r) for r in a) == tuple(tuple(r) for r in b):
-            return True
-        if not self.relations.ncols:
-            return False
-        diff = [[a[i][j] - b[i][j] for i in range(self.ngens)]
-                for j in range(self.ngens)]  # columns of the difference
-        return all(solve(self.relations, col) is not None for col in diff)
+    def relation_preimage(self, m: IntMatrix) -> IntMatrix | None:
+        """The matrix x with f x = m, for f the relation matrix repeated
+        down the diagonal once per ngens rows of m, or None when a column
+        of m lies outside the column lattice of f.  R is diagonal, so each
+        entry of m is divided exactly by the relation on its row."""
+        k, r = self.ngens, self.relations.ncols
+        rel_rows, rel_cols, rel_vals = self.relations.arrays
+        column = np.full(k, -1, dtype=np.int64)
+        column[rel_rows] = rel_cols
+        divisor = np.zeros(k, dtype=rel_vals.dtype)
+        divisor[rel_rows] = rel_vals
+        rows, cols, vals = m.arrays
+        block, gen = np.divmod(rows, k)
+        if (column[gen] < 0).any():
+            return None
+        d = divisor[gen]
+        if (vals % d).any():
+            return None
+        return IntMatrix(m.nrows // k * r, m.ncols, block * r + column[gen],
+                         cols, vals // d)
+
+    def _lift(self):
+        r = self.relations.ncols
+        rel = self.relations.to_dense()
+        acted = self.relation_preimage(
+            _side_by_side([_matmat(a, rel) for a in self.actions]))
+        if acted is None:
+            raise ValueError("action does not respect relations")
+        dense = acted.to_dense()
+        actions = [[row[g * r:(g + 1) * r] for row in dense]
+                   for g in range(self.group.order)]
+        return GModule(self.group, r, IntMatrix.zeros(r, 0), actions,
+                       validate=False)
 
     # -- structure queries --------------------------------------------------
 
@@ -74,13 +115,10 @@ class GModule:
 
     @property
     def is_mod2_free(self):
-        """Relations are exactly 2 x identity: a free Z/2-module, so
+        """Every generator has relation +-2: a free Z/2-module, so
         (co)homology can be computed over GF(2)."""
         rel = self.relations
-        return (rel.ncols == self.ngens
-                and rel.rows == list(range(self.ngens))
-                and rel.cols == list(range(self.ngens))
-                and all(abs(v) == 2 for v in rel.vals))
+        return rel.ncols == self.ngens and all(abs(v) == 2 for v in rel.vals)
 
     def rank_one_signs(self):
         """For a free rank-1 module, the +-1 scalar by which each element
@@ -89,20 +127,9 @@ class GModule:
             raise ValueError("not free of rank 1")
         return tuple(a[0][0] for a in self.actions)
 
-    @property
-    def is_elementary_two(self):
-        """Is the underlying group (Z/2)^ngens with relations 2*I?"""
-        from .linalg import smith_normal_form
-        if self.relations.ncols == 0:
-            return self.ngens == 0
-        sf = smith_normal_form(self.relations)
-        return sf.rank == self.ngens and sf.nontrivial == (2,) * self.ngens
-
     def underlying_group(self) -> AbelianGroup:
-        from .linalg import smith_normal_form
-        sf = smith_normal_form(self.relations)
         return AbelianGroup.from_cyclic_orders(
-            [0] * (self.ngens - sf.rank) + list(sf.nontrivial))
+            [0] * (self.ngens - self.relations.ncols) + self.relations.vals)
 
 
 class TwistedIntegers(GModule):
@@ -117,6 +144,12 @@ class TwistedIntegers(GModule):
         super().__init__(group, 1, IntMatrix.zeros(1, 0), actions,
                          validate=False)
         self.character = character
+
+
+def _side_by_side(blocks):
+    """Dense matrices of equal height, side by side, as one IntMatrix."""
+    return IntMatrix.from_dense([[x for b in blocks for x in b[i]]
+                                 for i in range(len(blocks[0]))])
 
 
 def _matmat(a, b):

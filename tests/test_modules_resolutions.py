@@ -53,7 +53,7 @@ class TestModules:
         assert trivial_integers(g).rank_one_signs() == (1,) * 6
         m2 = mod2_integers(g)
         assert not m2.is_free
-        assert m2.is_elementary_two
+        assert m2.is_mod2_free
         assert str(m2.underlying_group()) == "Z/2"
 
     def test_bad_action_rejected(self):
@@ -70,6 +70,18 @@ class TestModules:
             # sending the Z/4 generator to 2x is not invertible mod 4
             module_from_abelian_group(g, ab,
                                       action_matrices=[[[1]], [[2]]])
+
+    def test_relations_must_be_diagonal(self):
+        g = parse_group("C2")
+        ident = [[[1, 0], [0, 1]]] * 2
+        # two entries in a column, two columns in a row, an empty column
+        for rel in ([[2, 1], [0, 2]], [[2], [2]], [[2, 3], [0, 0]],
+                    [[2, 0], [0, 0]]):
+            with pytest.raises(ValueError, match="not diagonal"):
+                GModule(g, 2, IntMatrix.from_dense(rel), ident)
+        # diagonal up to the order of rows and columns is accepted
+        m = GModule(g, 2, IntMatrix.from_dense([[0, 3], [2, 0]]), ident)
+        assert m.underlying_group() == AbelianGroup(0, (6,))
 
     def test_module_from_abelian_group_shape(self):
         g = parse_group("C2")
