@@ -2,8 +2,8 @@
 cohomology ring with cup products, and inflation along surjections.
 
 Free coefficients give a complex of free abelian groups, computed by
-``homology_at``; Z/2 coefficients (relations 2 x identity) give one of
-GF(2) vector spaces.  Any other module M = Z^k / R Z^r has a diagonal,
+``homology_at``; Z/2 coefficients (relation +-2 on every generator) give
+one of GF(2) vector spaces.  Any other module M = Z^k / R Z^r has a diagonal,
 hence injective, relation matrix R (see ``GModule``), and runs through a
 mapping cone (Weibel, *An Introduction to Homological Algebra*, 1.5):
 
