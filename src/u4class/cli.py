@@ -24,7 +24,7 @@ from .groups import ParseError, odd_normal_complement, \
 from .hypothesis import thom_simplification_applicable
 from .manifolds import ManifoldError, parse_manifold, stably_equivalent
 from .modules import mod2_integers, trivial_integers, twisted_integers
-from .resolutions import FeasibilityError
+from .resolutions import FeasibilityError, default_resolution
 from .spectral import ahss_e2_page, diagonal_report, lhs_e2_page, \
     twisted_thom_homology
 
@@ -108,7 +108,9 @@ def _cmd_cohomology(args, started):
     else:
         module, desc = twisted_integers(_first_twist(group)), \
             "Z twisted by the first orientation character"
-    values = [cohomology(group, module, n) for n in range(args.degree + 1)]
+    res = default_resolution(group, args.degree)
+    values = [cohomology(group, module, n, res)
+              for n in range(args.degree + 1)]
     result = {"group": group.name, "coefficients": args.coeff,
               "groups": [v.to_json() for v in values]}
     lines = [f"H^n({group.name}; {desc}):"]
@@ -134,6 +136,9 @@ def _cmd_lhs(args, started):
 
 
 def _cmd_ahss(args, started):
+    if args.diagonal is not None and args.diagonal >= args.range:
+        raise UsageError(f"--diagonal {args.diagonal} must be below "
+                         f"--range {args.range}")
     group = parse_group(args.group)
     twist = _first_twist(group)
     page = ahss_e2_page(lambda n: twisted_thom_homology(group, twist, n),
@@ -247,6 +252,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _nonnegative_int(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="u4class", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -264,20 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-hypothesis",
                        help="reduction-hypothesis report")
     p.add_argument("group")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=4)
     common(p)
     p.set_defaults(func=_cmd_check_hypothesis)
 
     p = sub.add_parser("cohomology", help="group cohomology values")
     p.add_argument("group")
     p.add_argument("--coeff", choices=("Z", "Z2", "Zw"), required=True)
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_nonnegative_int, default=4)
     common(p)
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("lhs", help="extension spectral page")
     p.add_argument("group")
-    p.add_argument("--range", type=int, default=5)
+    p.add_argument("--range", type=_nonnegative_int, default=5)
     common(p)
     p.set_defaults(func=_cmd_lhs)
 
@@ -285,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("--coeff", required=True,
                    help="bordism structure name, or 'point'")
-    p.add_argument("--range", type=int, default=5)
-    p.add_argument("--diagonal", type=int, default=None)
+    p.add_argument("--range", type=_nonnegative_int, default=5)
+    p.add_argument("--diagonal", type=_nonnegative_int, default=None)
     common(p)
     p.set_defaults(func=_cmd_ahss)
 
@@ -305,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("catalog", help="scan built-in small groups")
-    p.add_argument("--max-order", type=int, default=_CATALOG_BOUND)
+    p.add_argument("--max-order", type=_nonnegative_int,
+                   default=_CATALOG_BOUND)
     common(p)
     p.set_defaults(func=_cmd_catalog)
 

@@ -46,7 +46,7 @@ import numpy as np
 from .groups import FiniteGroup, GroupHom
 from .kernels import gf2
 from .linalg import AbelianGroup, IntMatrix, homology_at, mod2_rank
-from .modules import GModule, trivial_integers
+from .modules import GModule, mod2_integers, trivial_integers
 from .resolutions import (BarResolution, FeasibilityError, Resolution,
                           default_resolution, max_generators)
 
@@ -397,14 +397,9 @@ def _combine_right(s, p, qr, i, bc_coords):
 def mod2_dimensions(group: FiniteGroup, max_degree: int) -> tuple:
     """dim H^n(G; Z/2) for n <= max_degree via the default resolution."""
     res = default_resolution(group, max_degree)
-    free = trivial_integers(group)
-    ranks2 = [mod2_rank(res.coboundary_matrix(free, n))
-              for n in range(max_degree + 1)]
-    out = []
-    for n in range(max_degree + 1):
-        prev = ranks2[n - 1] if n >= 1 else 0
-        out.append(res.rank(n) - ranks2[n] - prev)
-    return tuple(out)
+    z2 = mod2_integers(group)
+    return tuple(len(cohomology(group, z2, n, res).torsion)
+                 for n in range(max_degree + 1))
 
 
 # ---------------------------------------------------------------------------

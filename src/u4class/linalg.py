@@ -21,12 +21,12 @@ with int64 values when every value lies within +-``_INT64_SAFE`` and
 Python integers (dtype=object) otherwise, and each step above reads
 those arrays directly.  Its ``rows``, ``cols`` and ``vals`` are list
 views, built afresh on every call, for the pure-Python unit-pivot phase
-and for callers that walk a small matrix entry by entry.
+and for callers that walk a small matrix entry by entry.  Its Smith
+diagonal and GF(2) rank are memoised on it; the module keeps no cache.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,9 +222,12 @@ class IntMatrix:
 
     With ``canonical=True`` the triplets must already be canonical; arrays
     passed so are taken over, not copied, and made read-only.
+    ``_diagonal`` and ``_rank2`` memoise the Smith diagonal and the GF(2)
+    rank; equality and hashing ignore them.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_cols", "_vals")
+    __slots__ = ("nrows", "ncols", "_rows", "_cols", "_vals", "_diagonal",
+                 "_rank2")
 
     def __init__(self, nrows, ncols, rows=(), cols=(), vals=(), *,
                  canonical=False):
@@ -244,6 +247,7 @@ class IntMatrix:
         for a in (r, c, v):
             a.flags.writeable = False
         self._rows, self._cols, self._vals = r, c, v
+        self._diagonal = self._rank2 = None
 
     # -- constructors -------------------------------------------------------
 
@@ -513,16 +517,15 @@ class SmithForm:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-@functools.lru_cache(maxsize=8)
 def _snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """Cached Smith diagonal: in a cochain complex the same differential
-    appears as d_out at one degree and d_in at the next, and the lookup
-    (hash plus compare) is cheaper than even the pre-pass elimination of
-    a large differential."""
-    npiv, rr, rc, rv = _eliminate_units(m)
-    diag = [1] * npiv + _remainder_snf(rr, rc, rv)
-    diag += [0] * (min(m.nrows, m.ncols) - len(diag))
-    return tuple(diag)
+    """Smith diagonal, memoised on m: in a cochain complex the same
+    differential appears as d_out at one degree and d_in at the next."""
+    if m._diagonal is None:
+        npiv, rr, rc, rv = _eliminate_units(m)
+        diag = [1] * npiv + _remainder_snf(rr, rc, rv)
+        diag += [0] * (min(m.nrows, m.ncols) - len(diag))
+        m._diagonal = tuple(diag)
+    return m._diagonal
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -927,13 +930,13 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroup:
     sf = smith_normal_form(d_in)
     # rank sandwich: im(d_in) <= ker(d_out) (composition checked above)
     # gives rank(d_out) <= c - rank(d_in), and the GF(2) rank is a lower
-    # bound; when a cached GF(2) rank meets it, the integer elimination of
-    # d_out (often the largest matrix present) is skipped.  This is a
-    # saving, not a necessity: otherwise rank(d_out) runs, and for a
-    # large d_out the structural pre-pass keeps that elimination cheap
-    # whichever coefficients came first
+    # bound; when a GF(2) rank memoised on d_out meets it (a resolution
+    # gives Z and Z/2 one shared coboundary, so Z/2 before Z does), the
+    # integer elimination of d_out, often the largest matrix present, is
+    # skipped.  Otherwise rank(d_out) runs, and for a large d_out the
+    # structural pre-pass keeps it cheap whichever coefficients came first
     upper = c - sf.rank
-    if mod2_rank(d_out, only_cached=True) == upper:
+    if d_out._rank2 == upper:
         rank_out = upper
     else:
         rank_out = rank(d_out)
@@ -946,20 +949,11 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroup:
 # Mod-2 interface
 
 
-_MOD2_RANK_CACHE: dict = {}
-
-
-def mod2_rank(m: IntMatrix, only_cached=False) -> int | None:
-    """Rank over GF(2); with only_cached, return a previously computed
-    value or None without eliminating."""
-    cached = _MOD2_RANK_CACHE.get(m)
-    if cached is not None or only_cached:
-        return cached
-    npiv, _, _, _ = _eliminate_units(m, mod2=True)
-    while len(_MOD2_RANK_CACHE) >= 8:
-        _MOD2_RANK_CACHE.pop(next(iter(_MOD2_RANK_CACHE)))
-    _MOD2_RANK_CACHE[m] = npiv
-    return npiv
+def mod2_rank(m: IntMatrix) -> int:
+    """Rank over GF(2), memoised on m."""
+    if m._rank2 is None:
+        m._rank2 = _eliminate_units(m, mod2=True)[0]
+    return m._rank2
 
 
 # ---------------------------------------------------------------------------

@@ -73,17 +73,21 @@ class Resolution:
 
     def coboundary_matrix(self, module: GModule, n) -> IntMatrix:
         """delta^n: Hom(F_n, M) -> Hom(F_{n+1}, M) as an integer matrix on
-        generator coordinates (relations are the caller's concern)."""
+        generator coordinates (relations are the caller's concern).
+        Memoised per (module, n); a new matrix is interned by content, so
+        Z and Z/2 share one matrix and the ranks memoised on it."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
         cache = getattr(self, "_cob_cache", None)
         if cache is None:
             cache = self._cob_cache = {}
+            self._cob_interned = {}
         key = (module, n)
         if key not in cache:
             rows, cols, elems, coeffs = self.boundary(n + 1)
-            cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
-                                          self.rank(n + 1), self.rank(n))
+            m = self._hom_matrix(cols, rows, elems, coeffs, module,
+                                 self.rank(n + 1), self.rank(n))
+            cache[key] = self._cob_interned.setdefault(m, m)
         return cache[key]
 
     def chain_matrix(self, module: GModule, n) -> IntMatrix:

@@ -167,3 +167,24 @@ class TestUsage:
 
     def test_bad_flag(self, capsys):
         assert run(capsys, "classify", "C6", "--category", "pl")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("ahss", "C2", "--coeff", "STop", "--range", "2", "--diagonal", "4"),
+        ("ahss", "C2", "--coeff", "STop", "--diagonal", "5"),
+        ("ahss", "C2", "--coeff", "STop", "--diagonal", "-1"),
+        ("ahss", "C2", "--coeff", "STop", "--range", "-1"),
+        ("cohomology", "C2", "--coeff", "Z", "--degree", "-1"),
+        ("lhs", "C6", "--range", "-2"),
+        ("check-hypothesis", "D3", "--max-degree", "-1"),
+        ("catalog", "--max-order", "-1"),
+        ("catalog", "--max-order", "x")])
+    def test_out_of_range_integer_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("usage error:")
+
+    def test_diagonal_zero_below_range_one(self, capsys):
+        code, out, _ = run(capsys, "ahss", "C2", "--coeff", "STop",
+                           "--range", "1", "--diagonal", "0")
+        assert code == 0
+        assert "diagonal 0:" in out

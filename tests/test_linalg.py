@@ -199,15 +199,13 @@ class TestIntMatrix:
         elif max(map(abs, vals)) < 2**63:
             assert other.arrays[2].dtype == np.int64
             built["int64 dtype"] = other
-        linalg._snf_diagonal.cache_clear()
-        diagonal = linalg._snf_diagonal(want)
+        keyed = {want: want}
         for name, m in built.items():
             assert m == want and want == m, name
             assert (m.rows, m.cols, m.vals) == (rows, cols, vals), name
             assert hash(m) == hash(want), name
-            hits = linalg._snf_diagonal.cache_info().hits
-            assert linalg._snf_diagonal(m) == diagonal, name
-            assert linalg._snf_diagonal.cache_info().hits == hits + 1, name
+            # the property Resolution.coboundary_matrix needs to intern
+            assert keyed[m] is want, name
         assert want != IntMatrix(2, 3, [r ^ 1 for r in rows], cols, vals)
 
     def test_list_views_and_read_only_arrays(self):
@@ -871,6 +869,65 @@ class TestMod2:
         m = _bar_coboundary("C10", 4)
         assert (m.nrows, m.ncols) == (59049, 6561)
         assert m.mod2_column_masks() == self._loop_masks(m)
+
+
+class TestRankMemo:
+    """Smith diagonals and GF(2) ranks are memoised on the IntMatrix, and a
+    resolution hands out equal coboundaries as one matrix."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        eliminate = linalg._eliminate_units
+
+        def counting(m, mod2=False):
+            calls.append((m, mod2))
+            return eliminate(m, mod2)
+
+        monkeypatch.setattr(linalg, "_eliminate_units", counting)
+        return calls
+
+    def test_memo_per_instance(self, eliminations):
+        dense = [[2, 4, 0], [6, 3, 1]]
+        a, b = IntMatrix.from_dense(dense), IntMatrix.from_dense(dense)
+        assert a == b and a is not b
+        for m in (a, a, b):
+            assert linalg.smith_normal_form(m).diagonal == (1, 2)
+            assert linalg.rank(m) == 2
+            assert linalg.mod2_rank(m) == 1
+        # a is eliminated once over Z and once mod 2; the equal b afresh
+        assert [(x is a, mod2) for x, mod2 in eliminations] == [
+            (True, False), (True, True), (False, False), (False, True)]
+
+    @staticmethod
+    def _c8():
+        from u4class.groups import cyclic_group
+        from u4class.modules import mod2_integers, trivial_integers
+        from u4class.resolutions import BarResolution
+        group = cyclic_group(8)
+        return (group, BarResolution(group, 4), mod2_integers(group),
+                trivial_integers(group))
+
+    def test_z_and_z2_share_coboundaries(self):
+        group, res, z2, z = self._c8()
+        for n in range(5):
+            assert res.coboundary_matrix(z2, n) is \
+                res.coboundary_matrix(z, n), n
+
+    @pytest.mark.parametrize("z2_first", [True, False])
+    def test_coefficient_order(self, eliminations, z2_first):
+        from u4class.cohomology import cohomology
+        group, res, z2, z = self._c8()
+        order = [z2, z] if z2_first else [z, z2]
+        got = {module: cohomology(group, module, 4, res) for module in order}
+        assert (str(got[z2]), str(got[z])) == ("Z/2", "Z/8")
+        delta4 = res.coboundary_matrix(z, 4)
+        integer = [m is delta4 for m, mod2 in eliminations if not mod2]
+        # Z/2 first leaves delta^4's GF(2) rank on the shared matrix, and
+        # it meets the rank sandwich; Z first has to eliminate delta^4
+        assert any(integer) is not z2_first
+        assert [m is delta4 for m, mod2 in eliminations if mod2].count(
+            True) == 1
 
 
 def _dense_gf2_solve(columns, vec, width):
