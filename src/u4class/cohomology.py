@@ -144,30 +144,16 @@ def homology(group: FiniteGroup, module: GModule, n: int,
 # Mod-2 bar cochain complex
 
 
-def _first_entry_rows(m: IntMatrix, firsts, block) -> IntMatrix:
-    """The rows of a bar coboundary whose tuples start with one of the
-    given elements (ascending), stacked in that order.  The tuples that
-    start with s are the ``block`` consecutive rows from (s-1) * block on,
-    so every slice and the stack of them stay canonical."""
-    rows, cols, vals = m.arrays
-    parts = []
-    for i, s in enumerate(firsts):
-        lo, hi = np.searchsorted(rows, [(s - 1) * block, s * block])
-        parts.append((rows[lo:hi] + (i - s + 1) * block, cols[lo:hi],
-                      vals[lo:hi]))
-    if not parts:
-        return IntMatrix.zeros(0, m.ncols)
-    r, c, v = (np.concatenate(p) for p in zip(*parts))
-    return IntMatrix(len(firsts) * block, m.ncols, r, c, v, canonical=True)
-
-
 class BarMod2Complex:
     """Normalized bar cochains of a finite group over GF(2), as bit masks
     indexed by nonidentity tuples (big-endian base |G|-1 digits).
 
     The bar complex is that of Brown, *Cohomology of Groups* (GTM 87),
     III.1.  Its top coboundary is stored over the rows [s|...] with s in
-    a generating set S only, which the following lemma allows.
+    a generating set S only, which the following lemma allows.  Those
+    rows are assembled directly from the faces of the tuples [s|...]
+    (``coboundary_matrix`` with ``firsts=S``); the full top coboundary is
+    never built.
 
     Lemma.  Let S, a subset of G without 1, generate G.  A normalized
     coboundary u = delta f vanishes iff it vanishes on every tuple [s|t]
@@ -197,9 +183,8 @@ class BarMod2Complex:
         # of the top delta over the tuples [s|...] with s generating only
         self._delta = [self.res.coboundary_matrix(free, n).mod2_column_masks()
                        for n in range(max_degree)]
-        top = _first_entry_rows(self.res.coboundary_matrix(free, max_degree),
-                                group.generating_set(),
-                                (group.order - 1) ** max_degree)
+        top = self.res.coboundary_matrix(free, max_degree,
+                                         firsts=group.generating_set())
         self._delta.append(top.mod2_column_masks())
         self._basis = {}
         self._echelon = {}

@@ -71,22 +71,33 @@ class Resolution:
 
     # -- matrix assembly ----------------------------------------------------
 
-    def coboundary_matrix(self, module: GModule, n) -> IntMatrix:
+    def coboundary_matrix(self, module: GModule, n,
+                          firsts=None) -> IntMatrix:
         """delta^n: Hom(F_n, M) -> Hom(F_{n+1}, M) as an integer matrix on
         generator coordinates (relations are the caller's concern).
-        Memoised per (module, n); a new matrix is interned by content, so
-        Z and Z/2 share one matrix and the ranks memoised on it."""
+
+        With ``firsts`` (bar resolution only), only the rows of the tuples
+        [s|...] with s in firsts: len(firsts) blocks of rank(n) rows,
+        stacked in that order and assembled from those tuples' faces
+        alone.  Memoised per (module, n), or (module, n, firsts); a new
+        matrix is interned by content, so Z and Z/2 share one matrix and
+        the ranks memoised on it."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
         cache = getattr(self, "_cob_cache", None)
         if cache is None:
             cache = self._cob_cache = {}
             self._cob_interned = {}
-        key = (module, n)
+        key = (module, n) if firsts is None else (module, n, tuple(firsts))
         if key not in cache:
-            rows, cols, elems, coeffs = self.boundary(n + 1)
+            if firsts is None:
+                faces, nrow_gens = self.boundary(n + 1), self.rank(n + 1)
+            else:
+                faces = self.boundary(n + 1, firsts)
+                nrow_gens = len(firsts) * self.rank(n)
+            rows, cols, elems, coeffs = faces
             m = self._hom_matrix(cols, rows, elems, coeffs, module,
-                                 self.rank(n + 1), self.rank(n))
+                                 nrow_gens, self.rank(n))
             cache[key] = self._cob_interned.setdefault(m, m)
         return cache[key]
 
@@ -216,14 +227,26 @@ class BarResolution(Resolution):
                 "raise it)")
         self.ranks = [(m - 1)**n for n in range(degree + 2)]
 
-    def boundary(self, n):
+    def boundary(self, n, firsts=None):
         """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then
         (-1)^i [...|g_i g_{i+1}|...] for 0 < i < n (dropped when the
-        product is the identity), then (-1)^n [g_1|...|g_{n-1}]."""
+        product is the identity), then (-1)^n [g_1|...|g_{n-1}].
+
+        With ``firsts`` (nonidentity elements), only the tuples with g_1
+        in firsts get faces: for each s, the block of (|G|-1)^(n-1)
+        consecutive generators from (s-1)(|G|-1)^(n-1) on, stacked in the
+        order of firsts, and the column of a tuple is its position in
+        that stack.  Rows keep their F_{n-1} numbering."""
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
         base = self.group.order - 1
-        col = np.arange(self.ranks[n], dtype=np.int64)
+        if firsts is None:
+            col = np.arange(self.ranks[n], dtype=np.int64)
+        else:
+            block = self.ranks[n - 1]
+            col = ((np.asarray(firsts, dtype=np.int64)[:, None] - 1) * block
+                   + np.arange(block, dtype=np.int64)).ravel()
+        index = np.arange(col.size, dtype=np.int64)
         digits = np.empty((col.size, n), dtype=np.int64)
         rest = col
         for pos in range(n - 1, -1, -1):
@@ -232,15 +255,15 @@ class BarResolution(Resolution):
         powers = base ** np.arange(n - 2, -1, -1, dtype=np.int64)
         zeros = np.zeros(col.size, dtype=np.int64)
         ones = np.ones(col.size, dtype=np.int64)
-        faces = [(col % base ** (n - 1), col, digits[:, 0] + 1, ones)]
+        faces = [(col % base ** (n - 1), index, digits[:, 0] + 1, ones)]
         for i in range(1, n):
             prod = self.group.mul[digits[:, i - 1] + 1, digits[:, i] + 1]
             keep = prod != 0
             merged = np.delete(digits, i, axis=1)
             merged[:, i - 1] = prod - 1
-            faces.append(((merged @ powers)[keep], col[keep], zeros[keep],
+            faces.append(((merged @ powers)[keep], index[keep], zeros[keep],
                           ones[keep] * (-1) ** i))
-        faces.append((col // base, col, zeros, ones * (-1) ** n))
+        faces.append((col // base, index, zeros, ones * (-1) ** n))
         return tuple(np.concatenate(part) for part in zip(*faces))
 
 

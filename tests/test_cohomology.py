@@ -8,15 +8,18 @@ independently computed Betti numbers.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from u4class.cohomology import (BarMod2Complex, _first_entry_rows,
-                                inflation_map, mod2_dimensions, mod2_ring,
-                                cohomology, homology)
+from u4class.cohomology import (BarMod2Complex, inflation_map,
+                                mod2_dimensions, mod2_ring, cohomology,
+                                homology)
 from u4class.groups import GroupHom, odd_normal_complement, \
     orientation_characters, parse_group
-from u4class.modules import (mod2_integers, pullback_module,
-                             trivial_integers, twisted_integers)
+from u4class.linalg import AbelianGroup, IntMatrix
+from u4class.modules import (mod2_integers, module_from_abelian_group,
+                             pullback_module, trivial_integers,
+                             twisted_integers)
 from u4class.kernels import gf2
 from u4class.resolutions import BarResolution, FeasibilityError
 
@@ -150,6 +153,35 @@ def _rows_starting_with(masks, firsts, block):
                 for i, s in enumerate(firsts)) for c in masks]
 
 
+def _row_cut(m, firsts, block):
+    """The rows of a full bar coboundary that belong to the tuples [s|...],
+    s in firsts, stacked in that order: tuple t owns the rows from
+    t * k on (k generators per cochain value), so s owns the ``block``
+    rows from (s-1) * block on."""
+    rows, cols, vals = m.arrays
+    keep = [np.flatnonzero((rows >= (s - 1) * block) & (rows < s * block))
+            for s in firsts]
+    empty = np.empty(0, dtype=np.int64)
+    take = np.concatenate([empty] + keep)
+    moved = np.concatenate([empty] + [rows[k] + (i - s + 1) * block
+                                      for i, (s, k) in
+                                      enumerate(zip(firsts, keep))])
+    return IntMatrix(len(firsts) * block, m.ncols, moved, cols[take],
+                     vals[take])
+
+
+def _cut_modules(group):
+    """Z, Z/2, and where the group has an orientation character w, Z_w and
+    the two-generator module (Z/2 + Z/4)_w."""
+    out = [trivial_integers(group), mod2_integers(group)]
+    chars = orientation_characters(group)
+    if chars:
+        out.append(twisted_integers(chars[0]))
+        out.append(module_from_abelian_group(
+            group, AbelianGroup(0, (2, 4)), sign_character=chars[0]))
+    return out
+
+
 class TestGeneratorRowsLemma:
     """A normalized coboundary vanishes iff it vanishes on the tuples that
     start with a generator, so the kernel of the generator rows of every
@@ -162,10 +194,8 @@ class TestGeneratorRowsLemma:
         for spec in self.SPECS:
             g = parse_group(spec)
             gens = g.generating_set()
-            for n, (m, full, block) in enumerate(_bar_masks(g, 4)):
+            for n, (_, full, block) in enumerate(_bar_masks(g, 4)):
                 part = _rows_starting_with(full, gens, block)
-                assert _first_entry_rows(m, gens, block) \
-                    .mod2_column_masks() == part, (spec, n)
                 assert gf2.kernel(part) == gf2.kernel(full), (spec, n)
 
     @pytest.mark.parametrize("spec, firsts", [
@@ -176,6 +206,54 @@ class TestGeneratorRowsLemma:
         assert any(gf2.kernel(_rows_starting_with(full, firsts, block))
                    != gf2.kernel(full)
                    for _, full, block in _bar_masks(g, 4))
+
+    CUTS = [(spec, None) for spec in SPECS] + [
+        ("D3", (3,)), ("C2xC2", (1,)), ("C6", (3,))]
+
+    @pytest.mark.parametrize("spec, firsts", CUTS, ids=[
+        spec if firsts is None else f"{spec}-{firsts[0]}"
+        for spec, firsts in CUTS])
+    def test_restricted_assembly_is_the_row_cut(self, spec, firsts):
+        """coboundary_matrix(..., firsts) equals the rows [s|...] cut from
+        the full delta^n, for generating and non-generating firsts."""
+        g = parse_group(spec)
+        if firsts is None:
+            firsts = g.generating_set()
+        for module in _cut_modules(g):
+            k = module.ngens
+            res = BarResolution(g, 4)
+            for n in range(5):
+                part = res.coboundary_matrix(module, n, firsts=firsts)
+                full = res.coboundary_matrix(module, n)
+                assert part == _row_cut(full, firsts,
+                                        res.rank(n) * k), (spec, k, n)
+
+    @pytest.mark.parametrize("spec", ["C6", "D3"])
+    def test_restricted_and_full_in_either_order(self, spec):
+        g = parse_group(spec)
+        gens = g.generating_set()
+        free = trivial_integers(g)
+        pairs = []
+        for restricted_first in (True, False):
+            res = BarResolution(g, 4)
+            if restricted_first:
+                part = res.coboundary_matrix(free, 4, firsts=gens)
+                full = res.coboundary_matrix(free, 4)
+            else:
+                full = res.coboundary_matrix(free, 4)
+                part = res.coboundary_matrix(free, 4, firsts=gens)
+            assert (part.nrows, part.ncols) == \
+                (len(gens) * res.rank(4), res.rank(4))
+            assert (full.nrows, full.ncols) == (res.rank(5), res.rank(4))
+            assert part.nrows < full.nrows
+            pairs.append((part, full))
+        assert pairs[0] == pairs[1]
+        # the full top coboundary is never assembled for the complex
+        cx = BarMod2Complex(g, 4)
+        top = [key[1:] for key in cx.res._cob_cache if key[1] == 4]
+        assert top == [(4, gens)]
+        assert all(m.nrows != cx.rank(5)
+                   for m in cx.res._cob_interned if m.ncols == cx.rank(4))
 
     @pytest.mark.parametrize("spec", ["C6", "D3", "C10"])
     def test_top_degree_cocycle_check_keeps_its_strength(self, spec):
