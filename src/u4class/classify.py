@@ -277,8 +277,13 @@ def classify_group(group: FiniteGroup, category: str
     return [stable_classes(t) for t in types]
 
 
-def classification_json(group: FiniteGroup, category: str) -> dict:
-    tables = classify_group(group, category)
+def classification_json(group: FiniteGroup, category: str,
+                        tables: list[ClassificationTable] | None = None
+                        ) -> dict:
+    """The tables of ``classify_group`` as JSON; pass them if already
+    built."""
+    if tables is None:
+        tables = classify_group(group, category)
     return {"group": group.name, "category": category,
             "types": [t.to_json() for t in tables]}
 

@@ -74,7 +74,7 @@ def _first_twist(group):
 def _cmd_classify(args, started):
     group = parse_group(args.group)
     tables = classify_group(group, args.category)
-    result = classification_json(group, args.category)
+    result = classification_json(group, args.category, tables)
     lines = [f"classification of {group.name} ({args.category})"]
     citations = []
     for t in tables:

@@ -344,33 +344,28 @@ def _check_ring_axioms(s: CohomologyRingSlice):
 
 def _check_associativity(s, p, q, r):
     dp, dq, dr = s.dimensions[p], s.dimensions[q], s.dimensions[r]
+    dim = s.dimensions[p + q + r]
+    # (ab)c sums the products x c over the basis x selected by ab, and
+    # a(bc) the products a y over the basis y selected by bc
+    times_c = [[row[k] for row in s.products[(p + q, r)]] for k in range(dr)]
     for i in range(dp):
+        a_times = s.products[(p, q + r)][i]
         for j in range(dq):
             for k in range(dr):
-                ab = s.products[(p, q)][i][j]
-                left = _combine(s, p + q, r, ab, k)
-                bc = s.products[(q, r)][j][k]
-                right = _combine_right(s, p, q + r, i, bc)
+                left = _xor_selected(times_c[k], s.products[(p, q)][i][j],
+                                     dim)
+                right = _xor_selected(a_times, s.products[(q, r)][j][k], dim)
                 if left != right:
                     raise AssertionError("cup product not associative")
 
 
-def _combine(s, pq, r, ab_coords, k):
-    dim = s.dimensions[pq + r]
+def _xor_selected(vectors, coords, dim):
+    """XOR of the length-dim coordinate tuples vectors[t] over the t with
+    coords[t] set."""
     acc = [0] * dim
-    for t, bit in enumerate(ab_coords):
+    for vec, bit in zip(vectors, coords):
         if bit:
-            for u, b2 in enumerate(s.products[(pq, r)][t][k]):
-                acc[u] ^= b2
-    return tuple(acc)
-
-
-def _combine_right(s, p, qr, i, bc_coords):
-    dim = s.dimensions[p + qr]
-    acc = [0] * dim
-    for t, bit in enumerate(bc_coords):
-        if bit:
-            for u, b2 in enumerate(s.products[(p, qr)][i][t]):
+            for u, b2 in enumerate(vec):
                 acc[u] ^= b2
     return tuple(acc)
 

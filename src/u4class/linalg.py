@@ -12,9 +12,11 @@ times both largest |entries| is at most ``_INT64_SAFE`` and otherwise
 form every product in Python integers and sum them with the
 canonicaliser; the structural-pivot pre-pass in front of the unit-pivot
 phase, which forms Schur complements of large matrices and abandons a
-round whose bound fails; and the lattice echelon behind
-``integer_kernel`` and ``ColumnLattice``, which checks a bound before
-every row operation and goes on in Python integers once one fails.
+round whose bound fails; and the dense two-row step of the lattice
+echelon behind ``integer_kernel`` and ``ColumnLattice`` and of the Smith
+form of the remainder the unit-pivot phase leaves, which checks a bound
+before every row (or column) operation and goes on in Python integers
+once one fails.
 
 An ``IntMatrix`` holds its canonical triplets in read-only numpy arrays,
 with int64 values when every value lies within +-``_INT64_SAFE`` and
@@ -558,15 +560,18 @@ def _eliminate_units(m: IntMatrix, mod2=False):
 
 
 def _remainder_snf(rr, rc, rv):
-    """Dense SNF of the (compressed) remainder left by the unit phase."""
+    """Nonzero Smith diagonal of the remainder left by the unit phase,
+    reduced as a dense array over its nonempty rows and columns: int64
+    when every entry is within ``_INT64_SAFE``, Python ints (dtype=object)
+    otherwise."""
     if not rv:
         return []
     rmap = {r: i for i, r in enumerate(sorted(set(rr)))}
     cmap = {c: j for j, c in enumerate(sorted(set(rc)))}
-    dense = [[0] * len(cmap) for _ in range(len(rmap))]
-    for r, c, v in zip(rr, rc, rv):
-        dense[rmap[r]][cmap[c]] = v
-    return _dense_snf(dense, len(rmap), len(cmap))
+    fits = max(map(abs, rv)) <= _INT64_SAFE
+    a = np.zeros((len(rmap), len(cmap)), dtype=np.int64 if fits else object)
+    a[[rmap[r] for r in rr], [cmap[c] for c in rc]] = rv
+    return _smith_diagonal(a)
 
 
 def _gcdex(a, b):
@@ -584,107 +589,114 @@ def _gcdex(a, b):
     return old_r, old_s, old_t
 
 
-def _dense_snf(a, m, n):
-    """Dense Smith reduction of an m x n list of rows; returns the nonzero
-    diagonal.
+def _row_bounds(a):
+    """Largest |entry| of each row of an int64 array, as a list; None for
+    an object array, whose steps need no bound."""
+    if a.dtype == object:
+        return None
+    return np.maximum(a.max(axis=1, initial=0),
+                      -a.min(axis=1, initial=0)).tolist()
 
-    Off-pivot entries are cleared with extended-gcd two-row (two-column)
-    unimodular combinations rather than Euclidean swap ping-pong, which
-    keeps intermediate entry growth polynomial.
+
+def _two_row_step(a, bound, p, i, c, pair=None):
+    """One unimodular step on rows p and i of a 2-D integer array, both
+    zero left of column c; returns (array, bound).
+
+    The step is (p, i) <- (x p + y i, u p + v i) for pair = (x, y, u, v).
+    By default it clears a[i, c] against the pivot s = a[p, c]: with
+    t = a[i, c], by row i -= (t // s) p when s divides t, otherwise by the
+    extended-gcd pair (x p + y i, (s/g) i - (t/g) p), which leaves
+    g = gcd(s, t) > 0 in the pivot row.  Given a transpose view, it acts on
+    columns.
+
+    ``bound`` carries an upper bound on the largest |entry| of every row
+    of an int64 array (None for an object array); the step's new entries,
+    bounded by its coefficients times those, may not exceed
+    ``_INT64_SAFE``.  When the carried bounds fail, the two rows' true
+    maxima are taken; when those fail too, the array is promoted to Python
+    ints (dtype=object) and the step runs there, so the answer never
+    depends on which arithmetic ran.
     """
-    a = [list(row) for row in a]
+    if pair is None:
+        s, t = int(a[p, c]), int(a[i, c])
+        if t % s == 0:
+            pair = 1, 0, -(t // s), 1
+        else:
+            g, x, y = _gcdex(s, t)
+            pair = x, y, -(t // g), s // g
+    x, y, u, v = pair
+    if bound is not None:
+        bp, bi = bound[p], bound[i]
+        grown = (abs(x) * bp + abs(y) * bi, abs(u) * bp + abs(v) * bi)
+        if max(grown) > _INT64_SAFE:
+            bp, bi = int(np.abs(a[p]).max()), int(np.abs(a[i]).max())
+            grown = (abs(x) * bp + abs(y) * bi, abs(u) * bp + abs(v) * bi)
+        if max(grown) > _INT64_SAFE:
+            a, bound = a.astype(object), None
+        else:
+            bound[p], bound[i] = grown
+    piv, row = a[p, c:], a[i, c:]
+    if y:
+        a[p, c:], a[i, c:] = x * piv + y * row, u * piv + v * row
+    else:
+        row += u * piv
+    return a, bound
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+def _clear_first_column(a):
+    """Clear a[1:, 0] against the pivot a[0, 0] by ``_two_row_step``;
+    returns the array, promoted if a step needed it."""
+    below = a[1:, 0].nonzero()[0]
+    if below.size:
+        bound = _row_bounds(a)
+        for i in (below + 1).tolist():
+            a, bound = _two_row_step(a, bound, 0, i, 0)
+    return a
 
-    def row_op(i, j, q):  # row i -= q * row j
-        ai, aj = a[i], a[j]
-        for k in range(n):
-            ai[k] -= q * aj[k]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
+def _smith_diagonal(a):
+    """Nonzero Smith diagonal of a 2-D int64 or object array, worked in
+    place.
 
-    def clear_row_entry(t, i):
-        """Make a[i][t] = 0 using pivot row t; pivot becomes the gcd."""
-        p, w = a[t][t], a[i][t]
-        if w % p == 0:
-            row_op(i, t, w // p)
-            return False
-        g, x, y = _gcdex(p, w)
-        pt, wt = p // g, w // g
-        rt = [x * aa + y * bb for aa, bb in zip(a[t], a[i])]
-        ri = [-wt * aa + pt * bb for aa, bb in zip(a[t], a[i])]
-        a[t], a[i] = rt, ri
-        return True
-
-    def clear_col_entry(t, j):
-        """Make a[t][j] = 0 using pivot column t."""
-        p, w = a[t][t], a[t][j]
-        if w % p == 0:
-            q = w // p
-            for row in a:
-                row[j] -= q * row[t]
-            return False
-        g, x, y = _gcdex(p, w)
-        pt, wt = p // g, w // g
-        for row in a:
-            ct, cj = row[t], row[j]
-            row[t] = x * ct + y * cj
-            row[j] = -wt * ct + pt * cj
-        return True
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    piv = (i, j)
-                    if x == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
+    The pivot is the smallest nonzero |entry|, the first in row-major
+    order, moved to the corner and made positive.  Its column and then its
+    row are cleared by ``_two_row_step``, on the rows and then on the
+    transpose view, until both stay clear (a gcd step on one dirties the
+    other, but strictly divides the pivot, so this ends).  If the pivot
+    does not divide some entry of the block below and right of it, the
+    first row holding one is added to the pivot row and the clearing
+    resumes; otherwise the pivot is final and the block is reduced next.
+    The pivots come out in divisibility order.
+    """
+    diag = []
+    while a.size:
+        r, c = a.nonzero()
+        if not r.size:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        if a[t][t] < 0:
-            negate_row(t)
+        k = int(np.abs(a[r, c]).argmin())
+        r, c = int(r[k]), int(c[k])
+        if r:
+            a[[0, r]] = a[[r, 0]]
+        if c:
+            a[:, [0, c]] = a[:, [c, 0]]
+        if a[0, 0] < 0:
+            a[0] = -a[0]
         while True:
-            dirty = False
-            for i in range(m):
-                if i != t and a[i][t]:
-                    dirty |= clear_row_entry(t, i)
-            for j in range(n):
-                if j != t and a[t][j]:
-                    # a gcd step here re-dirties column t, hence the loop;
-                    # each such step strictly divides the pivot, so the
-                    # ping-pong is bounded
-                    dirty |= clear_col_entry(t, j)
-            if a[t][t] < 0:
-                negate_row(t)
-            if dirty or any(a[i][t] for i in range(m) if i != t):
+            a = _clear_first_column(a)
+            a = _clear_first_column(a.T).T
+            if np.count_nonzero(a[1:, 0]):
                 continue
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                if any(x % p for x in a[i][t + 1:]):
-                    offender = i
-                    break
-            if offender is None:
+            p = int(a[0, 0])
+            if p == 1 or a.shape[0] == 1 or a.shape[1] == 1:
                 break
-            row_op(t, offender, -1)  # fold the offending row into row t
-        t += 1
-    return [a[i][i] for i in range(t)]
+            offends = (a[1:, 1:] % p != 0).any(axis=1)
+            if not offends.any():
+                break
+            a, _ = _two_row_step(a, _row_bounds(a), 0,
+                                 1 + int(offends.argmax()), 0, (1, 1, 0, 1))
+        diag.append(int(a[0, 0]))
+        a = a[1:, 1:]
+    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -979,25 +991,14 @@ def _echelon(a):
     row operations; returns (array, {pivot column: row index}).
 
     Each row in turn is reduced at its leading nonzero column c against
-    the pivot row p already holding c: with t = row[c] and s = p[c], by
-    row -= (t // s) p when s divides t, otherwise by the extended-gcd pair
-    (p, row) -> (x p + y row, (s/g) row - (t/g) p), which leaves
-    g = gcd(s, t) in the pivot row.  A row whose leading column holds no
-    pivot yet becomes its pivot; a row that vanishes stays zero.  Both
-    rows are zero left of c, so only columns c onwards are touched.
-
-    The array is worked in int64 while a bound proves each step exact.
-    Every row carries an upper bound on its largest entry, and a step's
-    new entries, bounded by its coefficients times those, may not exceed
-    ``_INT64_SAFE``.  When the carried bounds fail, the two rows' true
-    maxima are taken; when those fail too, the array is promoted to
-    Python ints (dtype=object) and the elimination goes on unchanged, so
-    the answer never depends on which arithmetic ran.
+    the pivot row p already holding c by ``_two_row_step``, which leaves
+    a gcd of p[c] and row[c] in the pivot row and 0 in the row.  A row whose
+    leading column holds no pivot yet becomes its pivot; a row that
+    vanishes stays zero.  The array is worked in int64 under the step's
+    carried row bounds and promoted to Python ints (dtype=object) once a
+    bound fails, so the answer never depends on which arithmetic ran.
     """
-    bound = None
-    if a.dtype != object:
-        bound = np.maximum(a.max(axis=1, initial=0),
-                           -a.min(axis=1, initial=0)).tolist()
+    bound = _row_bounds(a)
     pivots = {}
     for i in range(a.shape[0]):
         c = 0
@@ -1008,29 +1009,7 @@ def _echelon(a):
             p = pivots.setdefault(c, i)
             if p == i:
                 break
-            s, t = int(a[p, c]), int(a[i, c])
-            if t % s == 0:
-                x, y, u, v = 1, 0, -(t // s), 1
-            else:
-                g, x, y = _gcdex(s, t)
-                u, v = -(t // g), s // g
-            # (pivot, row) <- (x pivot + y row, u pivot + v row)
-            if bound is not None:
-                bp, bi = bound[p], bound[i]
-                grown = (abs(x) * bp + abs(y) * bi, abs(u) * bp + abs(v) * bi)
-                if max(grown) > _INT64_SAFE:
-                    bp, bi = int(np.abs(a[p]).max()), int(np.abs(a[i]).max())
-                    grown = (abs(x) * bp + abs(y) * bi,
-                             abs(u) * bp + abs(v) * bi)
-                if max(grown) > _INT64_SAFE:
-                    a, bound = a.astype(object), None
-                else:
-                    bound[p], bound[i] = grown
-            piv, row = a[p, c:], a[i, c:]
-            if y:
-                a[p, c:], a[i, c:] = x * piv + y * row, u * piv + v * row
-            else:
-                row += u * piv
+            a, bound = _two_row_step(a, bound, p, i, c)
     return a, pivots
 
 

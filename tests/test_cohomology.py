@@ -111,6 +111,19 @@ class TestMod2Ring:
             for q in range(5 - p):
                 assert s.products[(p, q)][0][0] == (1,)
 
+    def test_non_associative_products_rejected(self):
+        import dataclasses
+        from u4class import cohomology as cohomology_module
+        s = mod2_ring(parse_group("C2"), 4)
+        cohomology_module._check_ring_axioms(s)
+        # x^2 x^2 := 0 keeps the table unital and commutative, but then
+        # (x x) x^2 = 0 while x (x x^2) = x x^3 = x^4
+        products = dict(s.products)
+        products[(2, 2)] = (((0,),),)
+        with pytest.raises(AssertionError, match="not associative"):
+            cohomology_module._check_ring_axioms(
+                dataclasses.replace(s, products=products))
+
     def test_klein_four_dimensions(self):
         s = mod2_ring(parse_group("C2xC2"), 4)
         # polynomial ring on two degree-1 classes

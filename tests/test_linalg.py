@@ -279,13 +279,15 @@ class TestIntMatrix:
     def test_array_paths_skip_numpy_ma(self):
         # np.unique imports numpy.ma (~20 ms) on its first call
         assert not _imports_in_fresh_interpreter(
+            "from u4class import linalg\n"
             "from u4class.linalg import IntMatrix, ColumnLattice\n"
             "m = IntMatrix.from_dense([[1, 2, 0], [0, 3, 4]])\n"
             "ColumnLattice(m).contains([1, 0])\n"
             "m.mod2_column_masks()\n"
             "IntMatrix.from_dense([[2**70]]).matmul(\n"
             "    IntMatrix.from_dense([[3, 0, 1]]))\n"
-            "hash(m.hstack(m).transpose())\n",
+            "hash(m.hstack(m).transpose())\n"
+            "linalg.smith_normal_form(IntMatrix.from_dense([[2, 4], [6, 8]]))\n",
             "numpy.ma")
 
 
@@ -350,6 +352,82 @@ class TestSmithForm:
         assert kernels.BACKEND == "pure"
         assert kernels._fast is None
         assert kernels.unit_pivot_phase is kernels.pure.unit_pivot_phase
+
+    @staticmethod
+    def _spy_steps(monkeypatch):
+        """Record (dtype in, dtype out) of every shared two-row step."""
+        steps = []
+        step = linalg._two_row_step
+
+        def spy(a, *args):
+            before = a.dtype
+            out = step(a, *args)
+            steps.append((before, out[0].dtype))
+            return out
+        monkeypatch.setattr(linalg, "_two_row_step", spy)
+        return steps
+
+    @staticmethod
+    def _random_remainder(rng, big):
+        """A dense matrix of entries within +-big, near +-big or small,
+        and its triplets."""
+        nr, nc = rng.randint(2, 5), rng.randint(2, 5)
+        dense = [[rng.choice([0, rng.randint(-9, 9), big - rng.randint(0, 9),
+                              -big + rng.randint(0, 9)])
+                  for _ in range(nc)] for _ in range(nr)]
+        nz = [(i, j, v) for i, row in enumerate(dense)
+              for j, v in enumerate(row) if v]
+        return dense, [list(t) for t in zip(*nz)] if nz else [[], [], []]
+
+    @pytest.mark.parametrize("big", [2**61, 2**62, 2**64 + 5])
+    def test_remainder_huge_entries_match_oracle(self, big):
+        rng = random.Random(big % 1009)
+        for _ in range(25):
+            dense, (rr, rc, rv) = self._random_remainder(rng, big)
+            diag = linalg._remainder_snf(rr, rc, rv)
+            assert all(type(d) is int for d in diag)
+            assert diag == oracle_invariant_factors(
+                IntMatrix.from_dense(dense))
+
+    def test_remainder_promotes_mid_loop(self, monkeypatch):
+        steps = self._spy_steps(monkeypatch)
+        rng = random.Random(43)
+        midway = 0
+        for _ in range(20):
+            dense, (rr, rc, rv) = self._random_remainder(rng, 2**61)
+            steps.clear()
+            assert linalg._remainder_snf(rr, rc, rv) == \
+                oracle_invariant_factors(IntMatrix.from_dense(dense))
+            kinds = [(a == np.int64, b == np.int64) for a, b in steps]
+            if (True, False) in kinds:
+                # exact int64 steps ran before the promotion, and every
+                # step after it ran on Python ints
+                at = kinds.index((True, False))
+                midway += at > 0
+                assert all(k == (False, False) for k in kinds[at + 1:])
+        assert midway > 0
+        # small entries never leave int64
+        for _ in range(20):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            m = IntMatrix.from_dense(
+                [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)])
+            steps.clear()
+            assert linalg._remainder_snf(m.rows, m.cols, m.vals) == \
+                oracle_invariant_factors(m)
+            assert all(a == b == np.int64 for a, b in steps)
+
+    def test_column_step_promotion_boundary(self, monkeypatch):
+        # rows (1, b), (0, e): the pivot 1 clears b by subtracting b times
+        # column 0 from column 1, bounded by b + max(b, e); no other step
+        # runs, and no row operation
+        steps = self._spy_steps(monkeypatch)
+        b = 2**61
+        for e, exact in ((2**61, True), (2**61 + 1, False)):
+            assert b + e == linalg._INT64_SAFE + (not exact)
+            steps.clear()
+            assert linalg._remainder_snf([0, 0, 1], [0, 1, 1], [1, b, e]) \
+                == [1, e]
+            assert steps == [(np.int64, np.int64 if exact else object)]
 
 
 def _plain_elimination(m, mod2=False):
