@@ -293,10 +293,6 @@ class Character2:
     def kernel(self):
         return self.hom.kernel_elements()
 
-    @property
-    def is_trivial(self):
-        return False  # surjectivity is enforced
-
     def __str__(self):
         return "".join(str(v) for v in self.values)
 

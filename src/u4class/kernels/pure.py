@@ -1,7 +1,9 @@
 """Pure-Python sparse elimination: the unit-pivot phase.
 
 This is the arbitrary-precision implementation of the unit-pivot phase;
-entries are Python ints, so no input can overflow it.
+entries are Python ints, so no input can overflow it.  It works over Z
+only: a GF(2) rank takes the core the integer pre-pass leaves to
+``gf2.rank`` instead (see ``linalg.mod2_rank``).
 """
 
 import heapq
@@ -9,7 +11,7 @@ import heapq
 __all__ = ["unit_pivot_phase"]
 
 
-def unit_pivot_phase(nrows, ncols, row_idx, col_idx, values, mod2=False):
+def unit_pivot_phase(nrows, ncols, row_idx, col_idx, values):
     """Clear +-1 pivots from a sparse integer matrix by unimodular operations.
 
     Parameters
@@ -18,9 +20,6 @@ def unit_pivot_phase(nrows, ncols, row_idx, col_idx, values, mod2=False):
         Matrix shape.
     row_idx, col_idx, values : sequences
         Triplet form of the matrix.  Duplicate positions are not allowed.
-    mod2 : bool
-        If true, work over GF(2); every nonzero entry is then a unit and the
-        remainder is empty, so the returned pivot count is the mod-2 rank.
 
     Returns
     -------
@@ -38,8 +37,6 @@ def unit_pivot_phase(nrows, ncols, row_idx, col_idx, values, mod2=False):
     rows = {}
     cols = {}
     for r, c, v in zip(row_idx, col_idx, values):
-        if mod2:
-            v &= 1
         if not v:
             continue
         rows.setdefault(r, {})[c] = v
@@ -57,14 +54,14 @@ def unit_pivot_phase(nrows, ncols, row_idx, col_idx, values, mod2=False):
             continue
         best = None
         for c, v in prow.items():
-            if mod2 or v == 1 or v == -1:
+            if v == 1 or v == -1:
                 score = len(cols[c])
                 if best is None or score < best[0]:
                     best = (score, c)
         if best is None:
             continue
         _, pc = best
-        u = 1 if mod2 else prow[pc]
+        u = prow[pc]
 
         del rows[r]
         for cc in prow:
@@ -75,8 +72,6 @@ def unit_pivot_phase(nrows, ncols, row_idx, col_idx, values, mod2=False):
             f = row2[pc] * u  # u is its own inverse
             for cc, vv in prow.items():
                 nv = row2.get(cc, 0) - f * vv
-                if mod2:
-                    nv &= 1
                 if nv:
                     if cc not in row2:
                         cols[cc].add(rr)

@@ -11,12 +11,15 @@ largest |value| times the number of values is at most ``_INT64_SAFE``;
 times both largest |entries| is at most ``_INT64_SAFE`` and otherwise
 form every product in Python integers and sum them with the
 canonicaliser; the structural-pivot pre-pass in front of the unit-pivot
-phase, which forms Schur complements of large matrices and abandons a
-round whose bound fails; and the dense two-row step of the lattice
-echelon behind ``integer_kernel`` and ``ColumnLattice`` and of the Smith
-form of the remainder the unit-pivot phase leaves, which checks a bound
-before every row (or column) operation and goes on in Python integers
-once one fails.
+phase and of the GF(2) rank, which forms Schur complements of large
+matrices and abandons a round whose bound fails; and the dense two-row
+step of the lattice echelon behind ``integer_kernel`` and
+``ColumnLattice`` and of the Smith form of the remainder the unit-pivot
+phase leaves, which checks a bound before every row (or column)
+operation and goes on in Python integers once one fails.  The integer
+stack works over Z alone: a GF(2) rank runs the same pre-pass, whose
+unimodular steps are sound modulo 2, and finishes on ``kernels.gf2``,
+the GF(2) engine of the ring code too.
 
 An ``IntMatrix`` holds its canonical triplets in read-only numpy arrays,
 with int64 values when every value lies within +-``_INT64_SAFE`` and
@@ -544,18 +547,16 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return smith_normal_form(m).nontrivial
 
 
-def _eliminate_units(m: IntMatrix, mod2=False):
+def _eliminate_units(m: IntMatrix):
     """Unit pivots of m cleared by unimodular steps, with the contract of
     ``kernels.unit_pivot_phase``: the structural pre-pass on matrices of at
     least ``_PREPASS_MIN_NNZ`` entries, then the unit-pivot phase on what
     is left."""
     if m.nnz >= _PREPASS_MIN_NNZ:
-        npiv, rr, rc, rv = _structural_prepass(
-            m.nrows, m.ncols, *m.arrays, mod2)
+        npiv, rr, rc, rv = _structural_prepass(m.nrows, m.ncols, *m.arrays)
     else:
         npiv, rr, rc, rv = 0, m.rows, m.cols, m.vals
-    more, rr, rc, rv = kernels.unit_pivot_phase(
-        m.nrows, m.ncols, rr, rc, rv, mod2=mod2)
+    more, rr, rc, rv = kernels.unit_pivot_phase(m.nrows, m.ncols, rr, rc, rv)
     return npiv + more, rr, rc, rv
 
 
@@ -718,7 +719,7 @@ _PREPASS_MIN_NNZ = 2000
 _PREPASS_WORK = 32
 
 
-def _structural_prepass(nrows, ncols, rows, cols, vals, mod2=False):
+def _structural_prepass(nrows, ncols, rows, cols, vals):
     """Clear structural unit pivots in bulk; same contract as
     ``kernels.unit_pivot_phase``.
 
@@ -744,6 +745,10 @@ def _structural_prepass(nrows, ncols, rows, cols, vals, mod2=False):
     beyond the int64 bound comes back unchanged.  Only the matrix is used.
     The triplets may be lists or arrays, and come back as lists of Python
     ints in every case.
+
+    Every step is unimodular over Z, so the pivots and the core serve any
+    modulus as they serve Z: ``mod2_rank`` counts the pivots and ranks the
+    core over GF(2).
     """
     from scipy import sparse
 
@@ -753,12 +758,10 @@ def _structural_prepass(nrows, ncols, rows, cols, vals, mod2=False):
         v = np.asarray(vals, dtype=np.int64)
     except OverflowError:
         v = None
-    if v is None or not mod2 and v.size and (v.max() > _INT64_SAFE
-                                             or v.min() < -_INT64_SAFE):
+    if v is None or v.size and (v.max() > _INT64_SAFE
+                                or v.min() < -_INT64_SAFE):
         return (0, rows.tolist(), cols.tolist(),
                 np.asarray(vals, dtype=object).tolist())
-    if mod2:
-        v = v & 1
     core = sparse.csr_matrix((v, (rows, cols)), shape=(nrows, ncols),
                              dtype=np.int64)
     core.eliminate_zeros()
@@ -768,8 +771,8 @@ def _structural_prepass(nrows, ncols, rows, cols, vals, mod2=False):
     budget = _PREPASS_WORK * core.nnz
     npiv = 0
     while True:
-        core, row_ids = _drop_duplicate_rows(core, row_ids, mod2)
-        step = _schur_round(core, mod2, budget)
+        core, row_ids = _drop_duplicate_rows(core, row_ids)
+        step = _schur_round(core, budget)
         if step is None:
             break
         pivot_count, keep_rows, keep_cols, core = step
@@ -803,7 +806,7 @@ def _product_work(a, b):
     return a.shape[0] + int(np.diff(b.indptr)[a.indices].sum())
 
 
-def _schur_round(core, mod2, budget):
+def _schur_round(core, budget):
     """One pre-pass round on a canonical CSR core without empty rows.
 
     Returns (pivots, kept row positions, kept column positions, Schur
@@ -853,23 +856,16 @@ def _schur_round(core, mod2, budget):
         if budget < 0 or n_bound * _max_abs(term) > _INT64_SAFE:
             return None
         term = -(n @ term)
-        if mod2:
-            term.data &= 1
         term.eliminate_zeros()
         if not term.nnz:
             break
         if _max_abs(x) + _max_abs(term) > _INT64_SAFE:
             return None
         x = x + term
-        if mod2:
-            x.data &= 1
-            x.eliminate_zeros()
     if (_product_work(c, x) > budget
             or _max_abs(d) + _row_l1_bound(c) * _max_abs(x) > _INT64_SAFE):
         return None
     schur = (d - c @ x).tocsr()
-    if mod2:
-        schur.data &= 1
     schur.eliminate_zeros()
     schur.sort_indices()
     return piv_rows.size, keep_rows, keep_cols, schur
@@ -884,7 +880,7 @@ def _row_hashes(indices, data, starts):
         return np.add.reduceat(h, starts)
 
 
-def _drop_duplicate_rows(core, row_ids, mod2):
+def _drop_duplicate_rows(core, row_ids):
     """Drop the empty rows of a canonical CSR matrix and every row equal to
     an earlier row up to sign.  Rows are grouped by a hash of their sign-
     normalised entries, and a row is dropped only after an exact
@@ -896,9 +892,7 @@ def _drop_duplicate_rows(core, row_ids, mod2):
     if count < 2:
         return core, row_ids
     starts = core.indptr[:-1]
-    data = core.data
-    if not mod2:
-        data = data * np.repeat(np.sign(data[starts]), lengths)
+    data = core.data * np.repeat(np.sign(core.data[starts]), lengths)
     row_hash = _row_hashes(core.indices, data, starts)
     order = np.lexsort((np.arange(count), row_hash, lengths))
     first = np.ones(count, dtype=bool)
@@ -962,9 +956,24 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroup:
 
 
 def mod2_rank(m: IntMatrix) -> int:
-    """Rank over GF(2), memoised on m."""
+    """Rank over GF(2), memoised on m.
+
+    A matrix of at least ``_PREPASS_MIN_NNZ`` entries first goes through
+    the integer structural pre-pass, and ``gf2.rank`` finishes on the
+    column masks of the core it leaves.  That is sound modulo 2: every
+    pre-pass step is unimodular over Z, and the only rows it drops are
+    empty or equal up to sign to another row, so M ~ diag(I_p, S) over Z
+    and rank_2(M) = p + rank_2(S mod 2).  An input beyond the int64 bound
+    or an abandoned round hands back the matrix or the core as it stood,
+    and the masks read Python-int values exactly.
+    """
     if m._rank2 is None:
-        m._rank2 = _eliminate_units(m, mod2=True)[0]
+        npiv, core = 0, m
+        if m.nnz >= _PREPASS_MIN_NNZ:
+            npiv, rr, rc, rv = _structural_prepass(m.nrows, m.ncols,
+                                                   *m.arrays)
+            core = IntMatrix(m.nrows, m.ncols, rr, rc, rv)
+        m._rank2 = npiv + kernels.gf2.rank(core.mod2_column_masks())
     return m._rank2
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "PeriodicResolution",
     "TensorResolution",
     "RelabeledResolution",
-    "bar_resolution",
-    "periodic_resolution",
     "default_resolution",
     "max_generators",
 ]
@@ -79,16 +77,16 @@ class Resolution:
         With ``firsts`` (bar resolution only), only the rows of the tuples
         [s|...] with s in firsts: len(firsts) blocks of rank(n) rows,
         stacked in that order and assembled from those tuples' faces
-        alone.  Memoised per (module, n), or (module, n, firsts); a new
-        matrix is interned by content, so Z and Z/2 share one matrix and
-        the ranks memoised on it."""
+        alone.  The matrix depends on the module only through its action,
+        so it is memoised per (module.actions, n, firsts): Z and Z/2 share
+        one matrix and the ranks memoised on it."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
         cache = getattr(self, "_cob_cache", None)
         if cache is None:
             cache = self._cob_cache = {}
-            self._cob_interned = {}
-        key = (module, n) if firsts is None else (module, n, tuple(firsts))
+        key = (module.actions, n,
+               None if firsts is None else tuple(firsts))
         if key not in cache:
             if firsts is None:
                 faces, nrow_gens = self.boundary(n + 1), self.rank(n + 1)
@@ -96,9 +94,8 @@ class Resolution:
                 faces = self.boundary(n + 1, firsts)
                 nrow_gens = len(firsts) * self.rank(n)
             rows, cols, elems, coeffs = faces
-            m = self._hom_matrix(cols, rows, elems, coeffs, module,
-                                 nrow_gens, self.rank(n))
-            cache[key] = self._cob_interned.setdefault(m, m)
+            cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
+                                          nrow_gens, self.rank(n))
         return cache[key]
 
     def chain_matrix(self, module: GModule, n) -> IntMatrix:
@@ -199,10 +196,6 @@ class PeriodicResolution(Resolution):
                 np.asarray(coeffs, dtype=np.int64))
 
 
-def periodic_resolution(group, degree):
-    return PeriodicResolution(group, degree)
-
-
 # ---------------------------------------------------------------------------
 # Normalized bar resolution
 
@@ -265,10 +258,6 @@ class BarResolution(Resolution):
                           ones[keep] * (-1) ** i))
         faces.append((col // base, index, zeros, ones * (-1) ** n))
         return tuple(np.concatenate(part) for part in zip(*faces))
-
-
-def bar_resolution(group, degree):
-    return BarResolution(group, degree)
 
 
 # ---------------------------------------------------------------------------

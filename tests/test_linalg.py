@@ -339,13 +339,10 @@ class TestSmithForm:
                 2, 2, [0, 0, 1], [0, 1, 0], [1, big, 1])
             assert npiv == 1 and rv == [big]
         # over GF(2) an odd bigint is a unit and an even one vanishes
-        assert kernels.unit_pivot_phase(
-            1, 1, [0], [0], [2**64 + 3], mod2=True) == (1, [], [], [])
-        assert kernels.unit_pivot_phase(
-            1, 1, [0], [0], [2**64], mod2=True) == (0, [], [], [])
-        assert kernels.unit_pivot_phase(
-            2, 2, [0, 0, 1], [0, 1, 0], [1, 2**64 + 3, 1],
-            mod2=True) == (2, [], [], [])
+        assert linalg.mod2_rank(IntMatrix(1, 1, [0], [0], [2**64 + 3])) == 1
+        assert linalg.mod2_rank(IntMatrix(1, 1, [0], [0], [2**64])) == 0
+        assert linalg.mod2_rank(
+            IntMatrix.from_dense([[1, 2**64 + 3], [1, 0]])) == 2
 
     def test_one_engine(self):
         from u4class import kernels
@@ -431,24 +428,29 @@ class TestSmithForm:
 
 
 def _plain_elimination(m, mod2=False):
-    """Smith diagonal (or GF(2) rank) from the unit-pivot phase alone."""
+    """Smith diagonal from the unit-pivot phase alone, or with mod2 the
+    GF(2) rank of the full column masks."""
     from u4class import kernels
+    if mod2:
+        return gf2.rank(m.mod2_column_masks())
     npiv, rr, rc, rv = kernels.unit_pivot_phase(
-        m.nrows, m.ncols, m.rows, m.cols, m.vals, mod2=mod2)
-    return npiv if mod2 else [1] * npiv + linalg._remainder_snf(rr, rc, rv)
+        m.nrows, m.ncols, m.rows, m.cols, m.vals)
+    return [1] * npiv + linalg._remainder_snf(rr, rc, rv)
 
 
 def _prepass_elimination(m, mod2=False):
-    """The same, with the structural pre-pass run first whatever the size;
-    also returns the number of pivots the pre-pass took."""
+    """The same, with the integer structural pre-pass run first whatever
+    the size: its pivots plus the unit-pivot phase on its core, or with
+    mod2 plus the GF(2) rank of its core.  Also returns the number of
+    pivots the pre-pass took."""
     from u4class import kernels
     pre, rr, rc, rv = linalg._structural_prepass(
-        m.nrows, m.ncols, m.rows, m.cols, m.vals, mod2)
-    npiv, rr, rc, rv = kernels.unit_pivot_phase(
-        m.nrows, m.ncols, rr, rc, rv, mod2=mod2)
-    npiv += pre
-    out = npiv if mod2 else [1] * npiv + linalg._remainder_snf(rr, rc, rv)
-    return out, pre
+        m.nrows, m.ncols, m.rows, m.cols, m.vals)
+    if mod2:
+        core = IntMatrix(m.nrows, m.ncols, rr, rc, rv)
+        return pre + gf2.rank(core.mod2_column_masks()), pre
+    npiv, rr, rc, rv = kernels.unit_pivot_phase(m.nrows, m.ncols, rr, rc, rv)
+    return [1] * (npiv + pre) + linalg._remainder_snf(rr, rc, rv), pre
 
 
 def _random_unit_rich(rng, nr, nc):
@@ -907,6 +909,88 @@ class TestMod2:
             assert linalg.mod2_rank(m) == gf2.rank(m.mod2_column_masks())
 
     @staticmethod
+    def _dense_rank(m):
+        """GF(2) rank by Gauss-Jordan elimination on the dense 0/1 array."""
+        a = np.zeros((m.nrows, m.ncols), dtype=bool)
+        for r, c, v in zip(m.rows, m.cols, m.vals):
+            a[r, c] = v & 1
+        rank = 0
+        for j in range(m.ncols):
+            hits = np.flatnonzero(a[rank:, j])
+            if not hits.size:
+                continue
+            p = rank + int(hits[0])
+            a[[rank, p]] = a[[p, rank]]
+            below = np.flatnonzero(a[:, j])
+            a[below[below != rank]] ^= a[rank]
+            rank += 1
+        return rank
+
+    @staticmethod
+    def _odd_leads(rng, nr, nc):
+        """Sparse rows whose leading entry is +-1 or +-3 (a unit mod 2 but
+        not over Z), with rows repeated up to sign or times 3."""
+        entries = {}
+        for i in range(nr):
+            lead = rng.randrange(nc)
+            entries[(i, lead)] = rng.choice([1, -1, 3, -3])
+            for j in rng.sample(range(lead, nc), min(12, nc - lead)):
+                if j > lead:
+                    entries[(i, j)] = rng.choice([1, -1, 2, -2, 3, 5, 6])
+        for _ in range(nr // 10):
+            i, k = rng.randrange(nr), rng.randrange(nr)
+            row = {j: v for (r, j), v in entries.items() if r == i}
+            for j in [j for (r, j) in entries if r == k]:
+                del entries[(k, j)]
+            f = rng.choice([1, -1, 3])
+            entries.update({(k, j): f * v for j, v in row.items()})
+        keys = list(entries)
+        return IntMatrix(nr, nc, [r for r, _ in keys], [c for _, c in keys],
+                         list(entries.values()))
+
+    def test_prepass_core_finishes_on_gf2(self):
+        # past the size cutoff the integer pre-pass runs first, and the
+        # +-3 pivots it cannot take over Z are left to gf2 in its core
+        rng = random.Random(53)
+        odd_core = 0
+        for _ in range(6):
+            m = self._odd_leads(rng, rng.randint(250, 330),
+                                rng.randint(150, 260))
+            assert m.nnz >= linalg._PREPASS_MIN_NNZ
+            want = self._dense_rank(m)
+            assert linalg.mod2_rank(m) == want
+            got, pre = _prepass_elimination(m, mod2=True)
+            assert got == want == _plain_elimination(m, mod2=True)
+            assert pre > 0
+            _, rr, rc, rv = linalg._structural_prepass(
+                m.nrows, m.ncols, *m.arrays)
+            odd_core += any(abs(v) == 3 for v in rv)
+        assert odd_core > 0
+
+    def test_prepass_abandonment_boundary(self):
+        # [[1, b], [c, d]] beside a unit filler: the Schur complement
+        # d - c*b is bounded by |d| + |c|*|b| = |d| + safe - 1; past the
+        # bound the round is abandoned and gf2 ranks the whole matrix
+        b, c = 2**31 + 1, 2**31 - 1
+        assert c * b == linalg._INT64_SAFE - 1
+        fill = linalg._PREPASS_MIN_NNZ
+        for d, fast, want in ((1, True, 1), (-1, True, 1), (2, False, 2)):
+            rows = [0, 0, 1, 1] + list(range(2, fill + 2))
+            cols = [0, 1, 0, 1] + list(range(2, fill + 2))
+            m = IntMatrix(fill + 2, fill + 2, rows, cols,
+                          [1, b, c, d] + [1] * fill)
+            got, pre = _prepass_elimination(m, mod2=True)
+            assert pre == (fill + 1 if fast else 0)
+            assert got == fill + want == linalg.mod2_rank(m)
+            assert got == self._dense_rank(m)
+
+    def test_d5_bar_delta4_pinned(self):
+        # D5 is one of the paper's dihedral negative controls
+        m = _bar_coboundary("D5", 4)
+        assert (m.nrows, m.ncols) == (59049, 6561)
+        assert linalg.mod2_rank(m) == 5904
+
+    @staticmethod
     def _loop_masks(m):
         # the per-entry loop the numpy builder replaced
         out = [0] * m.ncols
@@ -955,14 +1039,35 @@ class TestRankMemo:
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
-        calls = []
-        eliminate = linalg._eliminate_units
+        """(matrix, mod2) for every integer elimination (mod2 False) and
+        every GF(2) rank computed (mod2 True): a ``gf2.rank`` call made
+        for the matrix ``mod2_rank`` was asked for, on whatever core the
+        pre-pass left of it."""
+        from u4class import cohomology
+        calls, asked = [], []
+        eliminate, ask, finish = linalg._eliminate_units, linalg.mod2_rank, \
+            gf2.rank
 
-        def counting(m, mod2=False):
-            calls.append((m, mod2))
-            return eliminate(m, mod2)
+        def eliminating(m):
+            calls.append((m, False))
+            return eliminate(m)
 
-        monkeypatch.setattr(linalg, "_eliminate_units", counting)
+        def asking(m):
+            asked.append(m)
+            try:
+                return ask(m)
+            finally:
+                asked.pop()
+
+        def finishing(columns):
+            if asked:
+                calls.append((asked[-1], True))
+            return finish(columns)
+
+        monkeypatch.setattr(linalg, "_eliminate_units", eliminating)
+        monkeypatch.setattr(linalg, "mod2_rank", asking)
+        monkeypatch.setattr(cohomology, "mod2_rank", asking)
+        monkeypatch.setattr(gf2, "rank", finishing)
         return calls
 
     def test_memo_per_instance(self, eliminations):
