@@ -146,7 +146,7 @@ def homology(group: FiniteGroup, module: GModule, n: int,
 
 class BarMod2Complex:
     """Normalized bar cochains of a finite group over GF(2), as bit masks
-    indexed by nonidentity tuples (big-endian base |G|-1 digits).
+    whose bit i is the value on the tuple numbered i by ``BarResolution``.
 
     The bar complex is that of Brown, *Cohomology of Groups* (GTM 87),
     III.1.  Its top coboundary is stored over the rows [s|...] with s in
@@ -247,7 +247,7 @@ class BarMod2Complex:
             return b if a & 1 else 0
         if q == 0:
             return a if b & 1 else 0
-        shift = (self.group.order - 1) ** q
+        shift = self.rank(q)
         out = 0
         while a:
             top = a.bit_length() - 1
@@ -258,12 +258,8 @@ class BarMod2Complex:
     def tuple_label(self, n, idx):
         if n == 0:
             return "1"
-        base = self.group.order - 1
-        digits = []
-        for _ in range(n):
-            digits.append(idx % base + 1)
-            idx //= base
-        return "[" + "|".join(str(d) for d in reversed(digits)) + "]"
+        elements = self.res.tuples(n, [idx])[0].tolist()
+        return "[" + "|".join(str(g) for g in elements) + "]"
 
     def basis_labels(self, n):
         return tuple(self.tuple_label(n, (m & -m).bit_length() - 1)
@@ -469,28 +465,20 @@ def _inflation_bar(phi, max_degree):
 
 
 def _pullback_cochain(phi, src, tgt, n, mask):
-    """phi^* of a degree-n cochain mask on the target."""
+    """phi^* of a degree-n cochain mask on the target: on a source tuple,
+    the mask's bit at the image tuple, and 0 where the image holds the
+    identity (the cochains are normalized)."""
     if n == 0:
         return mask & 1
-    bs = phi.source.order - 1
-    bt = phi.target.order - 1
-    r = src.rank(n)
-    idx = np.arange(r, dtype=np.int64)
-    rest = idx
-    mapped_idx = np.zeros(r, dtype=np.int64)
-    keep = np.ones(r, dtype=bool)
-    mapping = np.asarray(phi.mapping, dtype=np.int64)
-    for pos in range(n - 1, -1, -1):
-        digit = rest % bs
-        rest = rest // bs
-        image = mapping[digit + 1]
-        keep &= image != 0
-        mapped_idx += np.where(image > 0, image - 1, 0) * (bt ** (n - 1 - pos))
-    out = 0
-    for i in np.nonzero(keep)[0]:
-        if (mask >> int(mapped_idx[i])) & 1:
-            out |= 1 << int(i)
-    return out
+    image = np.asarray(phi.mapping, dtype=np.int64)[src.res.tuples(n)]
+    keep = image.all(axis=1)
+    width = (tgt.rank(n) + 7) // 8
+    bits = np.unpackbits(np.frombuffer(mask.to_bytes(width, "little"),
+                                       dtype=np.uint8), bitorder="little")
+    out = np.zeros(src.rank(n), dtype=np.uint8)
+    out[keep] = bits[tgt.res.number(image[keep])]
+    return int.from_bytes(np.packbits(out, bitorder="little").tobytes(),
+                          "little")
 
 
 def _check_ring_map(phi, src, tgt, pulled, max_degree):

@@ -35,16 +35,14 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "mul", "name", "inverse_table", "_orders",
-                 "product_factors", "generator")
+                 "product_factors")
 
-    def __init__(self, mul, name, *, product_factors=None, generator=None):
+    def __init__(self, mul, name, *, product_factors=None):
         self.mul = np.asarray(mul, dtype=np.int32)
         self.order = int(self.mul.shape[0])
         self.name = name
         # direct-product provenance (A, B) with index a*|B| + b, if built so
         self.product_factors = product_factors
-        # distinguished generator index for groups built as C_n
-        self.generator = generator
         self._validate()
         inv = np.full(self.order, -1, dtype=np.int32)
         for a in range(self.order):
@@ -99,8 +97,6 @@ class FiniteGroup:
                    for a in range(self.order))
 
     def cyclic_generator(self):
-        if self.generator is not None:
-            return self.generator
         for a in range(self.order):
             if self.element_order(a) == self.order:
                 return a
@@ -256,8 +252,7 @@ class GroupHom:
 def cyclic_group(n, name=None):
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(mul, name or f"C{n}",
-                       generator=1 if n > 1 else 0)
+    return FiniteGroup(mul, name or f"C{n}")
 
 
 C2 = cyclic_group(2)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .groups import FiniteGroup, GroupHom, OddDecomposition, \
     conjugation_action, is_inner_automorphism, odd_normal_complement
 from .linalg import ColumnLattice, integer_kernel
@@ -80,27 +82,13 @@ class HypothesisReport:
 # Induced action on integral cohomology via bar chain maps
 
 
-def _pullback_vector(group: FiniteGroup, alpha: GroupHom, n, vec):
-    """(alpha^*)z for an integer degree-n bar cochain vector: the bar
-    resolution is functorial, so the chain map permutes tuples."""
-    base = group.order - 1
-    out = [0] * len(vec)
-    for idx, v in enumerate(vec):
-        if not v:
-            continue
-        # alpha^{-1} image index: (alpha^* f)(t) = f(alpha t), so the
-        # coordinate at t of alpha^* z comes from z at alpha(t); build the
-        # source index whose alpha-image is idx instead by mapping idx
-        # through alpha and adding there
-        rest, digits = idx, []
-        for _ in range(n):
-            digits.append(rest % base)
-            rest //= base
-        tgt = 0
-        for d in reversed(digits):
-            tgt = tgt * base + (alpha(d + 1) - 1)
-        out[tgt] += v
-    return out
+def _pullback_vector(res: BarResolution, alpha: GroupHom, n, vec):
+    """(alpha^*)z for an integer degree-n bar cochain vector.  The bar
+    resolution is functorial and an automorphism permutes the tuples, so
+    the coordinate of z at t moves to alpha(t)."""
+    out = np.zeros(len(vec), dtype=object)
+    out[res.number(np.asarray(alpha.mapping)[res.tuples(n)])] = vec
+    return out.tolist()
 
 
 def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
@@ -121,7 +109,7 @@ def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
     cocycles = integer_kernel(res.coboundary_matrix(free, n))
     boundaries = ColumnLattice(res.coboundary_matrix(free, n - 1))
     for z in cocycles:
-        moved = _pullback_vector(kernel, alpha, n, z)
+        moved = _pullback_vector(res, alpha, n, z)
         diff = [a - b for a, b in zip(moved, z)]
         if not boundaries.contains(diff):
             return z

@@ -24,15 +24,18 @@ the GF(2) engine of the ring code too.
 An ``IntMatrix`` holds its canonical triplets in read-only numpy arrays,
 with int64 values when every value lies within +-``_INT64_SAFE`` and
 Python integers (dtype=object) otherwise, and each step above reads
-those arrays directly.  Its ``rows``, ``cols`` and ``vals`` are list
-views, built afresh on every call, for the pure-Python unit-pivot phase
-and for callers that walk a small matrix entry by entry.  Its Smith
-diagonal and GF(2) rank are memoised on it; the module keeps no cache.
+those arrays directly.  The pre-pass takes one and leaves its core as
+one, so the integer and the GF(2) finishers read the same core.  Its
+``rows``, ``cols`` and ``vals`` are list views, built afresh on every
+call, for the pure-Python unit-pivot phase and for callers that walk a
+small matrix entry by entry.  Its Smith diagonal and GF(2) rank are
+memoised on it; the module keeps no cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 import numpy as np
 
@@ -143,13 +146,13 @@ class AbelianGroup:
         orders += list(other.torsion) * self.rank
         for a in self.torsion:
             for b in other.torsion:
-                orders.append(_gcd(a, b))
+                orders.append(gcd(a, b))
         return AbelianGroup.from_cyclic_orders(orders)
 
     def tor(self, other: "AbelianGroup") -> "AbelianGroup":
         """Torsion product Tor_1(self, other)."""
         return AbelianGroup.from_cyclic_orders(
-            [_gcd(a, b) for a in self.torsion for b in other.torsion])
+            [gcd(a, b) for a in self.torsion for b in other.torsion])
 
     def elements(self):
         """All elements as coordinate tuples (finite groups only)."""
@@ -167,7 +170,7 @@ class AbelianGroup:
         for el in self.elements():
             o = 1
             for x, d in zip(el, self.torsion):
-                o = _lcm(o, d // _gcd(d, x))
+                o = lcm(o, d // gcd(d, x))
             counts[o] = counts.get(o, 0) + 1
         return counts
 
@@ -182,16 +185,6 @@ class AbelianGroup:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b) if a and b else 0
 
 
 def _factorize(n):
@@ -228,7 +221,7 @@ class IntMatrix:
     With ``canonical=True`` the triplets must already be canonical; arrays
     passed so are taken over, not copied, and made read-only.
     ``_diagonal`` and ``_rank2`` memoise the Smith diagonal and the GF(2)
-    rank; equality and hashing ignore them.
+    rank; equality ignores them.
     """
 
     __slots__ = ("nrows", "ncols", "_rows", "_cols", "_vals", "_diagonal",
@@ -324,11 +317,6 @@ class IntMatrix:
                 and np.array_equal(self._cols, other._cols)
                 and np.array_equal(self._vals, other._vals))
 
-    def __hash__(self):
-        # the values alone: positions are left to __eq__, as hashing them
-        # would triple the bytes hashed
-        return hash((self.nrows, self.ncols, _value_digest(self._vals)))
-
     def __repr__(self):
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
@@ -346,12 +334,6 @@ class IntMatrix:
             np.concatenate((self._rows, other._rows)),
             np.concatenate((self._cols, other._cols + self.ncols)),
             np.concatenate((self._vals, other._vals)))
-
-    def columns_dense(self):
-        out = [[0] * self.nrows for _ in range(self.ncols)]
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            out[c][r] = v
-        return out
 
     def matmul(self, other):
         if self.ncols != other.nrows:
@@ -441,18 +423,6 @@ def _value_array(vals):
         return np.asarray(vals, dtype=np.int64)
     except OverflowError:
         return np.array([int(x) for x in vals], dtype=object)
-
-
-def _value_digest(v):
-    """Hashable digest of a value array: its int64 bytes when the values
-    fit in int64, whichever dtype holds them, so that equal matrices hash
-    alike; a tuple of Python ints otherwise."""
-    if v.dtype == object:
-        try:
-            v = v.astype(np.int64)
-        except OverflowError:
-            return tuple(v.tolist())
-    return v.tobytes()
 
 
 def _canonical_triplets(nrows, ncols, rows, cols, vals):
@@ -549,14 +519,11 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 def _eliminate_units(m: IntMatrix):
     """Unit pivots of m cleared by unimodular steps, with the contract of
-    ``kernels.unit_pivot_phase``: the structural pre-pass on matrices of at
-    least ``_PREPASS_MIN_NNZ`` entries, then the unit-pivot phase on what
-    is left."""
-    if m.nnz >= _PREPASS_MIN_NNZ:
-        npiv, rr, rc, rv = _structural_prepass(m.nrows, m.ncols, *m.arrays)
-    else:
-        npiv, rr, rc, rv = 0, m.rows, m.cols, m.vals
-    more, rr, rc, rv = kernels.unit_pivot_phase(m.nrows, m.ncols, rr, rc, rv)
+    ``kernels.unit_pivot_phase``: ``_prepass``, then the unit-pivot phase
+    on the core it leaves."""
+    npiv, core = _prepass(m)
+    more, rr, rc, rv = kernels.unit_pivot_phase(m.nrows, m.ncols, core.rows,
+                                                core.cols, core.vals)
     return npiv + more, rr, rc, rv
 
 
@@ -719,9 +686,19 @@ _PREPASS_MIN_NNZ = 2000
 _PREPASS_WORK = 32
 
 
-def _structural_prepass(nrows, ncols, rows, cols, vals):
-    """Clear structural unit pivots in bulk; same contract as
-    ``kernels.unit_pivot_phase``.
+def _prepass(m: IntMatrix):
+    """(pivots, core) of the structural pre-pass on a matrix of at least
+    ``_PREPASS_MIN_NNZ`` entries, and (0, m) on a smaller one."""
+    if m.nnz >= _PREPASS_MIN_NNZ:
+        return _structural_prepass(m)
+    return 0, m
+
+
+def _structural_prepass(m: IntMatrix):
+    """Clear structural unit pivots of m in bulk.  Returns (pivots, core)
+    with the contract of ``kernels.unit_pivot_phase``: the core is an
+    ``IntMatrix`` of m's shape, and the rank and invariant factors of m are
+    as many 1s as pivots plus those of the core.
 
     Each round picks, for every column holding the leftmost entry of some
     row with value +-1 there, one such row (the shortest).  Ordered by
@@ -741,33 +718,18 @@ def _structural_prepass(nrows, ncols, rows, cols, vals):
     charged to the round, which may spend ``_PREPASS_WORK`` times the
     input's nnz; this bounds the fill and the number of sweeps of the sum.
     A round that fails either guard is abandoned and the core as it stood
-    is returned for the arbitrary-precision path; input with an entry
-    beyond the int64 bound comes back unchanged.  Only the matrix is used.
-    The triplets may be lists or arrays, and come back as lists of Python
-    ints in every case.
+    is returned for the arbitrary-precision path.  A matrix with Python-int
+    values (one beyond the int64 bound) comes back as (0, m).
 
     Every step is unimodular over Z, so the pivots and the core serve any
     modulus as they serve Z: ``mod2_rank`` counts the pivots and ranks the
     core over GF(2).
     """
-    from scipy import sparse
-
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    try:
-        v = np.asarray(vals, dtype=np.int64)
-    except OverflowError:
-        v = None
-    if v is None or v.size and (v.max() > _INT64_SAFE
-                                or v.min() < -_INT64_SAFE):
-        return (0, rows.tolist(), cols.tolist(),
-                np.asarray(vals, dtype=object).tolist())
-    core = sparse.csr_matrix((v, (rows, cols)), shape=(nrows, ncols),
-                             dtype=np.int64)
-    core.eliminate_zeros()
-    core.sort_indices()
-    row_ids = np.arange(nrows)
-    col_ids = np.arange(ncols)
+    if m.arrays[2].dtype == object:
+        return 0, m
+    core = m._csr()
+    row_ids = np.arange(m.nrows)
+    col_ids = np.arange(m.ncols)
     budget = _PREPASS_WORK * core.nnz
     npiv = 0
     while True:
@@ -782,8 +744,9 @@ def _structural_prepass(nrows, ncols, rows, cols, vals):
         if core.nnz < _PREPASS_MIN_NNZ:
             break
     core = core.tocoo()
-    return (npiv, row_ids[core.row].tolist(), col_ids[core.col].tolist(),
-            core.data.tolist())
+    # the kept row and column ids increase, so CSR order stays canonical
+    return npiv, IntMatrix(m.nrows, m.ncols, row_ids[core.row],
+                           col_ids[core.col], core.data, canonical=True)
 
 
 def _scale_rows(a, signs):
@@ -968,11 +931,7 @@ def mod2_rank(m: IntMatrix) -> int:
     and the masks read Python-int values exactly.
     """
     if m._rank2 is None:
-        npiv, core = 0, m
-        if m.nnz >= _PREPASS_MIN_NNZ:
-            npiv, rr, rc, rv = _structural_prepass(m.nrows, m.ncols,
-                                                   *m.arrays)
-            core = IntMatrix(m.nrows, m.ncols, rr, rc, rv)
+        npiv, core = _prepass(m)
         m._rank2 = npiv + kernels.gf2.rank(core.mod2_column_masks())
     return m._rank2
 

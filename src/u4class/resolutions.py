@@ -57,9 +57,12 @@ class Resolution:
     element) triples add up.
     """
 
-    group: FiniteGroup
-    degree: int
-    ranks: list[int]
+    def __init__(self, group: FiniteGroup, degree: int, ranks):
+        self.group = group
+        self.degree = degree
+        self.ranks = ranks
+        # coboundary matrices memoised by coboundary_matrix
+        self._cob_cache = {}
 
     def rank(self, n):
         return self.ranks[n] if 0 <= n <= self.degree + 1 else 0
@@ -82,9 +85,7 @@ class Resolution:
         one matrix and the ranks memoised on it."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
-        cache = getattr(self, "_cob_cache", None)
-        if cache is None:
-            cache = self._cob_cache = {}
+        cache = self._cob_cache
         key = (module.actions, n,
                None if firsts is None else tuple(firsts))
         if key not in cache:
@@ -175,9 +176,7 @@ class PeriodicResolution(Resolution):
     def __init__(self, group: FiniteGroup, degree: int):
         if not group.is_cyclic:
             raise ValueError(f"{group.name} is not cyclic")
-        self.group = group
-        self.degree = degree
-        self.ranks = [1] * (degree + 2)
+        super().__init__(group, degree, [1] * (degree + 2))
         self.generator = group.cyclic_generator()
         self._powers = [0]
         for _ in range(group.order - 1):
@@ -203,13 +202,13 @@ class PeriodicResolution(Resolution):
 class BarResolution(Resolution):
     """Normalized inhomogeneous bar resolution; rank (|G|-1)^n in degree n.
 
-    Generators of F_n are tuples of nonidentity elements, indexed big-endian
-    in base |G|-1 with digit = element - 1.
+    Generators of F_n are the tuples [g_1|...|g_n] of nonidentity
+    elements, numbered big-endian in base |G|-1 with digit g_i - 1.  Only
+    ``tuples`` and ``number`` know this numbering; cochain code reads and
+    writes tuples through them.
     """
 
     def __init__(self, group: FiniteGroup, degree: int):
-        self.group = group
-        self.degree = degree
         m = group.order
         total = sum((m - 1)**n for n in range(degree + 2))
         bound = max_generators()
@@ -218,7 +217,27 @@ class BarResolution(Resolution):
                 f"bar resolution of {group.name} to degree {degree} needs "
                 f"{total} generators (bound {bound}; set {_ENV_BOUND} to "
                 "raise it)")
-        self.ranks = [(m - 1)**n for n in range(degree + 2)]
+        super().__init__(group, degree,
+                         [(m - 1)**n for n in range(degree + 2)])
+
+    def _place_values(self, n):
+        return (self.group.order - 1) ** np.arange(n - 1, -1, -1,
+                                                   dtype=np.int64)
+
+    def tuples(self, n, index=None):
+        """The tuples [g_1|...|g_n] of the degree-n generators numbered by
+        ``index`` (all of them by default), one row of elements each."""
+        if index is None:
+            index = np.arange(self.rank(n), dtype=np.int64)
+        index = np.asarray(index, dtype=np.int64)
+        return index[:, None] // self._place_values(n) \
+            % (self.group.order - 1) + 1
+
+    def number(self, elements):
+        """Generator numbers of tuples given as rows of nonidentity
+        elements; the inverse of ``tuples``."""
+        elements = np.asarray(elements, dtype=np.int64)
+        return (elements - 1) @ self._place_values(elements.shape[-1])
 
     def boundary(self, n, firsts=None):
         """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then
@@ -232,31 +251,25 @@ class BarResolution(Resolution):
         that stack.  Rows keep their F_{n-1} numbering."""
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
-        base = self.group.order - 1
-        if firsts is None:
-            col = np.arange(self.ranks[n], dtype=np.int64)
-        else:
+        col = None
+        if firsts is not None:
             block = self.ranks[n - 1]
             col = ((np.asarray(firsts, dtype=np.int64)[:, None] - 1) * block
                    + np.arange(block, dtype=np.int64)).ravel()
-        index = np.arange(col.size, dtype=np.int64)
-        digits = np.empty((col.size, n), dtype=np.int64)
-        rest = col
-        for pos in range(n - 1, -1, -1):
-            digits[:, pos] = rest % base
-            rest = rest // base
-        powers = base ** np.arange(n - 2, -1, -1, dtype=np.int64)
-        zeros = np.zeros(col.size, dtype=np.int64)
-        ones = np.ones(col.size, dtype=np.int64)
-        faces = [(col % base ** (n - 1), index, digits[:, 0] + 1, ones)]
+        elems = self.tuples(n, col)
+        index = np.arange(len(elems), dtype=np.int64)
+        zeros = np.zeros(index.size, dtype=np.int64)
+        ones = np.ones(index.size, dtype=np.int64)
+        faces = [(self.number(elems[:, 1:]), index, elems[:, 0], ones)]
         for i in range(1, n):
-            prod = self.group.mul[digits[:, i - 1] + 1, digits[:, i] + 1]
+            prod = self.group.mul[elems[:, i - 1], elems[:, i]]
             keep = prod != 0
-            merged = np.delete(digits, i, axis=1)
-            merged[:, i - 1] = prod - 1
-            faces.append(((merged @ powers)[keep], index[keep], zeros[keep],
+            merged = np.delete(elems[keep], i, axis=1)
+            merged[:, i - 1] = prod[keep]
+            faces.append((self.number(merged), index[keep], zeros[keep],
                           ones[keep] * (-1) ** i))
-        faces.append((col // base, index, zeros, ones * (-1) ** n))
+        faces.append((self.number(elems[:, :-1]), index, zeros,
+                       ones * (-1) ** n))
         return tuple(np.concatenate(part) for part in zip(*faces))
 
 
@@ -280,17 +293,16 @@ class TensorResolution(Resolution):
         fa, fb = group.product_factors
         if fa.order != res_a.group.order or fb.order != res_b.group.order:
             raise ValueError("factor resolutions do not match the product")
-        self.group = group
         self.res_a = res_a
         self.res_b = res_b
-        self.degree = min(res_a.degree, res_b.degree)
+        degree = min(res_a.degree, res_b.degree)
         # generator (i, a, b) of degree n sits at
         # offsets[n][i] + a * rank_B(n - i) + b
         self._offsets = []
-        for n in range(self.degree + 2):
+        for n in range(degree + 2):
             sizes = [res_a.rank(i) * res_b.rank(n - i) for i in range(n + 1)]
             self._offsets.append(np.cumsum([0] + sizes).tolist())
-        self.ranks = [off[-1] for off in self._offsets]
+        super().__init__(group, degree, [off[-1] for off in self._offsets])
 
     def boundary(self, n):
         if not 1 <= n <= self.degree + 1:
@@ -341,10 +353,8 @@ class RelabeledResolution(Resolution):
         if not np.array_equal(iso[inner.group.mul],
                               group.mul[np.ix_(iso, iso)]):
             raise ValueError("relabeling is not an isomorphism")
+        super().__init__(group, inner.degree, list(inner.ranks))
         self.inner = inner
-        self.group = group
-        self.degree = inner.degree
-        self.ranks = list(inner.ranks)
         self._iso = iso
 
     def boundary(self, n):

@@ -102,7 +102,7 @@ def oracle_homology(d_in: IntMatrix, d_out: IntMatrix) -> dict:
     # integrality is guaranteed by saturation and asserted)
     kmat = sympy.Matrix([[kb[j][i] for j in range(k)] for i in range(c)])
     coords = []
-    for col in d_in.columns_dense():
+    for col in d_in.transpose().to_dense():
         sol = (kmat.T * kmat).solve(kmat.T * sympy.Matrix(col))
         assert kmat * sol == sympy.Matrix(col), "image outside kernel"
         vals = [sympy.Rational(x) for x in sol]

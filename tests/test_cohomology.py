@@ -7,14 +7,16 @@ independently computed Betti numbers.
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
-from u4class.cohomology import (BarMod2Complex, inflation_map,
+from u4class.cohomology import (BarMod2Complex, _pullback_cochain,
+                                inflation_map,
                                 mod2_dimensions, mod2_ring, cohomology,
                                 homology)
-from u4class.groups import GroupHom, odd_normal_complement, \
+from u4class.groups import GroupHom, cyclic_group, odd_normal_complement, \
     orientation_characters, parse_group
 from u4class.linalg import AbelianGroup, IntMatrix
 from u4class.modules import (mod2_integers, module_from_abelian_group,
@@ -356,6 +358,58 @@ class TestInflation:
             a = cohomology(d.quotient, tw_p, n)
             b = cohomology(d.project.source, tw_g, n)
             assert a == b
+
+
+def _loop_pullback_cochain(phi, n, mask):
+    """phi^* of a target cochain mask, tuple by tuple: decode each source
+    tuple from its base |G|-1 digits, map it, and read the mask at the
+    image's number, unless the image holds the identity."""
+    if n == 0:
+        return mask & 1
+    bs, bt = phi.source.order - 1, phi.target.order - 1
+    out = 0
+    for idx in range(bs ** n):
+        rest, image = idx, []
+        for _ in range(n):
+            image.append(phi(rest % bs + 1))
+            rest //= bs
+        if 0 in image:
+            continue
+        tgt = 0
+        for g in reversed(image):
+            tgt = tgt * bt + g - 1
+        if (mask >> tgt) & 1:
+            out |= 1 << idx
+    return out
+
+
+class TestCochainPullback:
+    @pytest.mark.parametrize("spec", ["C6", "C10", "D3", "D5"])
+    def test_basis_and_cups_match_tuple_loop(self, spec):
+        phi = odd_normal_complement(parse_group(spec)).project
+        src = BarMod2Complex(phi.source, 4)
+        tgt = BarMod2Complex(phi.target, 4)
+        masks = [(n, b) for n in range(5) for b in tgt.basis(n)]
+        masks += [(p + q, tgt.cup(p, q, a, b)) for p in range(5)
+                  for q in range(5 - p) for a in tgt.basis(p)
+                  for b in tgt.basis(q)]
+        for n, mask in masks:
+            assert _pullback_cochain(phi, src, tgt, n, mask) == \
+                _loop_pullback_cochain(phi, n, mask), (n, mask)
+
+    @pytest.mark.parametrize("order, quotient", [(6, 3), (8, 4)])
+    def test_random_masks_match_tuple_loop(self, order, quotient):
+        # targets with more than one tuple per degree, so the image
+        # numbers are read at many positions
+        g, p = cyclic_group(order), cyclic_group(quotient)
+        phi = GroupHom(g, p, tuple(i % quotient for i in range(order)))
+        src, tgt = BarMod2Complex(g, 3), BarMod2Complex(p, 3)
+        rng = random.Random(order)
+        for n in range(4):
+            for _ in range(5):
+                mask = rng.getrandbits(tgt.rank(n))
+                assert _pullback_cochain(phi, src, tgt, n, mask) == \
+                    _loop_pullback_cochain(phi, n, mask), (n, mask)
 
 
 # sha256 of json.dumps(to_json(), sort_keys=True) for mod2_ring(G, 4) and

@@ -6,13 +6,17 @@ and the cross-module invariant that applicability implies inflation is an
 isomorphism through degree 4.
 """
 
+import itertools
+import random
+
 import pytest
 
 from u4class.cohomology import inflation_map
 from u4class.groups import GroupHom, odd_normal_complement, parse_group
-from u4class.hypothesis import (action_witness_in_degree,
+from u4class.hypothesis import (_pullback_vector, action_witness_in_degree,
                                 check_action_trivial,
                                 thom_simplification_applicable)
+from u4class.resolutions import BarResolution
 
 C7_SEMI_C6 = "perm[(1 2 3 4 5 6 7), (2 3 5)(4 7 6), (2 7)(3 6)(4 5)]"
 
@@ -50,6 +54,62 @@ class TestActionWitness:
         k = parse_group("C5")
         inv = GroupHom(k, k, tuple(k.inverse(x) for x in range(5)))
         assert action_witness_in_degree(k, inv, 1) is None
+
+
+def _loop_pullback_vector(group, alpha, n, vec):
+    """alpha^* of an integer cochain vector, tuple by tuple: decode each
+    tuple from its base |G|-1 digits, map it, and add its coordinate at
+    the image's number."""
+    base = group.order - 1
+    out = [0] * len(vec)
+    for idx, v in enumerate(vec):
+        rest, digits = idx, []
+        for _ in range(n):
+            digits.append(rest % base)
+            rest //= base
+        tgt = 0
+        for d in reversed(digits):
+            tgt = tgt * base + (alpha(d + 1) - 1)
+        out[tgt] += v
+    return out
+
+
+def _automorphisms(group):
+    """Every automorphism, found by sending the generating set to each
+    tuple of nonidentity elements and walking the Cayley graph."""
+    gens = group.generating_set()
+    out = []
+    for images in itertools.product(range(1, group.order), repeat=len(gens)):
+        mapping, frontier, consistent = {0: 0}, [0], True
+        while frontier:
+            e = frontier.pop()
+            for g, x in zip(gens, images):
+                e2 = group.multiply(e, g)
+                f2 = group.multiply(mapping[e], x)
+                if e2 not in mapping:
+                    mapping[e2] = f2
+                    frontier.append(e2)
+                consistent &= mapping[e2] == f2
+        if consistent and len(set(mapping.values())) == group.order:
+            out.append(GroupHom(group, group,
+                                tuple(mapping[a] for a in range(group.order))))
+    return out
+
+
+class TestPullbackVector:
+    @pytest.mark.parametrize("spec, count", [("C5", 4), ("C7", 6),
+                                             ("C3xC3", 48)])
+    def test_matches_tuple_loop(self, spec, count):
+        k = parse_group(spec)
+        autos = _automorphisms(k)
+        assert len(autos) == count
+        rng = random.Random(count)
+        for n in (1, 2, 3):
+            res = BarResolution(k, n)
+            for alpha in autos:
+                vec = [rng.randint(-9, 9) for _ in range(res.rank(n))]
+                assert _pullback_vector(res, alpha, n, vec) == \
+                    _loop_pullback_vector(k, alpha, n, vec)
 
 
 class TestCheckActionTrivial:

@@ -199,13 +199,9 @@ class TestIntMatrix:
         elif max(map(abs, vals)) < 2**63:
             assert other.arrays[2].dtype == np.int64
             built["int64 dtype"] = other
-        keyed = {want: want}
         for name, m in built.items():
             assert m == want and want == m, name
             assert (m.rows, m.cols, m.vals) == (rows, cols, vals), name
-            assert hash(m) == hash(want), name
-            # the property Resolution.coboundary_matrix needs to intern
-            assert keyed[m] is want, name
         assert want != IntMatrix(2, 3, [r ^ 1 for r in rows], cols, vals)
 
     def test_list_views_and_read_only_arrays(self):
@@ -286,7 +282,7 @@ class TestIntMatrix:
             "m.mod2_column_masks()\n"
             "IntMatrix.from_dense([[2**70]]).matmul(\n"
             "    IntMatrix.from_dense([[3, 0, 1]]))\n"
-            "hash(m.hstack(m).transpose())\n"
+            "m.hstack(m).transpose()\n"
             "linalg.smith_normal_form(IntMatrix.from_dense([[2, 4], [6, 8]]))\n",
             "numpy.ma")
 
@@ -444,12 +440,11 @@ def _prepass_elimination(m, mod2=False):
     mod2 plus the GF(2) rank of its core.  Also returns the number of
     pivots the pre-pass took."""
     from u4class import kernels
-    pre, rr, rc, rv = linalg._structural_prepass(
-        m.nrows, m.ncols, m.rows, m.cols, m.vals)
+    pre, core = linalg._structural_prepass(m)
     if mod2:
-        core = IntMatrix(m.nrows, m.ncols, rr, rc, rv)
         return pre + gf2.rank(core.mod2_column_masks()), pre
-    npiv, rr, rc, rv = kernels.unit_pivot_phase(m.nrows, m.ncols, rr, rc, rv)
+    npiv, rr, rc, rv = kernels.unit_pivot_phase(m.nrows, m.ncols, core.rows,
+                                                core.cols, core.vals)
     return [1] * (npiv + pre) + linalg._remainder_snf(rr, rc, rv), pre
 
 
@@ -498,10 +493,9 @@ class TestStructuralPrepass:
     def test_duplicate_and_empty_rows_dropped(self):
         m = IntMatrix.from_dense([[0, 2, 3], [0, -2, -3], [0, 0, 0],
                                   [0, 2, 3], [0, 4, 6]])
-        npiv, rr, rc, rv = linalg._structural_prepass(
-            m.nrows, m.ncols, m.rows, m.cols, m.vals)
+        npiv, core = linalg._structural_prepass(m)
         assert npiv == 0
-        assert sorted(set(rr)) == [0, 4]
+        assert sorted(set(core.rows)) == [0, 4]
         assert _prepass_elimination(m)[0] == _plain_elimination(m) == [1]
 
     def test_hash_collisions_never_drop_distinct_rows(self, monkeypatch):
@@ -509,9 +503,8 @@ class TestStructuralPrepass:
                             lambda indices, data, starts: starts * 0)
         m = IntMatrix.from_dense([[0, 2, 3], [0, 2, 5], [0, -2, -3],
                                   [0, 4, 3], [0, 2, 3]])
-        npiv, rr, rc, rv = linalg._structural_prepass(
-            m.nrows, m.ncols, m.rows, m.cols, m.vals)
-        assert sorted(set(rr)) == [0, 1, 3]
+        npiv, core = linalg._structural_prepass(m)
+        assert sorted(set(core.rows)) == [0, 1, 3]
         rng = random.Random(23)
         for _ in range(20):
             m = _random_unit_rich(rng, rng.randint(2, 12), rng.randint(2, 9))
@@ -521,8 +514,8 @@ class TestStructuralPrepass:
 
     def test_empty_shapes(self):
         for nr, nc in ((0, 0), (0, 3), (3, 0), (2, 2)):
-            assert linalg._structural_prepass(nr, nc, [], [], []) == \
-                (0, [], [], [])
+            assert linalg._structural_prepass(IntMatrix(nr, nc)) == \
+                (0, IntMatrix(nr, nc))
 
     @pytest.mark.parametrize("spec, degree, coeff", [
         ("C8", 4, "Zw"), ("D3", 4, "Z"), ("D3", 4, "Zw"), ("D3", 3, "Z")])
@@ -556,6 +549,8 @@ class TestStructuralPrepass:
             got, pre = _prepass_elimination(m)
             assert pre == (1 if fast else 0)
             assert got == _plain_elimination(m) == [1, 5]
+            if big > safe or big < -safe:
+                assert linalg._structural_prepass(m)[1] is m
 
     @staticmethod
     def _arrow(n):
@@ -584,9 +579,8 @@ class TestStructuralPrepass:
         # past the size cutoff, one pivot would fill a dense 999x999 core
         m = self._arrow(1000)
         assert m.nnz >= linalg._PREPASS_MIN_NNZ
-        npiv, rr, rc, rv = linalg._structural_prepass(
-            m.nrows, m.ncols, m.rows, m.cols, m.vals)
-        assert npiv == 0 and len(rv) == m.nnz
+        npiv, core = linalg._structural_prepass(m)
+        assert npiv == 0 and core.nnz == m.nnz
         want = _plain_elimination(m)
         assert want == [1] * 999 + [1997]
         assert list(linalg.smith_normal_form(m).diagonal) == want
@@ -603,9 +597,9 @@ class TestStructuralPrepass:
         dense[n][0] = 2
         dense[n][n] = 3
         m = IntMatrix.from_dense(dense)
-        npiv, rr, rc, rv = linalg._structural_prepass(
-            m.nrows, m.ncols, m.rows, m.cols, m.vals)
-        assert (npiv, rr, rc, rv) == (0, m.rows, m.cols, m.vals)
+        npiv, core = linalg._structural_prepass(m)
+        assert (npiv, core.rows, core.cols, core.vals) == \
+            (0, m.rows, m.cols, m.vals)
         assert _prepass_elimination(m)[0] == _plain_elimination(m)
 
     def test_large_matrix_entry_points(self):
@@ -962,9 +956,8 @@ class TestMod2:
             got, pre = _prepass_elimination(m, mod2=True)
             assert got == want == _plain_elimination(m, mod2=True)
             assert pre > 0
-            _, rr, rc, rv = linalg._structural_prepass(
-                m.nrows, m.ncols, *m.arrays)
-            odd_core += any(abs(v) == 3 for v in rv)
+            _, core = linalg._structural_prepass(m)
+            odd_core += any(abs(v) == 3 for v in core.vals)
         assert odd_core > 0
 
     def test_prepass_abandonment_boundary(self):

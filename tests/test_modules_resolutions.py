@@ -6,6 +6,7 @@ tensor) of the same groups.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -123,6 +124,45 @@ class TestBarResolution:
             BarResolution(parse_group("C3"), 2)
         monkeypatch.setenv("U4CLASS_MAX_GENERATORS", "2000000")
         BarResolution(parse_group("C18"), 4)
+
+    _CODEC_GROUPS = ["C1", "C2", "C3", "C4", "C5", "C6", "D3", "C2xC2"]
+
+    @pytest.mark.parametrize("spec", _CODEC_GROUPS)
+    def test_tuple_numbering(self, spec):
+        # big-endian in base |G|-1 with digit g_i - 1: the lexicographic
+        # order of the tuples of nonidentity elements
+        group = parse_group(spec)
+        res = BarResolution(group, 3)
+        for n in range(5):
+            every = res.tuples(n)
+            assert every.tolist() == [list(t) for t in itertools.product(
+                range(1, group.order), repeat=n)]
+            assert np.array_equal(res.number(every),
+                                  np.arange(res.rank(n)))
+            some = np.arange(res.rank(n))[::-2]
+            assert np.array_equal(res.tuples(n, some), every[some])
+            assert np.array_equal(res.number(every[some]), some)
+
+    @pytest.mark.parametrize("spec", _CODEC_GROUPS)
+    def test_first_entry_blocks_follow_tuples(self, spec):
+        # column j of boundary(n, firsts) is the j-th tuple, in the stack
+        # of the tuples [s|...] for s in firsts, and has its full faces
+        group = parse_group(spec)
+        res = BarResolution(group, 3)
+        orders = (list(group.generating_set()),
+                  list(range(group.order - 1, 0, -1)))
+        for n in range(1, 5):
+            full = np.stack(res.boundary(n), axis=1)
+            heads = res.tuples(n)[:, 0]
+            for firsts in orders:
+                stack = np.concatenate(
+                    [np.flatnonzero(heads == s) for s in firsts]
+                    + [np.empty(0, dtype=np.int64)])
+                part = np.stack(res.boundary(n, firsts), axis=1)
+                part[:, 1] = stack[part[:, 1]]
+                want = full[np.isin(full[:, 1], stack)]
+                assert sorted(map(tuple, part.tolist())) == \
+                    sorted(map(tuple, want.tolist()))
 
 
 def _pin_group(spec):
@@ -273,10 +313,8 @@ class _Rewired(Resolution):
     over ``group``."""
 
     def __init__(self, inner, group=None, edit=None):
+        super().__init__(group or inner.group, inner.degree, inner.ranks)
         self.inner = inner
-        self.group = group or inner.group
-        self.degree = inner.degree
-        self.ranks = inner.ranks
         self.edit = edit
 
     def boundary(self, n):
