@@ -31,7 +31,7 @@ from .spectral import ahss_e2_page, diagonal_report, lhs_e2_page, \
 __all__ = ["main", "build_parser", "builtin_catalog_specs"]
 
 _SCHEMA = 1
-_CATALOG_BOUND = 100
+_CATALOG_BOUND = 300
 
 
 class DomainError(RuntimeError):

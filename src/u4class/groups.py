@@ -27,15 +27,20 @@ class ParseError(ValueError):
     """Malformed group specification."""
 
 
+_UNSET = object()   # FiniteGroup._odd_decomposition before it is computed
+
+
 class FiniteGroup:
     """Finite group on indices 0..order-1 with 0 the identity.
 
-    The multiplication table is stored whole (target scale is order <= ~200);
-    group axioms are verified on the full table at construction.
+    The multiplication table is stored whole (target scale is order <= ~300).
+    Construction checks the identity and the inverses on the full table,
+    and associativity by Light's test on a generating set (see
+    ``_check_associative``).
     """
 
     __slots__ = ("order", "mul", "name", "inverse_table", "_orders",
-                 "product_factors")
+                 "product_factors", "_odd_decomposition")
 
     def __init__(self, mul, name, *, product_factors=None):
         self.mul = np.asarray(mul, dtype=np.int32)
@@ -44,14 +49,14 @@ class FiniteGroup:
         # direct-product provenance (A, B) with index a*|B| + b, if built so
         self.product_factors = product_factors
         self._validate()
-        inv = np.full(self.order, -1, dtype=np.int32)
-        for a in range(self.order):
-            zeros = np.nonzero(self.mul[a] == 0)[0]
-            if len(zeros) != 1:
-                raise ValueError(f"{name}: element {a} lacks a unique inverse")
-            inv[a] = zeros[0]
-        self.inverse_table = inv
+        zeros = self.mul == 0
+        lacking = np.flatnonzero(zeros.sum(axis=1) != 1)
+        if len(lacking):
+            raise ValueError(f"{name}: element {lacking[0]} lacks a unique "
+                             "inverse")
+        self.inverse_table = zeros.argmax(axis=1).astype(np.int32)
         self._orders = None
+        self._odd_decomposition = _UNSET
 
     def _validate(self):
         n = self.order
@@ -62,9 +67,24 @@ class FiniteGroup:
         if not (np.array_equal(self.mul[0], np.arange(n))
                 and np.array_equal(self.mul[:, 0], np.arange(n))):
             raise ValueError("element 0 is not the identity")
-        # associativity on all triples, vectorized
-        left = self.mul[self.mul]             # (a,b,c) -> (ab)c
-        right = self.mul[:, self.mul]         # (a,b,c) -> a(bc)
+        self._check_associative(self.generating_set())
+
+    def _check_associative(self, gens):
+        """Raise unless the table is associative, by Light's test
+        (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961,
+        section 1.2).
+
+        The elements a with (xa)y = x(ay) for all x, y form a submagma
+        that holds the identity.  So if every generator passes and the
+        left-normed words in the generators (``closure``) cover the table,
+        every element passes.  Costs O(n^2 |gens|) against n^3 for all
+        triples; needs only an identity and in-range entries.
+        """
+        gens = np.asarray(gens, dtype=np.intp)
+        if len(self.closure(gens)) != self.order:
+            raise ValueError("generators do not generate the table")
+        left = self.mul[self.mul[:, gens]]       # (x,a,y) -> (xa)y
+        right = self.mul[:, self.mul[gens]]      # (x,a,y) -> x(ay)
         if not np.array_equal(left, right):
             raise ValueError("multiplication table not associative")
 
@@ -76,16 +96,22 @@ class FiniteGroup:
     def inverse(self, a):
         return int(self.inverse_table[a])
 
-    def element_order(self, a):
+    def element_orders(self):
+        """Order of every element, as an int array indexed by element.
+
+        Powers of all elements at once: column k-1 of ``powers`` holds a^k
+        in row a, and each round doubles the columns by a^(m+j) = a^m a^j
+        until every row has reached the identity."""
         if self._orders is None:
-            self._orders = [0] * self.order
-        if not self._orders[a]:
-            x, o = a, 1
-            while x:
-                x = self.multiply(x, a)
-                o += 1
-            self._orders[a] = o
-        return self._orders[a]
+            powers = np.arange(self.order)[:, None]
+            while not (powers == 0).any(axis=1).all():
+                powers = np.hstack(
+                    [powers, self.mul[powers[:, -1:], powers]])
+            self._orders = (powers == 0).argmax(axis=1) + 1
+        return self._orders
+
+    def element_order(self, a):
+        return int(self.element_orders()[a])
 
     @property
     def is_abelian(self):
@@ -93,14 +119,13 @@ class FiniteGroup:
 
     @property
     def is_cyclic(self):
-        return any(self.element_order(a) == self.order
-                   for a in range(self.order))
+        return bool((self.element_orders() == self.order).any())
 
     def cyclic_generator(self):
-        for a in range(self.order):
-            if self.element_order(a) == self.order:
-                return a
-        raise ValueError(f"{self.name} is not cyclic")
+        full = np.flatnonzero(self.element_orders() == self.order)
+        if not len(full):
+            raise ValueError(f"{self.name} is not cyclic")
+        return int(full[0])
 
     def conjugate(self, g, k):
         return self.multiply(self.multiply(g, k), self.inverse(g))
@@ -108,31 +133,48 @@ class FiniteGroup:
     # -- subgroup / quotient machinery --------------------------------------
 
     def closure(self, gens):
-        """Sorted element set generated by the given indices."""
-        seen = {0}
+        """Sorted element set generated by the given indices: the identity
+        and every left-normed word in them, by breadth-first search.
+
+        The search reads only the gens' columns of the table, as lists.
+        Its cost is |closure| x |gens| list lookups, so callers keep gens
+        short (``_greedy_generators``).  For such gens it measured 4-7x
+        faster than numpy rounds over the table at orders 6 to 298, whose
+        fixed cost per round dominates on small groups.
+        """
+        columns = self.mul[:, list(gens)].T.tolist()
+        seen = [False] * self.order
+        seen[0] = True
         frontier = [0]
-        gens = list(gens)
         while frontier:
             nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.multiply(a, g)
-                    if b not in seen:
-                        seen.add(b)
+            for column in columns:
+                for a in frontier:
+                    b = column[a]
+                    if not seen[b]:
+                        seen[b] = True
                         nxt.append(b)
             frontier = nxt
-        return tuple(sorted(seen))
+        return tuple(a for a, s in enumerate(seen) if s)
+
+    def _greedy_generators(self, candidates):
+        """(gens, span): each candidate, in the given order, that lies
+        outside the closure of the ones chosen before it, and the closure
+        of them all, which is the closure of every candidate."""
+        gens = []
+        span = (0,)
+        member = {0}
+        for a in candidates:
+            if a not in member:
+                gens.append(a)
+                span = self.closure(gens)
+                member = set(span)
+        return tuple(gens), span
 
     def generating_set(self):
         """Generators chosen greedily: each element, in index order, that
         lies outside the closure of the ones chosen before it."""
-        gens = []
-        span = {0}
-        for a in range(1, self.order):
-            if a not in span:
-                gens.append(a)
-                span = set(self.closure(gens))
-        return tuple(gens)
+        return self._greedy_generators(range(1, self.order))[0]
 
     def _members(self, elements):
         """The element set as a sorted index array and a membership mask."""
@@ -159,10 +201,10 @@ class FiniteGroup:
         if not self.is_subgroup(elements):
             raise ValueError("not a subgroup")
         order_map = [0] + [e for e in elements if e]
-        index_of = {e: i for i, e in enumerate(order_map)}
         k = len(order_map)
-        mul = [[index_of[self.multiply(order_map[i], order_map[j])]
-                for j in range(k)] for i in range(k)]
+        index_of = np.zeros(self.order, dtype=np.int32)
+        index_of[order_map] = np.arange(k)
+        mul = index_of[self.mul[np.ix_(order_map, order_map)]]
         sub = FiniteGroup(mul, name or f"subgroup{k}of{self.name}")
         embed = GroupHom(sub, self, tuple(order_map))
         return sub, embed
@@ -175,24 +217,18 @@ class FiniteGroup:
         s = set(normal_elements)
         if not self.is_subgroup(s) or not self.is_normal(s):
             raise ValueError("not a normal subgroup")
-        coset_of = {}
-        reps = []
-        for a in range(self.order):
-            if a in coset_of:
-                continue
-            coset = sorted(self.multiply(a, k) for k in s)
-            for b in coset:
-                coset_of[b] = len(reps)
-            reps.append(coset[0])
-        # ensure the identity coset is index 0
-        assert coset_of[0] == 0
-        q = len(reps)
-        mul = [[coset_of[self.multiply(reps[i], reps[j])] for j in range(q)]
-               for i in range(q)]
-        quo = FiniteGroup(mul, name or f"{self.name}/N")
-        proj = GroupHom(self, quo,
-                        tuple(coset_of[a] for a in range(self.order)))
-        return quo, proj, tuple(reps)
+        # row a of mul[:, s] is the coset aN; its least element is the
+        # representative, and scanning a upwards meets each coset first
+        # at that element, so the cosets are numbered by representative
+        least = self.mul[:, sorted(s)].min(axis=1)
+        reps = np.flatnonzero(least == np.arange(self.order))
+        number = np.zeros(self.order, dtype=np.int32)
+        number[reps] = np.arange(len(reps))
+        coset_of = number[least]
+        quo = FiniteGroup(coset_of[self.mul[np.ix_(reps, reps)]],
+                          name or f"{self.name}/N")
+        proj = GroupHom(self, quo, tuple(coset_of.tolist()))
+        return quo, proj, tuple(reps.tolist())
 
     def direct_product(self, other, name=None):
         """Direct product with index (a, b) -> a * |other| + b."""
@@ -206,14 +242,11 @@ class FiniteGroup:
     def commutator_square_subgroup(self):
         """Closure of all commutators and squares; the quotient is the
         largest elementary abelian 2-quotient."""
-        gens = {self.multiply(a, a) for a in range(self.order)}
-        for a in range(self.order):
-            for b in range(self.order):
-                c = self.multiply(
-                    self.multiply(a, b),
-                    self.inverse(self.multiply(b, a)))
-                gens.add(c)
-        return self.closure(gens)
+        candidates = np.zeros(self.order, dtype=bool)
+        candidates[np.diagonal(self.mul)] = True
+        # (ab)(ba)^-1 for all a, b
+        candidates[self.mul[self.mul, self.inverse_table[self.mul.T]]] = True
+        return self._greedy_generators(np.flatnonzero(candidates).tolist())[1]
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -369,14 +402,10 @@ def dihedral_group(n, name=None):
     indexed i + n*j with j the reflection bit."""
     if n < 1:
         raise ParseError("dihedral parameter must be >= 1")
-    mul = [[0] * (2 * n) for _ in range(2 * n)]
-    for i1 in range(n):
-        for j1 in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
-                    j = (j1 + j2) % 2
-                    mul[i1 + n * j1][i2 + n * j2] = i + n * j
+    # r^i1 s^j1 * r^i2 s^j2 = r^(i1 +- i2) s^(j1 + j2), minus if j1 = 1
+    j, i = np.divmod(np.arange(2 * n), n)
+    rot = (i[:, None] + (1 - 2 * j)[:, None] * i[None, :]) % n
+    mul = rot + n * ((j[:, None] + j[None, :]) % 2)
     return FiniteGroup(mul, name or f"D{n}")
 
 
@@ -491,14 +520,21 @@ def odd_normal_complement(group: FiniteGroup) -> OddDecomposition | None:
     Any such K must contain every odd-order element (their image in a
     2-group is trivial), so K exists iff the odd-order elements form a
     subgroup of full odd part; that K is then unique and automatically
-    normal, making the spec's maximal-order tie-break vacuous.
+    normal, making the spec's maximal-order tie-break vacuous.  The result
+    is memoised on the group, so every caller shares one decomposition.
     """
+    if group._odd_decomposition is _UNSET:
+        group._odd_decomposition = _find_odd_decomposition(group)
+    return group._odd_decomposition
+
+
+def _find_odd_decomposition(group):
     n = group.order
     odd_part = n
     while odd_part % 2 == 0:
         odd_part //= 2
-    odd_elements = tuple(a for a in range(n)
-                         if group.element_order(a) % 2 == 1)
+    odd_elements = tuple(
+        np.flatnonzero(group.element_orders() % 2 == 1).tolist())
     if len(odd_elements) != odd_part:
         return None
     if not group.is_subgroup(odd_elements):
@@ -514,19 +550,19 @@ def conjugation_action(decomp: OddDecomposition) -> list[GroupHom]:
     expressed in K's own indexing.  Representatives fix the inner-ambiguity
     convention: the action is well defined up to inner automorphisms of K.
     """
-    g_group = decomp.group
+    mul = decomp.group.mul
     k_group = decomp.kernel
-    amb_index = {decomp.embed(i): i for i in range(k_group.order)}
-    out = []
-    for g in decomp.coset_reps:
-        images = []
-        for i in range(k_group.order):
-            c = g_group.conjugate(g, decomp.embed(i))
-            if c not in amb_index:
-                raise ValueError("kernel is not normal")
-            images.append(amb_index[c])
-        out.append(GroupHom(k_group, k_group, tuple(images)))
-    return out
+    embed = list(decomp.embed.mapping)
+    amb_index = np.full(decomp.group.order, -1)
+    amb_index[embed] = np.arange(k_group.order)
+    reps = list(decomp.coset_reps)
+    # row g: the images g k g^-1 of the kernel elements k, in K's indexing
+    images = amb_index[mul[mul[np.ix_(reps, embed)],
+                           decomp.group.inverse_table[reps][:, None]]]
+    if (images < 0).any():
+        raise ValueError("kernel is not normal")
+    return [GroupHom(k_group, k_group, tuple(row))
+            for row in images.tolist()]
 
 
 def abelian_cyclic_decomposition(group: FiniteGroup) -> tuple[int, ...]:
@@ -594,6 +630,7 @@ def abelian_cyclic_decomposition(group: FiniteGroup) -> tuple[int, ...]:
 
 
 def is_inner_automorphism(k_group: FiniteGroup, auto: GroupHom) -> bool:
-    return any(
-        all(auto(i) == k_group.conjugate(w, i) for i in range(k_group.order))
-        for w in range(k_group.order))
+    mul = k_group.mul
+    # row w: the conjugation i -> w i w^-1
+    conjugations = mul[mul, k_group.inverse_table[:, None]]
+    return bool((conjugations == np.asarray(auto.mapping)).all(axis=1).any())

@@ -35,7 +35,7 @@ memoised on it; the module keeps no cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -112,14 +112,6 @@ class AbelianGroup:
         factors.reverse()  # ascending divisibility
         return AbelianGroup(free, tuple(factors))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
-
     def order(self) -> int | None:
         """Group order, or None if infinite."""
         if self.rank:
@@ -153,26 +145,6 @@ class AbelianGroup:
         """Torsion product Tor_1(self, other)."""
         return AbelianGroup.from_cyclic_orders(
             [gcd(a, b) for a in self.torsion for b in other.torsion])
-
-    def elements(self):
-        """All elements as coordinate tuples (finite groups only)."""
-        if self.rank:
-            raise ValueError("infinite group")
-        coords = [()]
-        for d in self.torsion:
-            coords = [c + (i,) for c in coords for i in range(d)]
-        return coords
-
-    def element_order_counts(self) -> dict[int, int]:
-        """How many elements have each order; an isomorphism invariant that
-        determines finite abelian groups."""
-        counts = {}
-        for el in self.elements():
-            o = 1
-            for x, d in zip(el, self.torsion):
-                o = lcm(o, d // gcd(d, x))
-            counts[o] = counts.get(o, 0) + 1
-        return counts
 
     def to_json(self):
         return {"rank": self.rank, "torsion": list(self.torsion)}

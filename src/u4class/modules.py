@@ -110,26 +110,11 @@ class GModule:
         return self.relations.ncols == 0
 
     @property
-    def is_rank_one_free(self):
-        return self.is_free and self.ngens == 1
-
-    @property
     def is_mod2_free(self):
         """Every generator has relation +-2: a free Z/2-module, so
         (co)homology can be computed over GF(2)."""
         rel = self.relations
         return rel.ncols == self.ngens and all(abs(v) == 2 for v in rel.vals)
-
-    def rank_one_signs(self):
-        """For a free rank-1 module, the +-1 scalar by which each element
-        acts."""
-        if not self.is_rank_one_free:
-            raise ValueError("not free of rank 1")
-        return tuple(a[0][0] for a in self.actions)
-
-    def underlying_group(self) -> AbelianGroup:
-        return AbelianGroup.from_cyclic_orders(
-            [0] * (self.ngens - self.relations.ncols) + self.relations.vals)
 
 
 class TwistedIntegers(GModule):

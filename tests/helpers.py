@@ -5,6 +5,7 @@ extended-gcd integer elimination and enumerates the subquotient element by
 element, so agreement with the library is a genuinely two-route check.
 """
 
+import itertools
 import math
 
 import sympy
@@ -141,7 +142,15 @@ def oracle_homology(d_in: IntMatrix, d_out: IntMatrix) -> dict:
 
 
 def group_counts(g: AbelianGroup) -> dict:
-    return g.element_order_counts()
+    """How many elements of the finite group g have each order; an
+    isomorphism invariant that determines finite abelian groups."""
+    counts = {}
+    for el in itertools.product(*(range(d) for d in g.torsion)):
+        o = 1
+        for x, d in zip(el, g.torsion):
+            o = math.lcm(o, d // math.gcd(d, x))
+        counts[o] = counts.get(o, 0) + 1
+    return counts
 
 
 def random_unimodular(rng, n, steps=12):

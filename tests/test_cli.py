@@ -1,6 +1,7 @@
 """CLI behavior: subcommand outputs, exit codes, JSON round-trips, and
 catalog determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,34 @@ class TestTablesAndCatalog:
             if row["applicable"]:
                 assert sum(row["counts"]["smooth"]) == 14
                 assert sum(row["counts"]["top"]) == 20
+
+    # sha256 of json.dumps(rows, sort_keys=True) over the rows of order
+    # <= 100, recorded from `catalog --max-order 100` before the bound
+    # was raised to 300
+    CATALOG_100_ROWS_SHA256 = ("9595ec6108d4c5f7ff7112b47cefd798"
+                               "1bc95d89b6726d5985deae7276b6a03c")
+
+    def test_catalog_to_300_follows_the_theorem(self, capsys):
+        code, data, _ = run_json(capsys, "catalog", "--max-order", "300")
+        assert code == 0
+        rows = data["result"]["rows"]
+        assert max(r["order"] for r in rows) == 298
+        for row in rows:
+            assert row["order"] % 4 == 2, row["spec"]
+            if row["spec"].startswith("D"):
+                # D_k and D_k x C_m: the quotient inverts the kernel
+                assert not row["applicable"], row["spec"]
+                assert row["conclusion"].startswith("not applicable")
+            else:
+                # abelian, so the quotient acts trivially
+                assert row["applicable"], row["spec"]
+            if row["applicable"]:
+                assert row["counts"] == {"smooth": [1, 9, 4],
+                                         "top": [2, 10, 8]}, row["spec"]
+        early = [r for r in rows if r["order"] <= 100]
+        assert hashlib.sha256(json.dumps(early, sort_keys=True)
+                              .encode()).hexdigest() == \
+            self.CATALOG_100_ROWS_SHA256
 
     def test_catalog_bound(self, capsys):
         code, _, err = run(capsys, "catalog", "--max-order", "999")

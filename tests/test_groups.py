@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from u4class import groups
+from u4class.cli import builtin_catalog_specs
 from u4class.groups import (Character2, ParseError, conjugation_action,
                             is_inner_automorphism, odd_normal_complement,
                             orientation_characters, parse_group)
@@ -42,7 +43,8 @@ class TestParsing:
             groups.FiniteGroup(bad, "broken")
 
     def test_random_parsed_groups_satisfy_axioms(self):
-        # associativity / identity / inverse asserted on the full table
+        # construction proves associativity by Light's test on a generating
+        # set; recheck it here on all triples, with identity and inverses
         for spec in ["C7", "D4", "C2xC2", "perm[(1 2 3), (1 2)]"]:
             g = parse_group(spec)
             n = g.order
@@ -213,3 +215,237 @@ class TestGeneratingSet:
     def test_two_generators(self):
         for spec in ("D3", "D4", "C2xC2"):
             assert len(parse_group(spec).generating_set()) == 2, spec
+
+
+def unchecked_table(mul):
+    """A FiniteGroup shell around a table, skipping construction's checks,
+    so that the associativity check can be run on a non-group."""
+    g = object.__new__(groups.FiniteGroup)
+    g.mul = np.asarray(mul, dtype=np.int32)
+    g.order = len(g.mul)
+    return g
+
+
+def swapped_cyclic_loop(n):
+    """The table of C_n (n even) with the intercalate at rows and columns
+    1 and 1 + n/2 swapped: a Latin square with identity 0, so a loop."""
+    mul = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    a, b = 1, 1 + n // 2
+    mul[a, a], mul[a, b] = mul[a, b], mul[a, a]
+    mul[b, a], mul[b, b] = mul[b, b], mul[b, a]
+    return mul
+
+
+def associative_on_all_triples(mul):
+    mul = np.asarray(mul)
+    return np.array_equal(mul[mul], mul[:, mul])
+
+
+class TestLightAssociativity:
+    """Construction checks associativity by Light's test on a generating
+    set S plus a check that S generates the table."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_loops_are_latin_with_identity_and_not_associative(self, n):
+        mul = swapped_cyclic_loop(n)
+        assert all(sorted(row) == list(range(n)) for row in mul.tolist())
+        assert all(sorted(col) == list(range(n)) for col in mul.T.tolist())
+        assert list(mul[0]) == list(mul[:, 0]) == list(range(n))
+        assert not associative_on_all_triples(mul)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_loop_rejected_with_generating_set(self, n):
+        mul = swapped_cyclic_loop(n)
+        gens = unchecked_table(mul).generating_set()
+        with pytest.raises(ValueError, match="not associative"):
+            unchecked_table(mul)._check_associative(gens)
+        with pytest.raises(ValueError, match="not associative"):
+            groups.FiniteGroup(mul, f"loop{n}")
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_loop_rejected_with_builder_style_list(self, n):
+        # the first generator, n/2, is associative with every pair of
+        # elements; only the second one, 1, exposes the loop
+        mul = swapped_cyclic_loop(n)
+        half = n // 2
+        assert np.array_equal(mul[mul[:, half]], mul[:, mul[half]])
+        with pytest.raises(ValueError, match="not associative"):
+            unchecked_table(mul)._check_associative([half, 1])
+
+    def test_generators_missing_an_element_raise(self):
+        # 1 passes Light's test and generates {0, 1}; the table is not
+        # associative, but only through 2, which the list does not reach
+        mul = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+        assert not associative_on_all_triples(mul)
+        table = unchecked_table(mul)
+        assert table.closure([1]) == (0, 1)
+        with pytest.raises(ValueError, match="do not generate"):
+            table._check_associative([1])
+        with pytest.raises(ValueError, match="not associative"):
+            table._check_associative(table.generating_set())
+
+    def test_groups_pass_with_builder_style_lists(self):
+        for spec, gens in (("C12", [1]), ("D6", [1, 6]), ("C2xC4", [1, 4])):
+            g = parse_group(spec)
+            g._check_associative(gens)
+            assert associative_on_all_triples(g.mul)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised group layer against the per-element loops it replaced,
+# restated here on the table as Python lists.
+
+EQUIVALENCE_SPECS = builtin_catalog_specs(100) + [
+    "perm[(1 2 3), (1 2)(3 4)]", "perm[(1 2 3 4 5), (2 5)(3 4)]"]
+
+
+def loop_dihedral(n):
+    mul = [[0] * (2 * n) for _ in range(2 * n)]
+    for i1 in range(n):
+        for j1 in range(2):
+            for i2 in range(n):
+                for j2 in range(2):
+                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
+                    j = (j1 + j2) % 2
+                    mul[i1 + n * j1][i2 + n * j2] = i + n * j
+    return mul
+
+
+def loop_inverses(mul):
+    return [row.index(0) for row in mul]
+
+
+def loop_element_order(mul, a):
+    x, o = a, 1
+    while x:
+        x = mul[x][a]
+        o += 1
+    return o
+
+
+def loop_closure(mul, gens):
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = mul[a][g]
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def loop_subgroup(mul, elements):
+    order_map = [0] + [e for e in sorted(set(elements)) if e]
+    index_of = {e: i for i, e in enumerate(order_map)}
+    k = len(order_map)
+    return [[index_of[mul[order_map[i]][order_map[j]]] for j in range(k)]
+            for i in range(k)], tuple(order_map)
+
+
+def loop_quotient(mul, normal_elements):
+    s = set(normal_elements)
+    coset_of = {}
+    reps = []
+    for a in range(len(mul)):
+        if a in coset_of:
+            continue
+        coset = sorted(mul[a][k] for k in s)
+        for b in coset:
+            coset_of[b] = len(reps)
+        reps.append(coset[0])
+    q = len(reps)
+    table = [[coset_of[mul[reps[i]][reps[j]]] for j in range(q)]
+             for i in range(q)]
+    return table, tuple(coset_of[a] for a in range(len(mul))), tuple(reps)
+
+
+def loop_commutator_square(mul):
+    inv = loop_inverses(mul)
+    n = len(mul)
+    gens = {mul[a][a] for a in range(n)}
+    for a in range(n):
+        for b in range(n):
+            gens.add(mul[mul[a][b]][inv[mul[b][a]]])
+    return loop_closure(mul, sorted(gens))
+
+
+def loop_conjugate(mul, inv, g, k):
+    return mul[mul[g][k]][inv[g]]
+
+
+def loop_conjugation_action(decomp):
+    mul = decomp.group.mul.tolist()
+    inv = loop_inverses(mul)
+    embed = decomp.embed.mapping
+    amb_index = {a: i for i, a in enumerate(embed)}
+    return [tuple(amb_index[loop_conjugate(mul, inv, g, e)] for e in embed)
+            for g in decomp.coset_reps]
+
+
+def loop_is_inner(mul, mapping):
+    inv = loop_inverses(mul)
+    n = len(mul)
+    return any(all(mapping[i] == loop_conjugate(mul, inv, w, i)
+                   for i in range(n)) for w in range(n))
+
+
+class TestLoopEquivalence:
+    def test_dihedral_tables(self):
+        for n in range(1, 51):
+            assert groups.dihedral_group(n).mul.tolist() == \
+                loop_dihedral(n), n
+
+    @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS)
+    def test_group_queries(self, spec):
+        g = parse_group(spec)
+        mul = g.mul.tolist()
+        n = g.order
+        assert g.inverse_table.tolist() == loop_inverses(mul)
+        assert [g.element_order(a) for a in range(n)] == \
+            [loop_element_order(mul, a) for a in range(n)]
+        for gens in ([n - 1], g.generating_set(), [n // 2, n // 3]):
+            assert g.closure(gens) == loop_closure(mul, gens)
+        comm_sq = g.commutator_square_subgroup()
+        assert comm_sq == loop_commutator_square(mul)
+        normals = [comm_sq]
+        decomp = groups.odd_normal_complement(g)
+        if decomp is not None:
+            normals.append(tuple(decomp.embed.mapping))
+            assert [h.mapping for h in groups.conjugation_action(decomp)] \
+                == loop_conjugation_action(decomp)
+            k_mul = decomp.kernel.mul.tolist()
+            for auto in groups.conjugation_action(decomp):
+                assert is_inner_automorphism(decomp.kernel, auto) == \
+                    loop_is_inner(k_mul, auto.mapping)
+        for normal in normals:
+            sub, embed = g.subgroup(normal)
+            table, order_map = loop_subgroup(mul, normal)
+            assert sub.mul.tolist() == table
+            assert embed.mapping == order_map
+            quo, proj, reps = g.quotient(normal)
+            table, projection, loop_reps = loop_quotient(mul, normal)
+            assert quo.mul.tolist() == table
+            assert proj.mapping == projection
+            assert reps == loop_reps
+
+    def test_odd_decomposition_is_computed_once(self):
+        for spec in ("C6", "D5", "C3xC6", "D3xC5",
+                     "perm[(1 2 3 4 5), (2 5)(3 4)]"):
+            g = parse_group(spec)
+            d = groups.odd_normal_complement(g)
+            assert groups.odd_normal_complement(g) is d
+            fresh = groups.odd_normal_complement(parse_group(spec))
+            assert fresh is not d
+            assert d.group is g and fresh.group is not g
+            assert d.kernel.mul.tolist() == fresh.kernel.mul.tolist()
+            assert d.quotient.mul.tolist() == fresh.quotient.mul.tolist()
+            assert d.embed.mapping == fresh.embed.mapping
+            assert d.project.mapping == fresh.project.mapping
+            assert d.coset_reps == fresh.coset_reps
+        a4 = parse_group("perm[(1 2 3), (1 2)(3 4)]")
+        assert groups.odd_normal_complement(a4) is None
+        assert groups.odd_normal_complement(a4) is None
