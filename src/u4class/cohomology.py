@@ -60,15 +60,12 @@ __all__ = ["cohomology", "homology", "mod2_ring", "inflation_map",
 
 def _relation_block(module: GModule, copies: int) -> IntMatrix:
     """Block-diagonal stack of the module's relation columns."""
-    k = module.ngens
-    rel = module.relations
-    rows, cols, vals = [], [], []
-    for c in range(copies):
-        for r, cc, v in zip(rel.rows, rel.cols, rel.vals):
-            rows.append(c * k + r)
-            cols.append(c * rel.ncols + cc)
-            vals.append(v)
-    return IntMatrix(copies * k, copies * rel.ncols, rows, cols, vals)
+    k, r = module.ngens, module.relations.ncols
+    rows, cols, vals = module.relations.arrays
+    shift = np.repeat(np.arange(copies, dtype=np.int64), len(vals))
+    return IntMatrix(copies * k, copies * r, np.tile(rows, copies) + shift * k,
+                     np.tile(cols, copies) + shift * r,
+                     np.tile(vals, copies))
 
 
 def _mod2_homology_at(d_in: IntMatrix, d_out: IntMatrix,
@@ -105,39 +102,37 @@ def _cone_homology_at(module: GModule, d_in: IntMatrix, d_out: IntMatrix,
 def cohomology(group: FiniteGroup, module: GModule, n: int,
                resolution: Resolution | None = None) -> AbelianGroup:
     """H^n(G; M) in invariant-factor form."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    res = resolution if resolution is not None \
-        else default_resolution(group, n)
-    d_in = res.coboundary_matrix(module, n - 1)
-    d_out = res.coboundary_matrix(module, n)
-    if module.is_free:
-        return homology_at(d_in, d_out)
-    if module.is_mod2_free:
-        return _mod2_homology_at(d_in, d_out, res.rank(n) * module.ngens)
-    return _cone_homology_at(module, d_in, d_out,
-                             _relation_block(module, res.rank(n)),
-                             _relation_block(module, res.rank(n + 1)),
-                             res.coboundary_matrix(module.lifted, n))
+    return _homology_in_degree(group, module, n, resolution, cochains=True)
 
 
 def homology(group: FiniteGroup, module: GModule, n: int,
              resolution: Resolution | None = None) -> AbelianGroup:
     """H_n(G; M) in invariant-factor form."""
+    return _homology_in_degree(group, module, n, resolution, cochains=False)
+
+
+def _homology_in_degree(group, module, n, resolution, cochains):
+    """Degree n of Hom_G(F, M) (cochains) or of F x_G M: the differential
+    into degree n comes from degree n - step and the one out of it goes to
+    n + step, with step 1 for cochains and -1 for chains.  Free, mod-2
+    free and presented modules take ``homology_at``, the GF(2) count and
+    the mapping cone."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     res = resolution if resolution is not None \
         else default_resolution(group, n)
-    d_in = res.chain_matrix(module, n + 1)
-    d_out = res.chain_matrix(module, n)
+    matrix, step = (res.coboundary_matrix, 1) if cochains \
+        else (res.chain_matrix, -1)
+    d_in = matrix(module, n - step)
+    d_out = matrix(module, n)
     if module.is_free:
         return homology_at(d_in, d_out)
     if module.is_mod2_free:
         return _mod2_homology_at(d_in, d_out, res.rank(n) * module.ngens)
     return _cone_homology_at(module, d_in, d_out,
                              _relation_block(module, res.rank(n)),
-                             _relation_block(module, res.rank(n - 1)),
-                             res.chain_matrix(module.lifted, n))
+                             _relation_block(module, res.rank(n + step)),
+                             matrix(module.lifted, n))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "mul", "name", "inverse_table", "_orders",
-                 "product_factors", "_odd_decomposition")
+                 "_power_table", "product_factors", "_odd_decomposition")
 
     def __init__(self, mul, name, *, product_factors=None):
         self.mul = np.asarray(mul, dtype=np.int32)
@@ -56,6 +56,7 @@ class FiniteGroup:
                              "inverse")
         self.inverse_table = zeros.argmax(axis=1).astype(np.int32)
         self._orders = None
+        self._power_table = None
         self._odd_decomposition = _UNSET
 
     def _validate(self):
@@ -90,24 +91,31 @@ class FiniteGroup:
 
     # -- basic queries ------------------------------------------------------
 
-    def multiply(self, a, b):
-        return int(self.mul[a, b])
+    def _powers_of_all(self):
+        """Column k-1 holds a^k in row a, up to at least the order of a;
+        kept on the group.
 
-    def inverse(self, a):
-        return int(self.inverse_table[a])
-
-    def element_orders(self):
-        """Order of every element, as an int array indexed by element.
-
-        Powers of all elements at once: column k-1 of ``powers`` holds a^k
-        in row a, and each round doubles the columns by a^(m+j) = a^m a^j
-        until every row has reached the identity."""
-        if self._orders is None:
+        Each round doubles the columns by a^(m+j) = a^m a^j until every
+        row has reached the identity."""
+        if self._power_table is None:
             powers = np.arange(self.order)[:, None]
             while not (powers == 0).any(axis=1).all():
                 powers = np.hstack(
                     [powers, self.mul[powers[:, -1:], powers]])
-            self._orders = (powers == 0).argmax(axis=1) + 1
+            self._power_table = powers
+        return self._power_table
+
+    def powers(self, a):
+        """a^0, a^1, ..., a^(o-1) for o the order of a: the cyclic subgroup
+        of a in exponent order, so the discrete log of x to the base a is
+        the position of x in it."""
+        o = self.element_order(a)
+        return np.concatenate(([0], self._powers_of_all()[a, :o - 1]))
+
+    def element_orders(self):
+        """Order of every element, as an int array indexed by element."""
+        if self._orders is None:
+            self._orders = (self._powers_of_all() == 0).argmax(axis=1) + 1
         return self._orders
 
     def element_order(self, a):
@@ -126,9 +134,6 @@ class FiniteGroup:
         if not len(full):
             raise ValueError(f"{self.name} is not cyclic")
         return int(full[0])
-
-    def conjugate(self, g, k):
-        return self.multiply(self.multiply(g, k), self.inverse(g))
 
     # -- subgroup / quotient machinery --------------------------------------
 
@@ -278,9 +283,6 @@ class GroupHom:
     def is_surjective(self):
         return len(set(self.mapping)) == self.target.order
 
-    def kernel_elements(self):
-        return tuple(a for a, b in enumerate(self.mapping) if b == 0)
-
 
 def cyclic_group(n, name=None):
     idx = np.arange(n)
@@ -317,9 +319,6 @@ class Character2:
     @property
     def values(self):
         return self.hom.mapping
-
-    def kernel(self):
-        return self.hom.kernel_elements()
 
     def __str__(self):
         return "".join(str(v) for v in self.values)
@@ -501,7 +500,7 @@ def orientation_characters(group: FiniteGroup) -> list[Character2]:
         bit = 1 << len(basis)
         basis.append(q)
         for known, vec in list(coords.items()):
-            coords[quo.multiply(known, q)] = vec | bit
+            coords[int(quo.mul[known, q])] = vec | bit
     r = len(basis)
     out = []
     for functional in range(1, 1 << r):
@@ -565,68 +564,52 @@ def conjugation_action(decomp: OddDecomposition) -> list[GroupHom]:
             for row in images.tolist()]
 
 
-def abelian_cyclic_decomposition(group: FiniteGroup) -> tuple[int, ...]:
-    """Elements generating cyclic subgroups whose internal direct sum is
-    the whole abelian group (first generator of maximal order).
+def abelian_cyclic_decomposition(group: FiniteGroup):
+    """(gens, table): elements generating cyclic subgroups whose internal
+    direct sum is the whole abelian group (first generator of maximal
+    order), and the element with each mixed-radix exponent vector.
 
     Uses the classical basis construction: an element of maximal order
     spans a direct summand, and generators of the quotient lift to
-    generators of the same order.  The result is verified by enumerating
-    all mixed-radix products before returning.
+    generators of the same order.  Entry d_1 o_2...o_r + ... + d_r of
+    ``table`` (o_i the order of gens[i], last generator least significant)
+    is gens[0]^d_1 ... gens[r-1]^d_r; it is the index of
+    (d_1, ..., d_r) in C_o_1 x ... x C_o_r built by ``direct_product``.
+    The table is checked to be a bijection before returning.
     """
     if not group.is_abelian:
         raise ValueError(f"{group.name} is not abelian")
 
-    def pw(grp, a, n):
-        x = 0
-        for _ in range(n):
-            x = grp.multiply(x, a)
-        return x
-
     def decompose(g):
         if g.order == 1:
             return []
-        gen = max(range(g.order), key=g.element_order)
-        e = g.element_order(gen)
-        powers = [0]
-        while len(powers) < e:
-            powers.append(g.multiply(powers[-1], gen))
-        log = {p: i for i, p in enumerate(powers)}
-        quo, _, reps = g.quotient(tuple(sorted(powers)))
+        gen = int(g.element_orders().argmax())
+        cyclic = g.powers(gen)
+        e = len(cyclic)
+        quo, _, reps = g.quotient(cyclic)
         out = [gen]
         for qgen, k in decompose(quo):
             h0 = reps[qgen]
-            m = log[pw(g, h0, k)]
+            h0_powers = g.powers(h0)
+            m = cyclic.tolist().index(h0_powers[k % len(h0_powers)])
             # k divides m because e is the exponent of g, so the lift can
             # be corrected to have order exactly k
             if m % k:
                 raise AssertionError("maximal-order summand lift failed")
-            h = g.multiply(h0, pw(g, gen, (-(m // k)) % e))
-            out.append(h)
+            out.append(int(g.mul[h0, cyclic[(-(m // k)) % e]]))
         return [(h, g.element_order(h)) for h in out]
 
     gens = tuple(h for h, _ in decompose(group))
-    orders = [group.element_order(h) for h in gens]
-    # verify: the product map over mixed-radix exponents is a bijection
-    total = 1
-    seen = {0}
-    elems = [0]
-    for h, o in zip(gens, orders):
-        total *= o
-        new = []
-        for e in elems:
-            x = e
-            for _ in range(o - 1):
-                x = group.multiply(x, h)
-                new.append(x)
-        for x in new:
-            if x in seen:
-                raise AssertionError("cyclic decomposition is not direct")
-            seen.add(x)
-        elems.extend(new)
-    if total != group.order:
+    table = np.zeros(1, dtype=np.int32)
+    for h in gens:
+        table = group.mul[table[:, None], group.powers(h)].ravel()
+    seen = np.zeros(group.order, dtype=bool)
+    seen[table] = True
+    if seen.sum() != len(table):
+        raise AssertionError("cyclic decomposition is not direct")
+    if len(table) != group.order:
         raise AssertionError("cyclic decomposition does not span")
-    return gens
+    return gens, table
 
 
 def is_inner_automorphism(k_group: FiniteGroup, auto: GroupHom) -> bool:

@@ -37,8 +37,9 @@ class GModule:
         if validate:
             self._validate()
         # the relation lattice Z^r (r = relations.ncols) with g acting by
-        # A'_g = R^-1 A_g R, so that A_g R = R A'_g; one object, so that
-        # coboundary caches keyed by it hit.  Where A is a homomorphism
+        # A'_g = R^-1 A_g R, so that A_g R = R A'_g; lifted once per
+        # module (``Resolution.coboundary_matrix`` memoises by the action
+        # tuples, not by this object).  Where A is a homomorphism
         # only modulo R, A' is none either: the mapping cone in
         # ``cohomology`` never composes two of its coboundaries
         self.lifted = self._lift() if relations.ncols else None
@@ -59,11 +60,12 @@ class GModule:
             raise ValueError("identity must act as the identity matrix")
         if not self.ngens:
             return
+        mul = self.group.mul.tolist()
         diffs = []
         for g in range(self.group.order):
             for h in range(self.group.order):
                 prod = _matmat(self.actions[g], self.actions[h])
-                gh = self.actions[self.group.multiply(g, h)]
+                gh = self.actions[mul[g][h]]
                 diffs.append([[x - y for x, y in zip(pr, qr)]
                               for pr, qr in zip(prod, gh)])
         if self.relation_preimage(_side_by_side(diffs)) is None:

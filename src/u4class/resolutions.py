@@ -35,6 +35,12 @@ __all__ = [
 
 _ENV_BOUND = "U4CLASS_MAX_GENERATORS"
 _DEFAULT_BOUND = 10**6
+# Matrix assembly refuses more than this many entries (boundary entries
+# times ngens^2) per generator of the bound.  The generator count alone
+# lets bar D5 through to degree 6, whose 3.4M-entry chain matrix the
+# elimination grows past memory; the largest matrix the tests assemble
+# has 1.3M entries (bar C10 with a rank-2 module).
+_ENTRIES_PER_GENERATOR = 2
 
 
 class FeasibilityError(RuntimeError):
@@ -111,8 +117,17 @@ class Resolution:
     def _hom_matrix(self, rows, cols, elems, coeffs, module, nrow_gens,
                     ncol_gens):
         """Block (row, col) of size ngens x ngens gets coefficient times the
-        action matrix of the element, once per entry."""
+        action matrix of the element, once per entry.  Raises
+        FeasibilityError beyond _ENTRIES_PER_GENERATOR entries per
+        generator of the bound, before anything is allocated."""
         k = module.ngens
+        entries = len(coeffs) * k * k
+        limit = _ENTRIES_PER_GENERATOR * max_generators()
+        if entries > limit:
+            raise FeasibilityError(
+                f"a {self.group.name} matrix of {entries} entries exceeds "
+                f"the bound {limit} ({_ENTRIES_PER_GENERATOR} entries per "
+                f"allowed generator; set {_ENV_BOUND} to raise it)")
         acts = np.array(module.actions).reshape(self.group.order, k, k)
         if acts.dtype != np.int64:
             acts = acts.astype(object)
@@ -178,21 +193,19 @@ class PeriodicResolution(Resolution):
             raise ValueError(f"{group.name} is not cyclic")
         super().__init__(group, degree, [1] * (degree + 2))
         self.generator = group.cyclic_generator()
-        self._powers = [0]
-        for _ in range(group.order - 1):
-            self._powers.append(group.multiply(self._powers[-1],
-                                               self.generator))
 
     def boundary(self, n):
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
         if n % 2 == 1:
-            elems, coeffs = [self.generator, 0], [1, -1]
+            elems = np.array([self.generator, 0], dtype=np.int64)
+            coeffs = np.array([1, -1], dtype=np.int64)
         else:
-            elems, coeffs = self._powers, [1] * len(self._powers)
+            # the norm element: every element of G, in index order
+            elems = np.arange(self.group.order, dtype=np.int64)
+            coeffs = np.ones(self.group.order, dtype=np.int64)
         zeros = np.zeros(len(elems), dtype=np.int64)
-        return (zeros, zeros, np.asarray(elems, dtype=np.int64),
-                np.asarray(coeffs, dtype=np.int64))
+        return zeros, zeros, elems, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +378,13 @@ class RelabeledResolution(Resolution):
 def _abelian_tensor_resolution(group: FiniteGroup,
                                degree: int) -> Resolution:
     from .groups import abelian_cyclic_decomposition, cyclic_group
-    gens = abelian_cyclic_decomposition(group)
+    gens, table = abelian_cyclic_decomposition(group)
     orders = [group.element_order(g) for g in gens]
     product = cyclic_group(orders[0])
     for o in orders[1:]:
         product = product.direct_product(cyclic_group(o))
-    iso = []
-    for idx in range(product.order):
-        rest, digits = idx, []
-        for o in reversed(orders):
-            digits.append(rest % o)
-            rest //= o
-        e = 0
-        for g, d in zip(gens, reversed(digits)):
-            for _ in range(d):
-                e = group.multiply(e, g)
-        iso.append(e)
     return RelabeledResolution(default_resolution(product, degree),
-                               group, iso)
+                               group, table)
 
 
 # ---------------------------------------------------------------------------

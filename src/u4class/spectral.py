@@ -76,44 +76,37 @@ class DiagonalReport:
 
 
 def _kernel_cohomology_module(decomp: OddDecomposition, q,
-                              twist: Character2):
+                              twist: Character2, exponents):
     """H^q(K; Z) as a module over the quotient: conjugation-induced
-    action, twisted by the sign character."""
-    quotient = decomp.quotient
+    action, twisted by the sign character.  exponents is None when
+    conjugation fixes K pointwise, else for each coset representative the
+    a with t -> t^a on the cyclic K = <t>."""
+    if q == 0:
+        return twisted_integers(twist)
     kernel = decomp.kernel
     hq = cohomology(kernel, trivial_integers(kernel), q)
-    autos = conjugation_action(decomp)
-    identity = tuple(range(kernel.order))
-    trivial_conj = all(a.mapping == identity for a in autos)
-    if q == 0:
-        return twisted_integers(twist), False
-    if trivial_conj:
-        return module_from_abelian_group(quotient, hq,
-                                         sign_character=twist), False
-    if kernel.is_cyclic:
-        # conjugation t -> t^a acts on H^{2k}(C_m; Z) = Z/m as
-        # multiplication by a^k; odd cohomology vanishes
-        m = kernel.order
-        gen = kernel.cyclic_generator()
-        exps = []
-        for auto in autos:
-            image, a = auto(gen), 0
-            x = 0
-            while x != image:
-                x = kernel.multiply(x, gen)
-                a += 1
-            exps.append(a if image else 0)
-        if q % 2 == 1 or hq.order() == 1:
-            return module_from_abelian_group(quotient, hq,
-                                             sign_character=twist), True
-        k = q // 2
-        mats = [[[pow(a, k, m)]] for a in exps]
-        return module_from_abelian_group(quotient, hq,
-                                         sign_character=twist,
-                                         action_matrices=mats), True
-    raise NotImplementedError(
-        "nontrivial conjugation action on the cohomology of a non-cyclic "
-        "kernel is outside the supported page constructions")
+    # t -> t^a acts on H^{2k}(C_m; Z) = Z/m as multiplication by a^k; odd
+    # cohomology vanishes
+    if exponents is None or q % 2 == 1 or hq.order() == 1:
+        return module_from_abelian_group(decomp.quotient, hq,
+                                         sign_character=twist)
+    mats = [[[pow(a, q // 2, kernel.order)]] for a in exponents]
+    return module_from_abelian_group(decomp.quotient, hq,
+                                     sign_character=twist,
+                                     action_matrices=mats)
+
+
+def _conjugation_exponents(decomp: OddDecomposition, autos):
+    """For each automorphism t -> t^a of the cyclic kernel <t>, the
+    exponent a: the position of the image of t among t's powers."""
+    kernel = decomp.kernel
+    if not kernel.is_cyclic:
+        raise NotImplementedError(
+            "nontrivial conjugation action on the cohomology of a non-cyclic "
+            "kernel is outside the supported page constructions")
+    gen = kernel.cyclic_generator()
+    logs = kernel.powers(gen).tolist()
+    return [logs.index(auto(gen)) for auto in autos]
 
 
 def lhs_e2_page(decomp: OddDecomposition, twist: Character2,
@@ -126,18 +119,21 @@ def lhs_e2_page(decomp: OddDecomposition, twist: Character2,
     """
     if twist.group.order != decomp.quotient.order:
         raise ValueError("twist character must live on the quotient")
+    autos = conjugation_action(decomp)
+    identity = tuple(range(decomp.kernel.order))
+    nontrivial = any(a.mapping != identity for a in autos)
     entries, notes = {}, {}
     flags = []
-    flagged = False
+    exponents = None
     for q in range(max_total + 1):
-        module, nontrivial_action = _kernel_cohomology_module(
-            decomp, q, twist)
-        if nontrivial_action and not flagged:
+        # H^0(K; Z) = Z carries no action; it shows from row 1 on
+        if q == 1 and nontrivial:
+            exponents = _conjugation_exponents(decomp, autos)
             flags.append(
                 "conjugation acts nontrivially on kernel cohomology; the "
                 "trivial-action page formula does not apply, entries use "
                 "the actual action")
-            flagged = True
+        module = _kernel_cohomology_module(decomp, q, twist, exponents)
         for p in range(max_total + 1 - q):
             entries[(p, q)] = cohomology(decomp.quotient, module, p)
             notes[(p, q)] = (f"H^{p}(quotient; H^{q}(kernel; Z) twisted "

@@ -104,6 +104,26 @@ class TestLHS:
         assert page.flags
         assert "nontrivially" in page.flags[0]
 
+    def test_conjugation_worked_out_once_per_page(self, monkeypatch):
+        from u4class import spectral
+        calls = []
+        original = spectral.conjugation_action
+        monkeypatch.setattr(spectral, "conjugation_action",
+                            lambda d: calls.append(d) or original(d))
+        d = odd_normal_complement(parse_group("D5"))
+        lhs_e2_page(d, quotient_twist(d), 5)
+        assert len(calls) == 1
+
+    def test_non_cyclic_kernel_with_action_refused_from_row_one(self):
+        # (C3 x C3) x| C2 with the involution inverting both factors
+        d = odd_normal_complement(
+            parse_group("perm[(1 2 3), (4 5 6), (2 3)(5 6)]"))
+        assert d.kernel.order == 9 and not d.kernel.is_cyclic
+        page = lhs_e2_page(d, quotient_twist(d), 0)
+        assert list(page.entries) == [(0, 0)] and not page.flags
+        with pytest.raises(NotImplementedError, match="non-cyclic"):
+            lhs_e2_page(d, quotient_twist(d), 1)
+
 
 class TestChangeCoefficients:
     def test_examples(self):

@@ -449,3 +449,19 @@ class TestAnswerPins:
         payload = json.dumps(answer.to_json(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == \
             _ANSWER_PINS[(kind, spec)]
+
+
+def test_relation_block_against_copy_loop():
+    from u4class.cohomology import _relation_block
+    g = parse_group("C6")
+    for ab in (AbelianGroup(0, (3,)), AbelianGroup(1, (2, 4)),
+               AbelianGroup(2)):
+        module = module_from_abelian_group(g, ab)
+        rel, k = module.relations, module.ngens
+        for copies in (0, 1, 3):
+            rows = [c * k + r for c in range(copies) for r in rel.rows]
+            cols = [c * rel.ncols + cc for c in range(copies)
+                    for cc in rel.cols]
+            vals = [v for _ in range(copies) for v in rel.vals]
+            assert _relation_block(module, copies) == IntMatrix(
+                copies * k, copies * rel.ncols, rows, cols, vals)

@@ -203,7 +203,7 @@ def _pin_modules(group, regular):
                                           action_matrices=a3))
     if regular:
         n = group.order
-        perms = [[[int(group.multiply(g, j) == i) for j in range(n)]
+        perms = [[[int(group.mul[g, j] == i) for j in range(n)]
                   for i in range(n)] for g in range(n)]
         mods.append(GModule(group, n, IntMatrix.zeros(n, 0), perms,
                             validate=False))
@@ -474,7 +474,7 @@ class TestRelabeledAbelian:
     def test_decomposition_orders(self):
         from u4class.groups import abelian_cyclic_decomposition
         g = parse_group("C3xC6")
-        gens = abelian_cyclic_decomposition(g)
+        gens, _ = abelian_cyclic_decomposition(g)
         assert sorted(g.element_order(x) for x in gens) == [3, 6]
         with pytest.raises(ValueError):
             abelian_cyclic_decomposition(parse_group("D3"))
@@ -516,3 +516,123 @@ class TestDefaultPolicy:
         assert resolutions.max_generators() == 10**6
         monkeypatch.setenv("U4CLASS_MAX_GENERATORS", "42")
         assert resolutions.max_generators() == 42
+
+
+def loop_cyclic_decomposition(group):
+    """The cyclic decomposition by repeated multiplication, as the group
+    layer computed it before ``FiniteGroup.powers``: generators, and the
+    element of each mixed-radix exponent vector (last generator least
+    significant) by multiplying out every digit."""
+    mul = group.mul.tolist()
+
+    def pw(g_mul, a, n):
+        x = 0
+        for _ in range(n):
+            x = g_mul[x][a]
+        return x
+
+    def order(g_mul, a):
+        x, o = a, 1
+        while x:
+            x, o = g_mul[x][a], o + 1
+        return o
+
+    def decompose(g):
+        if g.order == 1:
+            return []
+        g_mul = g.mul.tolist()
+        gen = max(range(g.order), key=lambda a: order(g_mul, a))
+        e = order(g_mul, gen)
+        powers = [pw(g_mul, gen, i) for i in range(e)]
+        log = {p: i for i, p in enumerate(powers)}
+        quo, _, reps = g.quotient(tuple(sorted(powers)))
+        out = [gen]
+        for qgen, k in decompose(quo):
+            h0 = reps[qgen]
+            m = log[pw(g_mul, h0, k)]
+            out.append(g_mul[h0][pw(g_mul, gen, (-(m // k)) % e)])
+        return [(h, order(g_mul, h)) for h in out]
+
+    gens, orders = zip(*decompose(group))
+    iso = []
+    for idx in range(group.order):
+        rest, digits = idx, []
+        for o in reversed(orders):
+            digits.append(rest % o)
+            rest //= o
+        e = 0
+        for g, d in zip(gens, reversed(digits)):
+            e = mul[e][pw(mul, g, d)]
+        iso.append(e)
+    return gens, iso
+
+
+def _kernel(spec):
+    return odd_normal_complement(parse_group(spec)).kernel
+
+
+class TestCyclicCoordinates:
+    """The mixed-radix table of ``abelian_cyclic_decomposition`` is the
+    relabeling of the tensor resolution, element for element."""
+
+    GROUPS = {"C3xC6": lambda: parse_group("C3xC6"),
+              "K(C3xC6)": lambda: _kernel("C3xC6"),
+              "K(C6xC3)": lambda: _kernel("C6xC3"),
+              "C2xC2": lambda: parse_group("C2xC2"),
+              "C2xC4": lambda: parse_group("C2xC4"),
+              "K(C3xC3xC2)": lambda: _kernel("C3xC3xC2")}
+
+    @pytest.mark.parametrize("name", list(GROUPS))
+    def test_table_against_loop(self, name):
+        from u4class.groups import abelian_cyclic_decomposition
+        group = self.GROUPS[name]()
+        gens, table = abelian_cyclic_decomposition(group)
+        loop_gens, iso = loop_cyclic_decomposition(group)
+        assert gens == loop_gens
+        assert table.tolist() == iso
+
+    @pytest.mark.parametrize("name", ["K(C3xC6)", "K(C6xC3)",
+                                      "K(C3xC3xC2)"])
+    def test_relabeled_resolution_reads_the_table(self, name):
+        from u4class.groups import abelian_cyclic_decomposition
+        from u4class.resolutions import RelabeledResolution
+        group = self.GROUPS[name]()
+        res = default_resolution(group, 2)
+        assert isinstance(res, RelabeledResolution)
+        assert res._iso.tolist() == \
+            abelian_cyclic_decomposition(group)[1].tolist()
+
+
+class TestEntryBound:
+    """Assembly refuses a matrix of more than two entries per generator
+    of the bound, before the elimination can run out of memory."""
+
+    def test_d5_twisted_homology_in_degree_5(self, monkeypatch):
+        # the bar resolution to degree 5 has 597,871 generators, inside
+        # the bound; its degree-6 chain matrix has 3,424,842 entries
+        from u4class.cohomology import homology
+        monkeypatch.delenv("U4CLASS_MAX_GENERATORS", raising=False)
+        g = parse_group("D5")
+        module = twisted_integers(orientation_characters(g)[0])
+        with pytest.raises(FeasibilityError, match="3424842 entries"):
+            homology(g, module, 5)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("kind", ["cochain", "chain"])
+    def test_just_above_and_below(self, monkeypatch, rank, kind):
+        g = parse_group("D3")
+        module = module_from_abelian_group(g, AbelianGroup(rank))
+        entries = len(BarResolution(g, 3).boundary(4)[3]) * rank ** 2
+        limit = (entries + 1) // 2      # smallest bound with 2B >= entries
+
+        def assemble(bound):
+            res = BarResolution(g, 3)
+            monkeypatch.setenv("U4CLASS_MAX_GENERATORS", str(bound))
+            if kind == "cochain":
+                return res.coboundary_matrix(module, 3)
+            return res.chain_matrix(module, 4)
+
+        with pytest.raises(FeasibilityError, match=f"{entries} entries"):
+            assemble(limit - 1)
+        m = assemble(limit)
+        assert sorted((m.nrows, m.ncols)) == [125 * rank, 625 * rank]

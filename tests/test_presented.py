@@ -57,7 +57,7 @@ def _power_module(group, m, a):
     mats, x = [None] * group.order, 0
     for e in range(group.order):
         mats[x] = [[pow(a, e, m)]]
-        x = group.multiply(x, gen)
+        x = int(group.mul[x, gen])
     return module_from_abelian_group(group, AbelianGroup(0, (m,)),
                                      action_matrices=mats)
 
