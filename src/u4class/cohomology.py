@@ -145,22 +145,11 @@ class BarMod2Complex:
 
     The bar complex is that of Brown, *Cohomology of Groups* (GTM 87),
     III.1.  Its top coboundary is stored over the rows [s|...] with s in
-    a generating set S only, which the following lemma allows.  Those
-    rows are assembled directly from the faces of the tuples [s|...]
-    (``coboundary_matrix`` with ``firsts=S``); the full top coboundary is
-    never built.
-
-    Lemma.  Let S, a subset of G without 1, generate G.  A normalized
-    coboundary u = delta f vanishes iff it vanishes on every tuple [s|t]
-    with s in S.
-
-    Proof.  delta u = 0.  For a in S, b != 1 and a tuple t, the value of
-    delta u on [a|b|t] is u(b, t) + u(ab, t) + (terms whose first entry is
-    a) = 0 mod 2, where u(ab, t) = 0 when ab = 1 as u is normalized.  If
-    u vanishes on every [s|...], the last terms vanish and u(ab, t) =
-    u(b, t).  Every g != 1 is a word s_1...s_k in S (G is finite, so
-    inverses are positive powers), and induction on k gives u(g, t) =
-    u(s_k, t) = 0.
+    a generating set S only: a normalized coboundary vanishes iff it
+    vanishes on those rows, over any coefficients (the lemma at
+    ``BarResolution.cocycle_rows``).  Those rows are assembled directly
+    from the faces of the tuples [s|...] (``coboundary_matrix`` with
+    ``firsts=S``); the full top coboundary is never built.
 
     So ker delta^n is the kernel of the S-rows of delta^n.  The output of
     ``gf2.kernel`` depends on that subspace alone (the dependent columns

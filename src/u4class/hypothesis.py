@@ -98,6 +98,16 @@ def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
     Generators are a saturated integral basis of the degree-n cocycles;
     alpha fixes every class iff it fixes each generator's class, tested by
     lattice membership of alpha^*(z) - z among the coboundaries.
+
+    The basis is ``integer_kernel`` of ``res.cocycle_rows``, a prefix of
+    the rows of delta^n, and it is the very list that the full delta^n
+    gives.  Each row of the echelon of [M^T | I] stays [delta f | f] for
+    some cochain f.  If delta f vanishes on the prefix, it vanishes on
+    every row (the lemma at ``BarResolution.cocycle_rows``), so no cut
+    column ever holds a row's leading entry.  The two-row steps, which
+    read the leading column alone, the free rows and the basis are the
+    same; only the cut columns, carried along, are gone.  The coboundary
+    lattice keeps all of delta^(n-1).
     """
     res = resolution if resolution is not None \
         else BarResolution(kernel, n)
@@ -106,7 +116,7 @@ def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
             f"degree {n} cocycle extraction needs {res.rank(n + 1)} bar "
             "generators")
     free = trivial_integers(kernel)
-    cocycles = integer_kernel(res.coboundary_matrix(free, n))
+    cocycles = integer_kernel(res.cocycle_rows(free, n))
     boundaries = ColumnLattice(res.coboundary_matrix(free, n - 1))
     for z in cocycles:
         moved = _pullback_vector(res, alpha, n, z)

@@ -958,8 +958,13 @@ def integer_kernel(m: IntMatrix) -> list[list[int]]:
     of length m.ncols.  Row-echelons [m^T | I] with ``_echelon``, so only
     the column count drives the cost; suitable for tall sparse matrices.
     The array holds m.ncols x (m.nrows + m.ncols) cells, 8 bytes each in
-    int64: under ``hypothesis._DEGREE_GENERATOR_CAP`` the largest is a
-    nonabelian order-27 kernel in degree 2, 676 x 18252 cells (99 MB)."""
+    int64.  The witness search passes the j (|K|-1)^n rows of
+    ``BarResolution.cocycle_rows``, j the last greedy generator of K;
+    the elements before it lie in a proper subgroup, so j <= |K|/3.
+    Under ``hypothesis._DEGREE_GENERATOR_CAP`` the largest is then a
+    nonabelian order-27 kernel in degree 2, at most 676 x 6760 cells
+    (37 MB); C9 : C3 as a permutation group has j = 3, 676 x 2704 cells
+    (15 MB)."""
     n = m.ncols
     a = _lattice_array(m, np.arange(n), m.nrows + n)
     a[np.arange(n), m.nrows + np.arange(n)] = 1

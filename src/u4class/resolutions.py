@@ -95,12 +95,10 @@ class Resolution:
         key = (module.actions, n,
                None if firsts is None else tuple(firsts))
         if key not in cache:
-            if firsts is None:
-                faces, nrow_gens = self.boundary(n + 1), self.rank(n + 1)
-            else:
-                faces = self.boundary(n + 1, firsts)
-                nrow_gens = len(firsts) * self.rank(n)
-            rows, cols, elems, coeffs = faces
+            rows, cols, elems, coeffs = self._bounded_boundary(
+                n + 1, module, firsts)
+            nrow_gens = self.rank(n + 1) if firsts is None \
+                else len(firsts) * self.rank(n)
             cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
                                           nrow_gens, self.rank(n))
         return cache[key]
@@ -109,25 +107,45 @@ class Resolution:
         """d_n tensored with M: (M x F_n)_G -> (M x F_{n-1})_G."""
         if n < 1:
             return IntMatrix.zeros(0, self.rank(0) * module.ngens)
-        rows, cols, elems, coeffs = self.boundary(n)
+        rows, cols, elems, coeffs = self._bounded_boundary(n, module)
         return self._hom_matrix(rows, cols, self.group.inverse_table[elems],
                                 coeffs, module, self.rank(n - 1),
                                 self.rank(n))
 
-    def _hom_matrix(self, rows, cols, elems, coeffs, module, nrow_gens,
-                    ncol_gens):
-        """Block (row, col) of size ngens x ngens gets coefficient times the
-        action matrix of the element, once per entry.  Raises
-        FeasibilityError beyond _ENTRIES_PER_GENERATOR entries per
-        generator of the bound, before anything is allocated."""
-        k = module.ngens
-        entries = len(coeffs) * k * k
+    def face_count(self, n, firsts=None):
+        """The length of boundary(n) when it is known without building the
+        arrays, else None."""
+        return None
+
+    def _bounded_boundary(self, n, module, firsts=None):
+        """boundary(n) (with ``firsts``, bar only) once the matrix it
+        assembles to, ngens^2 entries per face, is within
+        _ENTRIES_PER_GENERATOR entries per generator of the bound; else
+        FeasibilityError.  The check runs before the faces are built when
+        ``face_count`` knows their number, after otherwise."""
+        known = self.face_count(n, firsts)
+        if known is not None:
+            self._check_entries(known, module)
+        faces = self.boundary(n) if firsts is None \
+            else self.boundary(n, firsts)
+        if known is None:
+            self._check_entries(len(faces[3]), module)
+        return faces
+
+    def _check_entries(self, nfaces, module):
+        entries = nfaces * module.ngens ** 2
         limit = _ENTRIES_PER_GENERATOR * max_generators()
         if entries > limit:
             raise FeasibilityError(
                 f"a {self.group.name} matrix of {entries} entries exceeds "
                 f"the bound {limit} ({_ENTRIES_PER_GENERATOR} entries per "
                 f"allowed generator; set {_ENV_BOUND} to raise it)")
+
+    def _hom_matrix(self, rows, cols, elems, coeffs, module, nrow_gens,
+                    ncol_gens):
+        """Block (row, col) of size ngens x ngens gets coefficient times the
+        action matrix of the element, once per entry."""
+        k = module.ngens
         acts = np.array(module.actions).reshape(self.group.order, k, k)
         if acts.dtype != np.int64:
             acts = acts.astype(object)
@@ -251,6 +269,44 @@ class BarResolution(Resolution):
         elements; the inverse of ``tuples``."""
         elements = np.asarray(elements, dtype=np.int64)
         return (elements - 1) @ self._place_values(elements.shape[-1])
+
+    def face_count(self, n, firsts=None):
+        """len(boundary(n, firsts)) in closed form.  Each tuple has n + 1
+        faces less one per inner product g_i g_{i+1} that is the identity,
+        and such a pair leaves g_{i+1} no choice.  With q = |G|-1 that is
+        2 q^n + (n-1)(q^n - q^(n-1)) in all, times len(firsts)/q with
+        ``firsts``."""
+        blocks, shift = (1, 0) if firsts is None else (len(firsts), 1)
+        return blocks * ((n + 1) * self.rank(n - shift)
+                         - (n - 1) * self.rank(n - 1 - shift))
+
+    def cocycle_rows(self, module: GModule, n) -> IntMatrix:
+        """The first rows of delta^n, enough to cut out its kernel: the
+        rows of the tuples [s|...] with s <= j, j the largest element of
+        ``group.generating_set()``.  By the numbering these are the first
+        j (|G|-1)^n rows of ``coboundary_matrix(module, n)``, in the same
+        order (``firsts`` = 1..j), so the result is that matrix with its
+        other rows cut.
+
+        Lemma (Brown, *Cohomology of Groups*, III.1).  Let S, a subset of
+        G without 1, generate G.  A normalized cochain u = delta f
+        vanishes iff it vanishes on every tuple [s|...] with s in S.
+
+        Proof.  delta u = 0.  For a in S, b != 1 and a tuple t, the value
+        of delta u on [a|b|t] is a u(b, t) - u(ab, t) + (terms whose first
+        entry is a), where u(ab, t) = 0 when ab = 1 as u is normalized.
+        If u vanishes on every [s|...], the last terms vanish and
+        u(ab, t) = a u(b, t).  Every g != 1 is a word s_1...s_k in S (G is
+        finite, so inverses are positive powers), and induction on k gives
+        u(g, t) = s_1...s_(k-1) u(s_k, t) = 0.  Only delta delta = 0 and
+        normalization were used, so the lemma holds over any coefficients
+        and for any action.
+
+        So a cochain is a cocycle iff its coboundary vanishes on these
+        rows; the lower coboundaries need all their rows, since their
+        columns span the coboundaries."""
+        j = max(self.group.generating_set(), default=0)
+        return self.coboundary_matrix(module, n, firsts=range(1, j + 1))
 
     def boundary(self, n, firsts=None):
         """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then

@@ -178,8 +178,10 @@ def ahss_e2_page(homology_of_x, structure: str,
 
     homology_of_x maps a degree to the integral homology of X; structure
     names a bordism coefficient table, or "point" for the point spectrum.
+    The top degree, the costliest and the one a feasibility bound refuses
+    first, is computed first.
     """
-    integral = [homology_of_x(p) for p in range(max_total + 1)]
+    integral = [homology_of_x(p) for p in range(max_total, -1, -1)][::-1]
     entries, notes = {}, {}
     for q in range(max_total + 1):
         if structure == "point":

@@ -197,6 +197,18 @@ class TestAHSS:
         with pytest.raises(KeyError):
             ahss_e2_page(thom_c2_homology(), "Top", 5)
 
+    def test_top_degree_first(self):
+        # the top degree is the one a feasibility bound refuses, so it is
+        # asked for before the cheaper ones; the page is unchanged
+        h, asked = thom_c2_homology(), []
+
+        def spy(n):
+            asked.append(n)
+            return h(n)
+        page = ahss_e2_page(spy, "STop", 5)
+        assert asked == [5, 4, 3, 2, 1, 0]
+        assert page.entries == ahss_e2_page(h, "STop", 5).entries
+
 
 class TestDiagonalReport:
     def test_stop_order_eight_collapse(self):

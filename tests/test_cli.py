@@ -3,6 +3,7 @@ catalog determinism."""
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -60,6 +61,25 @@ class TestHypothesisAndCohomology:
         assert "not applicable" in out
         assert "witness degree: 2" in out
 
+    # sha256 of json.dumps(payload, sort_keys=True) with "timing" removed,
+    # recorded before the witness cocycles came from the generator rows
+    CHECK_HYPOTHESIS_SHA256 = {
+        "D3": "f2bb8263495058a4d773124ac02c2558"
+              "d3d777645cecd5d79da1412914f435b5",
+        "D5": "8a0889241e1548f7d58574a92f76b763"
+              "e43f22cbb7ec4de104985d8bae57f633",
+        "D3xC5": "5b768857bff147b08a58313ab0d6f151"
+                 "c27151aac96f809c87e48d1f1677f33a",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(CHECK_HYPOTHESIS_SHA256))
+    def test_check_hypothesis_payload_pinned(self, capsys, spec):
+        code, data, _ = run_json(capsys, "check-hypothesis", spec)
+        assert code == 0
+        data.pop("timing")
+        assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()) \
+            .hexdigest() == self.CHECK_HYPOTHESIS_SHA256[spec]
+
     def test_cohomology_twisted(self, capsys):
         code, out, _ = run(capsys, "cohomology", "C6", "--coeff", "Zw")
         assert code == 0
@@ -100,6 +120,17 @@ class TestSpectral:
         code, _, err = run(capsys, "ahss", "C2", "--coeff", "Top",
                            "--range", "5")
         assert code == 1
+
+    def test_ahss_refused_top_degree_exits_at_once(self, capsys,
+                                                   monkeypatch):
+        # H_5 of D5 with twisted coefficients needs the 3.4M-entry bar
+        # chain matrix in degree 6: refused before degrees 0..4 are built
+        monkeypatch.delenv("U4CLASS_MAX_GENERATORS", raising=False)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ahss", "D5", "--coeff", "STop")
+        assert code == 1
+        assert "3424842 entries" in err
+        assert time.perf_counter() - start < 2
 
 
 class TestCompare:

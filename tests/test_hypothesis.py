@@ -16,6 +16,8 @@ from u4class.groups import GroupHom, odd_normal_complement, parse_group
 from u4class.hypothesis import (_pullback_vector, action_witness_in_degree,
                                 check_action_trivial,
                                 thom_simplification_applicable)
+from u4class.linalg import integer_kernel
+from u4class.modules import trivial_integers
 from u4class.resolutions import BarResolution
 
 C7_SEMI_C6 = "perm[(1 2 3 4 5 6 7), (2 3 5)(4 7 6), (2 7)(3 6)(4 5)]"
@@ -54,6 +56,63 @@ class TestActionWitness:
         k = parse_group("C5")
         inv = GroupHom(k, k, tuple(k.inverse_table.tolist()))
         assert action_witness_in_degree(k, inv, 1) is None
+
+
+def _odd_kernel(spec):
+    return odd_normal_complement(parse_group(spec)).kernel
+
+
+_PREFIX_KERNELS = [(f"C{m}", n) for m in range(3, 22) for n in (1, 2)] + [
+    ("C3xC3", 1), ("C3xC3", 2),
+    ("K(D3xC5)", 2), ("K(D5xC3)", 2), ("K(D3xC7)", 2), ("K(D7xC3)", 2),
+    ("K(C7_SEMI_C6)", 1), ("K(C7_SEMI_C6)", 2)]
+
+
+def _prefix_group(name):
+    if name.startswith("K("):
+        spec = name[2:-1]
+        return _odd_kernel(C7_SEMI_C6 if spec == "C7_SEMI_C6" else spec)
+    return parse_group(name)
+
+
+class TestCocycleRows:
+    """The witness basis comes from the rows [s|...], s <= the last
+    generator, of delta^n; it must be the full kernel's, list for list."""
+
+    @pytest.mark.parametrize("name, n", _PREFIX_KERNELS)
+    def test_prefix_kernel_is_the_full_kernel(self, name, n):
+        k = _prefix_group(name)
+        res = BarResolution(k, n)
+        free = trivial_integers(k)
+        prefix = res.cocycle_rows(free, n)
+        full = res.coboundary_matrix(free, n)
+        j = max(k.generating_set())
+        assert prefix.nrows == j * res.rank(n) <= full.nrows
+        assert integer_kernel(prefix) == integer_kernel(full)
+
+    def test_kernels_with_two_generators(self):
+        # the products' kernels need the rows of a second generator
+        for name in ("C3xC3", "K(D3xC5)", "K(D5xC3)", "K(D3xC7)",
+                     "K(D7xC3)", "K(C7_SEMI_C6)"):
+            assert _prefix_group(name).generating_set() != (1,), name
+
+    @pytest.mark.parametrize("name", ["C21", "C3xC3", "K(D3xC7)",
+                                      "K(C7_SEMI_C6)"])
+    def test_prefix_rows_generate(self, name):
+        k = _prefix_group(name)
+        j = max(k.generating_set())
+        assert k.closure(range(1, j + 1)) == tuple(range(k.order))
+
+    @pytest.mark.parametrize("name, n", [("C3xC3", 1), ("C3xC3", 2),
+                                         ("K(D5xC3)", 2)])
+    def test_rows_that_do_not_generate_change_the_kernel(self, name, n):
+        k = _prefix_group(name)
+        assert k.generating_set() == (1, 3)
+        assert k.closure([1]) != tuple(range(k.order))
+        res = BarResolution(k, n)
+        free = trivial_integers(k)
+        assert integer_kernel(res.coboundary_matrix(free, n, firsts=[1])) \
+            != integer_kernel(res.coboundary_matrix(free, n))
 
 
 def _loop_pullback_vector(group, alpha, n, vec):

@@ -617,6 +617,71 @@ class TestEntryBound:
         with pytest.raises(FeasibilityError, match="3424842 entries"):
             homology(g, module, 5)
 
+    def test_d5_refused_before_the_faces_are_built(self, monkeypatch):
+        from u4class.cohomology import homology
+        monkeypatch.delenv("U4CLASS_MAX_GENERATORS", raising=False)
+        built = []
+        boundary = BarResolution.boundary
+
+        def spy(res, n, firsts=None):
+            built.append(n)
+            return boundary(res, n, firsts)
+        monkeypatch.setattr(BarResolution, "boundary", spy)
+        g = parse_group("D5")
+        module = twisted_integers(orientation_characters(g)[0])
+        with pytest.raises(FeasibilityError, match="3424842 entries"):
+            homology(g, module, 5)
+        assert built == []
+
+    def test_d5_refusal_peak_memory(self):
+        # the degree-6 faces alone took the process past 300 MB; the
+        # interpreter with the package imported takes about 31 MB.  VmHWM
+        # is the peak of this process alone (ru_maxrss would keep the
+        # peak of the test process that started it)
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(resolutions.__file__))
+        code = (
+            "from u4class.cohomology import homology\n"
+            "from u4class.groups import orientation_characters, "
+            "parse_group\n"
+            "from u4class.modules import twisted_integers\n"
+            "from u4class.resolutions import FeasibilityError\n"
+            "g = parse_group('D5')\n"
+            "try:\n"
+            "    homology(g, twisted_integers("
+            "orientation_characters(g)[0]), 5)\n"
+            "except FeasibilityError:\n"
+            "    print(open('/proc/self/status').read()"
+            ".split('VmHWM:')[1].split()[0])\n")
+        env = {k: v for k, v in os.environ.items()
+               if k != "U4CLASS_MAX_GENERATORS"}
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             env={**env, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) < 60 * 1024      # VmHWM is in kB
+
+    @pytest.mark.parametrize("spec", ["C2", "C3", "C5", "C7", "D3",
+                                      "C2xC2"])
+    def test_bar_face_count_closed_form(self, spec):
+        g = parse_group(spec)
+        res = BarResolution(g, 3)
+        q = g.order - 1
+        firsts_choices = (None, list(g.generating_set()),
+                          list(range(q, 0, -1)), [1])
+        for n in range(1, 5):
+            for firsts in firsts_choices:
+                want = 2 * q**n + (n - 1) * (q**n - q**(n - 1))
+                if firsts is not None:
+                    want = want * len(firsts) // q
+                    built = res.boundary(n, firsts)
+                else:
+                    built = res.boundary(n)
+                assert res.face_count(n, firsts) == want == \
+                    len(built[3]), (n, firsts)
+
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("kind", ["cochain", "chain"])
     def test_just_above_and_below(self, monkeypatch, rank, kind):
