@@ -1,9 +1,9 @@
 """Group cohomology and homology with module coefficients, the mod-2
 cohomology ring with cup products, and inflation along surjections.
 
-Free coefficients give a complex of free abelian groups, computed by
-``homology_at``; Z/2 coefficients (relation +-2 on every generator) give
-one of GF(2) vector spaces.  Any other module M = Z^k / R Z^r has a diagonal,
+Free coefficients give a complex of free abelian groups; Z/2
+coefficients (relation +-2 on every generator) give one of GF(2) vector
+spaces.  Any other module M = Z^k / R Z^r has a diagonal,
 hence injective, relation matrix R (see ``GModule``), and runs through a
 mapping cone (Weibel, *An Introduction to Homological Algebra*, 1.5):
 
@@ -27,9 +27,18 @@ A cycle (x, y) has y = -f^-1 delta_k x, so the cycles are the x whose
 coboundary lies in im f, and the boundaries are im delta_k + im f: the
 cocycles and coboundaries of Hom(F, M).  The full cone's next term also
 has a C_r^(n+2) row; as f is injective it adds no condition and is left
-out.  ``homology_at`` checks d_out d_in = 0, which is the identity
-f h = -delta_k delta_k together with delta_k f = f delta_r.  Homology
-runs the same way on the chain matrices, with f_(n-1) going out.
+out.  The check d_out d_in = 0 is the identity f h = -delta_k delta_k
+together with delta_k f = f delta_r.  Homology runs the same way on the
+chain matrices, with f_(n-1) going out.
+
+At a position of free abelian groups, Z^c between d_in and d_out, the
+homology has free rank c - rank(d_out) - rank(d_in) and torsion the
+nontrivial invariant factors of d_in.  For n >= 1 and finitely generated
+M, |G| kills H^n(G; M) and H_n(G; M) (Brown, *Cohomology of Groups*,
+III.10.2), so the free rank is 0 and rank(d_out) = c - rank(d_in): the
+group is the torsion of d_in alone, and d_out is formed only for the
+composition check.  Degree 0, where M^G and M_G may have free rank,
+eliminates both (``homology_at``).
 
 Cup products use the Alexander-Whitney diagonal on the normalized bar
 complex.  Mod-2 cochains in degree n are stored as bit integers over the
@@ -45,7 +54,8 @@ import numpy as np
 
 from .groups import FiniteGroup, GroupHom
 from .kernels import gf2
-from .linalg import AbelianGroup, IntMatrix, homology_at, mod2_rank
+from .linalg import (AbelianGroup, IntMatrix, check_composition,
+                     homology_at, mod2_rank, smith_normal_form)
 from .modules import GModule, mod2_integers, trivial_integers
 from .resolutions import (BarResolution, FeasibilityError, Resolution,
                           default_resolution, max_generators)
@@ -77,14 +87,13 @@ def _mod2_homology_at(d_in: IntMatrix, d_out: IntMatrix,
     return AbelianGroup.from_cyclic_orders([2] * dim)
 
 
-def _cone_homology_at(module: GModule, d_in: IntMatrix, d_out: IntMatrix,
-                      f_here: IntMatrix, f_next: IntMatrix,
-                      d_lift: IntMatrix) -> AbelianGroup:
-    """Homology at a presented position, as that of the mapping cone of the
-    relation map f (see the module docstring).  d_in and d_out act on
-    generators, f_here and f_next are f at this position and the next,
-    and d_lift is the differential of the lifted module from here to the
-    next."""
+def _cone(module: GModule, d_in: IntMatrix, d_out: IntMatrix,
+          f_here: IntMatrix, f_next: IntMatrix,
+          d_lift: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The mapping cone's (d_in, d_out) at a presented position (see the
+    module docstring).  d_in and d_out act on generators, f_here and
+    f_next are f at this position and the next, and d_lift is the
+    differential of the lifted module from here to the next."""
     p = module.relation_preimage(d_out.matmul(d_in))
     if p is None:
         raise ValueError("composition nonzero modulo relations")
@@ -96,7 +105,7 @@ def _cone_homology_at(module: GModule, d_in: IntMatrix, d_out: IntMatrix,
                         np.concatenate((rows, low_rows + top.nrows)),
                         np.concatenate((cols, low_cols)),
                         np.concatenate((vals, -low_vals)), canonical=True)
-    return homology_at(cone_in, d_out.hstack(f_next))
+    return cone_in, d_out.hstack(f_next)
 
 
 def cohomology(group: FiniteGroup, module: GModule, n: int,
@@ -114,9 +123,12 @@ def homology(group: FiniteGroup, module: GModule, n: int,
 def _homology_in_degree(group, module, n, resolution, cochains):
     """Degree n of Hom_G(F, M) (cochains) or of F x_G M: the differential
     into degree n comes from degree n - step and the one out of it goes to
-    n + step, with step 1 for cochains and -1 for chains.  Free, mod-2
-    free and presented modules take ``homology_at``, the GF(2) count and
-    the mapping cone."""
+    n + step, with step 1 for cochains and -1 for chains.  Mod-2 free
+    modules take the GF(2) count; free and presented modules, the latter
+    through the mapping cone, give a position of free abelian groups.  In
+    degree 0 that takes ``homology_at``.  Above it the group is finite
+    (see the module docstring), so it is the torsion of d_in, and d_out
+    is only checked to compose to zero with it."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     res = resolution if resolution is not None \
@@ -125,14 +137,17 @@ def _homology_in_degree(group, module, n, resolution, cochains):
         else (res.chain_matrix, -1)
     d_in = matrix(module, n - step)
     d_out = matrix(module, n)
-    if module.is_free:
-        return homology_at(d_in, d_out)
     if module.is_mod2_free:
         return _mod2_homology_at(d_in, d_out, res.rank(n) * module.ngens)
-    return _cone_homology_at(module, d_in, d_out,
-                             _relation_block(module, res.rank(n)),
-                             _relation_block(module, res.rank(n + step)),
-                             matrix(module.lifted, n))
+    if not module.is_free:
+        d_in, d_out = _cone(module, d_in, d_out,
+                            _relation_block(module, res.rank(n)),
+                            _relation_block(module, res.rank(n + step)),
+                            matrix(module.lifted, n))
+    if n == 0:
+        return homology_at(d_in, d_out)
+    check_composition(d_in, d_out)
+    return AbelianGroup.from_cyclic_orders(smith_normal_form(d_in).nontrivial)
 
 
 # ---------------------------------------------------------------------------

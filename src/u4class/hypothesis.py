@@ -24,9 +24,10 @@ from .resolutions import BarResolution, FeasibilityError
 __all__ = ["ActionVerdict", "HypothesisReport", "check_action_trivial",
            "thom_simplification_applicable", "action_witness_in_degree"]
 
-# kernel extraction above this many bar generators is not attempted; the
-# verdict degrades to a bounded one instead of stalling
-_DEGREE_GENERATOR_CAP = 50000
+# a cocycle extraction whose lattice array (``integer_kernel``) would
+# exceed this many cells, 80 MB in int64, is not attempted; the verdict
+# degrades to a bounded one instead of stalling
+_WITNESS_CELL_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,20 @@ def _pullback_vector(res: BarResolution, alpha: GroupHom, n, vec):
     return out.tolist()
 
 
+def _check_witness_cells(kernel: FiniteGroup, n):
+    """Raise FeasibilityError unless the degree-n cocycle extraction stays
+    within ``_WITNESS_CELL_CAP``: ``integer_kernel`` of the j (|K|-1)^n
+    rows of ``BarResolution.cocycle_rows`` by (|K|-1)^n columns allocates
+    (|K|-1)^n x (j (|K|-1)^n + (|K|-1)^n) cells."""
+    cols = (kernel.order - 1) ** n
+    j = max(kernel.generating_set(), default=0)
+    cells = cols * (j * cols + cols)
+    if cells > _WITNESS_CELL_CAP:
+        raise FeasibilityError(
+            f"degree {n} cocycle extraction needs {cells} kernel cells "
+            f"(cap {_WITNESS_CELL_CAP})")
+
+
 def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
                              resolution=None):
     """A cocycle generator of H^n(K; Z) moved by alpha, or None.
@@ -109,12 +124,9 @@ def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
     same; only the cut columns, carried along, are gone.  The coboundary
     lattice keeps all of delta^(n-1).
     """
+    _check_witness_cells(kernel, n)
     res = resolution if resolution is not None \
         else BarResolution(kernel, n)
-    if res.rank(n + 1) > _DEGREE_GENERATOR_CAP:
-        raise FeasibilityError(
-            f"degree {n} cocycle extraction needs {res.rank(n + 1)} bar "
-            "generators")
     free = trivial_integers(kernel)
     cocycles = integer_kernel(res.cocycle_rows(free, n))
     boundaries = ColumnLattice(res.coboundary_matrix(free, n - 1))
@@ -175,6 +187,7 @@ def check_action_trivial(group: FiniteGroup, decomp: OddDecomposition,
     notes = []
     for n in range(1, max_degree + 1):
         try:
+            _check_witness_cells(kernel, n)
             res = BarResolution(kernel, n)
             for i, alpha in nontrivial:
                 z = action_witness_in_degree(kernel, alpha, n, res)

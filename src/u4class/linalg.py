@@ -47,7 +47,7 @@ __all__ = [
     "SmithForm",
     "smith_normal_form",
     "rank",
-    "invariant_factors",
+    "check_composition",
     "homology_at",
     "mod2_rank",
     "integer_kernel",
@@ -483,12 +483,6 @@ def rank(m: IntMatrix) -> int:
     return sum(1 for d in _snf_diagonal(m) if d)
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nontrivial (> 1) invariant factors of the cokernel restricted to the
-    image, i.e. the torsion of Z^rows / column span beyond free parts."""
-    return smith_normal_form(m).nontrivial
-
-
 def _eliminate_units(m: IntMatrix):
     """Unit pivots of m cleared by unimodular steps, with the contract of
     ``kernels.unit_pivot_phase``: ``_prepass``, then the unit-pivot phase
@@ -855,33 +849,28 @@ def _drop_duplicate_rows(core, row_ids):
 # Homology of complexes
 
 
+def check_composition(d_in: IntMatrix, d_out: IntMatrix) -> None:
+    """Raise ValueError unless d_in maps into the free module d_out maps
+    out of and d_out . d_in = 0."""
+    if d_out.ncols != d_in.nrows:
+        raise ValueError("chain position mismatch")
+    if not d_out.matmul(d_in).is_zero:
+        raise ValueError("composition d_out . d_in is nonzero")
+
+
 def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroup:
     """ker(d_out)/im(d_in) at a position of free modules.
 
     d_in maps into Z^c, d_out maps out of Z^c.  The composition is checked.
-    Rank is c - rank(d_out) - rank(d_in); torsion equals the nontrivial
-    invariant factors of d_in, since ker(d_out) is a direct summand
-    containing im(d_in) and Z^c / ker(d_out) is free.
+    Rank is c - rank(d_out) - rank(d_in), so both are eliminated over Z;
+    torsion equals the nontrivial invariant factors of d_in, since
+    ker(d_out) is a direct summand containing im(d_in) and Z^c / ker(d_out)
+    is free.  A caller that knows the group is finite needs only that
+    torsion (see ``cohomology``).
     """
-    c = d_in.nrows
-    if d_out.ncols != c:
-        raise ValueError("chain position mismatch")
-    if not d_out.matmul(d_in).is_zero:
-        raise ValueError("composition d_out . d_in is nonzero")
+    check_composition(d_in, d_out)
     sf = smith_normal_form(d_in)
-    # rank sandwich: im(d_in) <= ker(d_out) (composition checked above)
-    # gives rank(d_out) <= c - rank(d_in), and the GF(2) rank is a lower
-    # bound; when a GF(2) rank memoised on d_out meets it (a resolution
-    # gives Z and Z/2 one shared coboundary, so Z/2 before Z does), the
-    # integer elimination of d_out, often the largest matrix present, is
-    # skipped.  Otherwise rank(d_out) runs, and for a large d_out the
-    # structural pre-pass keeps it cheap whichever coefficients came first
-    upper = c - sf.rank
-    if d_out._rank2 == upper:
-        rank_out = upper
-    else:
-        rank_out = rank(d_out)
-    free = c - rank_out - sf.rank
+    free = d_in.nrows - rank(d_out) - sf.rank
     return AbelianGroup.from_cyclic_orders(
         [0] * free + list(sf.nontrivial))
 
@@ -959,12 +948,10 @@ def integer_kernel(m: IntMatrix) -> list[list[int]]:
     the column count drives the cost; suitable for tall sparse matrices.
     The array holds m.ncols x (m.nrows + m.ncols) cells, 8 bytes each in
     int64.  The witness search passes the j (|K|-1)^n rows of
-    ``BarResolution.cocycle_rows``, j the last greedy generator of K;
-    the elements before it lie in a proper subgroup, so j <= |K|/3.
-    Under ``hypothesis._DEGREE_GENERATOR_CAP`` the largest is then a
-    nonabelian order-27 kernel in degree 2, at most 676 x 6760 cells
-    (37 MB); C9 : C3 as a permutation group has j = 3, 676 x 2704 cells
-    (15 MB)."""
+    ``BarResolution.cocycle_rows`` by (|K|-1)^n columns, j the last
+    greedy generator of K, and ``hypothesis._WITNESS_CELL_CAP`` bounds
+    those cells by 10^7 (80 MB).  The largest it admits is the order-39
+    kernel C13 : C3 in degree 2, with j = 3: 1444 x 5776 cells (67 MB)."""
     n = m.ncols
     a = _lattice_array(m, np.arange(n), m.nrows + n)
     a[np.arange(n), m.nrows + np.arange(n)] = 1

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import Character2, FiniteGroup, GroupHom
+from .groups import Character2, FiniteGroup
 from .linalg import AbelianGroup, IntMatrix
 
-__all__ = ["GModule", "TwistedIntegers", "trivial_integers",
-           "twisted_integers", "mod2_integers", "module_from_abelian_group",
-           "pullback_module"]
+__all__ = ["GModule", "trivial_integers", "twisted_integers",
+           "mod2_integers", "module_from_abelian_group"]
 
 
 class GModule:
@@ -119,20 +118,6 @@ class GModule:
         return rel.ncols == self.ngens and all(abs(v) == 2 for v in rel.vals)
 
 
-class TwistedIntegers(GModule):
-    """The integers with a group acting through the sign (-1)^character."""
-
-    __slots__ = ("character",)
-
-    def __init__(self, character: Character2):
-        group = character.group
-        actions = [((1 if character.value(g) == 0 else -1,),)
-                   for g in range(group.order)]
-        super().__init__(group, 1, IntMatrix.zeros(1, 0), actions,
-                         validate=False)
-        self.character = character
-
-
 def _side_by_side(blocks):
     """Dense matrices of equal height, side by side, as one IntMatrix."""
     return IntMatrix.from_dense([[x for b in blocks for x in b[i]]
@@ -152,8 +137,12 @@ def trivial_integers(group: FiniteGroup) -> GModule:
     return GModule(group, 1, IntMatrix.zeros(1, 0), actions, validate=False)
 
 
-def twisted_integers(character: Character2) -> TwistedIntegers:
-    return TwistedIntegers(character)
+def twisted_integers(character: Character2) -> GModule:
+    """The integers with the group acting through the sign
+    (-1)^character."""
+    actions = [((-1 if v else 1,),) for v in character.values]
+    return GModule(character.group, 1, IntMatrix.zeros(1, 0), actions,
+                   validate=False)
 
 
 def mod2_integers(group: FiniteGroup) -> GModule:
@@ -182,21 +171,3 @@ def module_from_abelian_group(group: FiniteGroup, ab: AbelianGroup,
             sign_character.value(g) else 1
         actions.append([[sign * x for x in row] for row in base])
     return GModule(group, k, relations, actions)
-
-
-def pullback_module(phi: GroupHom, module: GModule) -> GModule:
-    """Module over the source of phi, acting through phi."""
-    if module.group is not phi.target and \
-            module.group.order != phi.target.order:
-        raise ValueError("module not over the target of the homomorphism")
-    actions = [module.actions[phi(g)] for g in range(phi.source.order)]
-    out = GModule(phi.source, module.ngens, module.relations, actions,
-                  validate=False)
-    if isinstance(module, TwistedIntegers):
-        values = tuple(module.character.value(phi(g))
-                       for g in range(phi.source.order))
-        if 1 in values:
-            return TwistedIntegers(
-                Character2.from_values(phi.source, values,
-                                       module.character.hom.target))
-    return out

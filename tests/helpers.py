@@ -3,6 +3,7 @@
 The Smith-form oracle runs on sympy.  The homology oracle does its own
 extended-gcd integer elimination and enumerates the subquotient element by
 element, so agreement with the library is a genuinely two-route check.
+``record_composition_checks`` is a spy on the (co)homology dispatch.
 """
 
 import itertools
@@ -165,3 +166,17 @@ def random_unimodular(rng, n, steps=12):
         for t in range(n):
             m[i][t] += q * m[j][t]
     return m
+
+
+def record_composition_checks(monkeypatch):
+    """The list of (d_in, d_out) pairs, one per call, that ``cohomology``
+    and ``homology`` check above degree 0, filled as they run."""
+    from u4class import cohomology
+    pairs, check = [], cohomology.check_composition
+
+    def checking(d_in, d_out):
+        pairs.append((d_in, d_out))
+        return check(d_in, d_out)
+
+    monkeypatch.setattr(cohomology, "check_composition", checking)
+    return pairs

@@ -16,12 +16,11 @@ from u4class.cohomology import (BarMod2Complex, _pullback_cochain,
                                 inflation_map,
                                 mod2_dimensions, mod2_ring, cohomology,
                                 homology)
-from u4class.groups import GroupHom, cyclic_group, odd_normal_complement, \
-    orientation_characters, parse_group
+from u4class.groups import Character2, GroupHom, cyclic_group, \
+    odd_normal_complement, orientation_characters, parse_group
 from u4class.linalg import AbelianGroup, IntMatrix
 from u4class.modules import (mod2_integers, module_from_abelian_group,
-                             pullback_module, trivial_integers,
-                             twisted_integers)
+                             trivial_integers, twisted_integers)
 from u4class.kernels import gf2
 from u4class.resolutions import BarResolution, FeasibilityError
 
@@ -353,7 +352,9 @@ class TestInflation:
         d = odd_normal_complement(parse_group("C6"))
         ch = orientation_characters(d.quotient)[0]
         tw_p = twisted_integers(ch)
-        tw_g = pullback_module(d.project, tw_p)
+        tw_g = twisted_integers(Character2.from_values(
+            d.project.source,
+            [ch.value(d.project(g)) for g in range(d.project.source.order)]))
         for n in range(5):
             a = cohomology(d.quotient, tw_p, n)
             b = cohomology(d.project.source, tw_g, n)

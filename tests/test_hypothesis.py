@@ -21,6 +21,10 @@ from u4class.modules import trivial_integers
 from u4class.resolutions import BarResolution
 
 C7_SEMI_C6 = "perm[(1 2 3 4 5 6 7), (2 3 5)(4 7 6), (2 7)(3 6)(4 5)]"
+# order 78: the nonabelian kernel C13 : C3, inverted by the quotient
+C13_SEMI_C6 = ("perm[(1 2 3 4 5 6 7 8 9 10 11 12 13), "
+               "(2 4 10)(3 7 6)(5 13 11)(8 9 12), "
+               "(2 13)(3 12)(4 11)(5 10)(6 9)(7 8)]")
 
 
 class TestActionWitness:
@@ -210,6 +214,21 @@ class TestCheckActionTrivial:
         # the bounded check finds nothing and must not overclaim
         assert v.kind == "trivial_up_to"
         assert v.checked_up_to >= 2
+
+
+    def test_order_39_kernel_reaches_degree_two(self):
+        # the cap bounds the cells integer_kernel allocates for the
+        # generator-prefix rows of delta^n: in degree 2, with j = 3,
+        # 38^2 x (3 * 38^2 + 38^2) = 8,340,544
+        g = parse_group(C13_SEMI_C6)
+        d = odd_normal_complement(g)
+        assert d.kernel.order == 39 and not d.kernel.is_abelian
+        assert max(d.kernel.generating_set()) == 3
+        v = check_action_trivial(g, d)
+        assert v.kind == "trivial_up_to" and v.checked_up_to == 2
+        assert v.notes == ("stopped before degree 3: degree 3 cocycle "
+                           "extraction needs 12043745536 kernel cells "
+                           "(cap 10000000)",)
 
 
 class TestApplicability:

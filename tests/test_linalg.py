@@ -10,7 +10,8 @@ from u4class.kernels import gf2
 from u4class.linalg import AbelianGroup, IntMatrix
 
 from helpers import (group_counts, oracle_homology, oracle_invariant_factors,
-                     random_unimodular, saturated_kernel_basis)
+                     random_unimodular, record_composition_checks,
+                     saturated_kernel_basis)
 
 
 class TestAbelianGroup:
@@ -1098,12 +1099,45 @@ class TestRankMemo:
         got = {module: cohomology(group, module, 4, res) for module in order}
         assert (str(got[z2]), str(got[z])) == ("Z/2", "Z/8")
         delta4 = res.coboundary_matrix(z, 4)
-        integer = [m is delta4 for m, mod2 in eliminations if not mod2]
-        # Z/2 first leaves delta^4's GF(2) rank on the shared matrix, and
-        # it meets the rank sandwich; Z first has to eliminate delta^4
-        assert any(integer) is not z2_first
+        # H^4(C8; Z) is finite, so it is read off delta^3 alone and
+        # delta^4 is eliminated over Z in neither order; the Z/2 count
+        # takes its GF(2) rank once
+        assert not any(m is delta4 for m, mod2 in eliminations if not mod2)
         assert [m is delta4 for m, mod2 in eliminations if mod2].count(
             True) == 1
+
+    def test_positive_degree_leaves_d_out_alone(self, eliminations,
+                                                monkeypatch):
+        """Above degree 0 the (co)homology is the torsion of d_in: no
+        call eliminates, over Z or GF(2), the d_out of its composition
+        check, for free, twisted and presented modules, cochains and
+        chains, on the bar and the periodic resolution.  (A free module's
+        d_out is the next degree's d_in, eliminated in that call.)"""
+        from u4class import cohomology
+        from u4class.groups import orientation_characters, parse_group
+        from u4class.modules import (module_from_abelian_group,
+                                     trivial_integers, twisted_integers)
+        from u4class.resolutions import BarResolution, PeriodicResolution
+        pairs = record_composition_checks(monkeypatch)
+        group = parse_group("C6")
+        modules = (trivial_integers(group),
+                   twisted_integers(orientation_characters(group)[0]),
+                   module_from_abelian_group(group, AbelianGroup(0, (2, 4))))
+        seen_in = 0
+        for res in (BarResolution(group, 3), PeriodicResolution(group, 3)):
+            for module in modules:
+                for n in range(1, 4):
+                    for degree in (cohomology.cohomology,
+                                   cohomology.homology):
+                        eliminations.clear()
+                        pairs.clear()
+                        degree(group, module, n, res)
+                        (d_in, d_out), = pairs
+                        eliminated = [m for m, _ in eliminations]
+                        assert not any(m is d_out for m in eliminated)
+                        seen_in += any(m is d_in for m in eliminated)
+        # the spy sees eliminations: every cone d_in is new, so eliminated
+        assert seen_in >= 2 * 3 * 2
 
 
 def _dense_gf2_solve(columns, vec, width):

@@ -16,8 +16,8 @@ from u4class.groups import FiniteGroup, odd_normal_complement, \
     orientation_characters, parse_group
 from u4class.linalg import AbelianGroup, IntMatrix, homology_at
 from u4class.modules import (GModule, module_from_abelian_group,
-                             mod2_integers, pullback_module,
-                             trivial_integers, twisted_integers)
+                             mod2_integers, trivial_integers,
+                             twisted_integers)
 from u4class.resolutions import (BarResolution, FeasibilityError,
                                  PeriodicResolution, Resolution,
                                  TensorResolution, default_resolution)
@@ -101,17 +101,6 @@ class TestModules:
         m = module_from_abelian_group(g, ab)
         assert m.ngens == 3
         assert underlying_group(m) == ab
-
-    def test_pullback_through_projection(self):
-        d = odd_normal_complement(parse_group("C6"))
-        ch = orientation_characters(d.quotient)[0]
-        m = pullback_module(d.project, twisted_integers(ch))
-        assert m.group is d.project.source
-        signs = rank_one_signs(m)
-        assert signs.count(-1) == 3
-        # pullback of twisted integers along a surjection is still twisted
-        from u4class.modules import TwistedIntegers
-        assert isinstance(m, TwistedIntegers)
 
 
 class TestBarResolution:

@@ -2,7 +2,8 @@
 or with a generator acting by t -> t^a.
 
 Oracles: the universal coefficient theorem against free coefficients,
-agreement of the bar and periodic resolutions, and sha256 pins of the
+agreement of the bar and periodic resolutions, full elimination of the
+differential that positive degrees leave alone, and sha256 pins of the
 extension pages whose entries are built from such modules.
 """
 
@@ -11,13 +12,17 @@ import json
 
 import pytest
 
+from u4class import linalg
 from u4class.cli import main
 from u4class.cohomology import cohomology, homology
 from u4class.groups import orientation_characters, parse_group
 from u4class.linalg import AbelianGroup
 from u4class.modules import (module_from_abelian_group, trivial_integers,
                              twisted_integers)
-from u4class.resolutions import BarResolution, PeriodicResolution
+from u4class.resolutions import (BarResolution, PeriodicResolution,
+                                 default_resolution)
+
+from helpers import record_composition_checks
 
 
 def _free_coefficients(group):
@@ -66,7 +71,7 @@ def _power_module(group, m, a):
 # on the generator Z the action is a homomorphism only modulo m
 @pytest.mark.parametrize("spec, m, a, top", [
     ("C2", 15, 4, 4), ("C2", 8, 3, 4), ("C4", 5, 2, 3), ("C6", 7, 3, 2),
-    ("C6", 7, 3, 3)])
+    ("C6", 7, 3, 3), ("C4", 5, 2, 4)])
 def test_power_action_bar_matches_periodic(spec, m, a, top):
     g = parse_group(spec)
     module = _power_module(g, m, a)
@@ -76,6 +81,66 @@ def test_power_action_bar_matches_periodic(spec, m, a, top):
             cohomology(g, module, n, periodic), n
         assert homology(g, module, n, bar) == \
             homology(g, module, n, periodic), n
+
+
+def test_power_action_homology_degree_four():
+    g = parse_group("C6")
+    module = _power_module(g, 7, 3)
+    assert homology(g, module, 4, BarResolution(g, 4)) == \
+        homology(g, module, 4, PeriodicResolution(g, 4))
+
+
+def test_d3_degree_four_universal_coefficients():
+    g = parse_group("D3")
+    res = BarResolution(g, 5)
+    z, a = trivial_integers(g), AbelianGroup(0, (4,))
+    module = module_from_abelian_group(g, a)
+    coh = [cohomology(g, z, n, res) for n in (4, 5)]
+    hom = [homology(g, z, n, res) for n in (3, 4)]
+    assert cohomology(g, module, 4, res) == \
+        coh[0].tensor(a).direct_sum(coh[1].tor(a)) == AbelianGroup(0, (2,))
+    assert homology(g, module, 4, res) == \
+        hom[1].tensor(a).direct_sum(hom[0].tor(a)) == AbelianGroup(0, (2,))
+
+
+def _theorem_modules(group):
+    """Z, Z_w where there is an orientation character, Z/4, Z/2 + Z/4,
+    and Z/7 with t -> t^3 on a cyclic group of order divisible by 6."""
+    out = [module for module, _ in _free_coefficients(group)]
+    out += [module_from_abelian_group(group, AbelianGroup(0, torsion))
+            for torsion in ((4,), (2, 4))]
+    if group.is_cyclic and group.order % 6 == 0:
+        out.append(_power_module(group, 7, 3))
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "D3", "D5", "C2xC2",
+    "C3xC6"])
+def test_positive_degrees_are_finite(monkeypatch, spec):
+    """For n >= 1, |G| kills H^n(G; M) and H_n(G; M), so at the position
+    Z^c of the composition check rank(d_out) = c - rank(d_in).  Checked
+    by full elimination in degrees 1..4 of the default resolution
+    (periodic or tensor) of an abelian group, and of the bar resolution
+    in the degrees n with (|G|-1)^(n+1) <= 250: beyond that a presented
+    module's cone d_out takes seconds to eliminate."""
+    g = parse_group(spec)
+    pairs = record_composition_checks(monkeypatch)
+    bar_top = max((n for n in range(1, 5)
+                   if (g.order - 1) ** (n + 1) <= 250), default=0)
+    resolutions = [(BarResolution(g, bar_top), bar_top)] if bar_top else []
+    if g.is_abelian:
+        resolutions.append((default_resolution(g, 4), 4))
+    for res, top in resolutions:
+        for module in _theorem_modules(g):
+            for n in range(1, top + 1):
+                for degree in (cohomology, homology):
+                    pairs.clear()
+                    degree(g, module, n, res)
+                    (d_in, d_out), = pairs
+                    assert linalg.rank(d_out) == \
+                        d_in.nrows - linalg.rank(d_in), \
+                        (type(res).__name__, degree.__name__, n)
 
 
 # sha256 of the sorted-key JSON of `lhs G --format json` without its
