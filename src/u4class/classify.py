@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .bordism import FLAVORS, ThomIdentification, bordism_group, \
     identify_thom
+from .errors import HypothesisFailure
 from .groups import FiniteGroup
 from .hypothesis import HypothesisReport, thom_simplification_applicable
 from .linalg import AbelianGroup
@@ -72,14 +73,6 @@ _COORDINATES = {
     ("top", "almost-spin-pin+"): ("ks",),
     ("top", "totally-non-spin"): ("ks", "w2sq", "w4"),
 }
-
-
-class HypothesisFailure(ValueError):
-    """The group fails the reduction hypothesis; carries the report."""
-
-    def __init__(self, report: HypothesisReport):
-        super().__init__(f"classification unavailable: {report.conclusion}")
-        self.report = report
 
 
 @dataclass(frozen=True)

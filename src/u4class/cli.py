@@ -2,9 +2,10 @@
 cohomology and spectral-page dumps, manifold comparisons, coefficient
 tables, and the small-group catalog scan.
 
-Exit codes: 0 success, 1 domain error (hypothesis failure, feasibility,
-missing decomposition or table entry), 2 usage error (bad arguments or
-unparseable group/manifold expressions).
+Exit codes: 0 success, 1 the mathematics refuses a valid request, 2 the
+invocation is wrong; errors.py lists the exceptions behind each code.
+Each subcommand imports the layers it runs inside its handler, so a
+request loads only those; compare, for one, loads no numpy.
 """
 
 from __future__ import annotations
@@ -15,27 +16,13 @@ import math
 import sys
 import time
 
-from .bordism import coefficient_table, structures
-from .classify import CATEGORIES, HypothesisFailure, classification_json, \
-    classify_group
-from .cohomology import cohomology
-from .groups import ParseError, odd_normal_complement, \
-    orientation_characters, parse_group
-from .hypothesis import thom_simplification_applicable
-from .manifolds import ManifoldError, parse_manifold, stably_equivalent
-from .modules import mod2_integers, trivial_integers, twisted_integers
-from .resolutions import FeasibilityError, default_resolution
-from .spectral import ahss_e2_page, diagonal_report, lhs_e2_page, \
-    twisted_thom_homology
+from .errors import DomainError, FeasibilityError, HypothesisFailure, \
+    ManifoldError, ParseError, UsageError
 
 __all__ = ["main", "build_parser", "builtin_catalog_specs"]
 
 _SCHEMA = 1
 _CATALOG_BOUND = 300
-
-
-class DomainError(RuntimeError):
-    """Valid request whose mathematical preconditions fail (exit 1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +35,7 @@ def _emit(args, result, citations, text_lines, started):
         "command": args.command_echo,
         "result": result,
         "citations": sorted(set(citations)),
-        "timing": round(time.time() - started, 6),
+        "timing": round(time.perf_counter() - started, 6),
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -59,6 +46,7 @@ def _emit(args, result, citations, text_lines, started):
 
 
 def _first_twist(group):
+    from .groups import orientation_characters
     chars = orientation_characters(group)
     if not chars:
         raise DomainError(
@@ -72,6 +60,8 @@ def _first_twist(group):
 
 
 def _cmd_classify(args, started):
+    from .classify import classification_json, classify_group
+    from .groups import parse_group
     group = parse_group(args.group)
     tables = classify_group(group, args.category)
     result = classification_json(group, args.category, tables)
@@ -89,6 +79,8 @@ def _cmd_classify(args, started):
 
 
 def _cmd_check_hypothesis(args, started):
+    from .groups import parse_group
+    from .hypothesis import thom_simplification_applicable
     group = parse_group(args.group)
     report = thom_simplification_applicable(group, args.max_degree)
     lines = [f"hypothesis report for {group.name}:", f"  {report.conclusion}"]
@@ -100,6 +92,10 @@ def _cmd_check_hypothesis(args, started):
 
 
 def _cmd_cohomology(args, started):
+    from .cohomology import cohomology
+    from .groups import parse_group
+    from .modules import mod2_integers, trivial_integers, twisted_integers
+    from .resolutions import default_resolution
     group = parse_group(args.group)
     if args.coeff == "Z":
         module, desc = trivial_integers(group), "Z"
@@ -119,6 +115,8 @@ def _cmd_cohomology(args, started):
 
 
 def _cmd_lhs(args, started):
+    from .groups import odd_normal_complement, parse_group
+    from .spectral import lhs_e2_page
     group = parse_group(args.group)
     decomp = odd_normal_complement(group)
     if decomp is None:
@@ -139,6 +137,9 @@ def _cmd_ahss(args, started):
     if args.diagonal is not None and args.diagonal >= args.range:
         raise UsageError(f"--diagonal {args.diagonal} must be below "
                          f"--range {args.range}")
+    from .groups import parse_group
+    from .spectral import ahss_e2_page, diagonal_report, \
+        twisted_thom_homology
     group = parse_group(args.group)
     twist = _first_twist(group)
     page = ahss_e2_page(lambda n: twisted_thom_homology(group, twist, n),
@@ -161,6 +162,7 @@ def _cmd_ahss(args, started):
 
 
 def _cmd_compare(args, started):
+    from .manifolds import parse_manifold, stably_equivalent
     e1 = parse_manifold(args.left)
     e2 = parse_manifold(args.right)
     verdict = stably_equivalent(e1, e2, args.category, args.structure)
@@ -175,6 +177,7 @@ def _cmd_compare(args, started):
 
 
 def _cmd_tables(args, started):
+    from .bordism import coefficient_table, structures
     result = {s: [e.to_json() for e in coefficient_table(s)]
               for s in structures()}
     lines = []
@@ -214,6 +217,9 @@ def _cmd_catalog(args, started):
     if args.max_order > _CATALOG_BOUND:
         raise UsageError(f"--max-order exceeds the configured bound "
                          f"{_CATALOG_BOUND}")
+    from .classify import CATEGORIES, classify_group
+    from .groups import parse_group
+    from .hypothesis import thom_simplification_applicable
     rows = []
     lines = [f"catalog of built-in groups of order = 2 mod 4 up to "
              f"{args.max_order}:"]
@@ -243,10 +249,6 @@ def _cmd_catalog(args, started):
 # Parser
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -269,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="stable class tables for a group")
     p.add_argument("group")
-    p.add_argument("--category", choices=CATEGORIES, default="smooth")
+    p.add_argument("--category", choices=("smooth", "top"),
+                   default="smooth")
     common(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    started = time.time()
+    started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
         args.command_echo = argv

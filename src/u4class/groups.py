@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParseError
+
 __all__ = [
     "FiniteGroup",
     "GroupHom",
@@ -21,10 +23,6 @@ __all__ = [
     "conjugation_action",
     "abelian_cyclic_decomposition",
 ]
-
-
-class ParseError(ValueError):
-    """Malformed group specification."""
 
 
 _UNSET = object()   # FiniteGroup._odd_decomposition before it is computed

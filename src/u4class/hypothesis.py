@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FeasibilityError
 from .groups import FiniteGroup, GroupHom, OddDecomposition, \
     conjugation_action, is_inner_automorphism, odd_normal_complement
 from .linalg import ColumnLattice, integer_kernel
-from .modules import trivial_integers
-from .resolutions import BarResolution, FeasibilityError
 
 __all__ = ["ActionVerdict", "HypothesisReport", "check_action_trivial",
            "thom_simplification_applicable", "action_witness_in_degree"]
@@ -83,9 +82,9 @@ class HypothesisReport:
 # Induced action on integral cohomology via bar chain maps
 
 
-def _pullback_vector(res: BarResolution, alpha: GroupHom, n, vec):
-    """(alpha^*)z for an integer degree-n bar cochain vector.  The bar
-    resolution is functorial and an automorphism permutes the tuples, so
+def _pullback_vector(res, alpha: GroupHom, n, vec):
+    """(alpha^*)z for an integer degree-n cochain vector on the
+    ``BarResolution`` res.  The bar resolution is functorial and an automorphism permutes the tuples, so
     the coordinate of z at t moves to alpha(t)."""
     out = np.zeros(len(vec), dtype=object)
     out[res.number(np.asarray(alpha.mapping)[res.tuples(n)])] = vec
@@ -123,7 +122,14 @@ def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
     read the leading column alone, the free rows and the basis are the
     same; only the cut columns, carried along, are gone.  The coboundary
     lattice keeps all of delta^(n-1).
+
+    ``resolutions`` and ``modules`` are imported here and in the
+    nonabelian branch of ``check_action_trivial``, not at module level:
+    only the bar witness needs them, so a report that never reaches it
+    (``classify C6``, say) does not load them.
     """
+    from .modules import trivial_integers
+    from .resolutions import BarResolution
     _check_witness_cells(kernel, n)
     res = resolution if resolution is not None \
         else BarResolution(kernel, n)
@@ -183,6 +189,7 @@ def check_action_trivial(group: FiniteGroup, decomp: OddDecomposition,
                              notes=("abelian kernel: verdict exact in all "
                                     "degrees",))
     # nonabelian kernel: bounded chain-map verdict
+    from .resolutions import BarResolution
     checked = 0
     notes = []
     for n in range(1, max_degree + 1):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import ManifoldError
+
 __all__ = ["ManifoldError", "ManifoldExpr", "InvariantVector",
            "EquivalenceVerdict", "parse_manifold", "generator_invariants",
            "invariant_vector", "stably_equivalent", "GENERATORS",
@@ -50,10 +52,6 @@ _KS = {"RP4": 0, "Q": 0, "RP2xRP2": 0, "E8": 1, "S4": 0, "S2xS2": 0}
 # the homotopy type of RP4
 _SW = {"RP4": (0, 1), "Q": (0, 1), "RP2xRP2": (1, 1), "E8": (0, 0),
        "S4": (0, 0), "S2xS2": (0, 0)}
-
-
-class ManifoldError(ValueError):
-    """Invalid manifold expression or incompatible structure request."""
 
 
 _TERM_RE = re.compile(r"^(RP4|RP2xRP2|Q|E8|S4|S2xS2)(?:\(([+-])\))?$")

@@ -17,6 +17,7 @@ import os
 
 import numpy as np
 
+from .errors import FeasibilityError
 from .groups import FiniteGroup
 from .linalg import (_INT64_SAFE, IntMatrix, _array_max_abs,
                      _sorted_join)
@@ -41,10 +42,6 @@ _DEFAULT_BOUND = 10**6
 # elimination grows past memory; the largest matrix the tests assemble
 # has 1.3M entries (bar C10 with a rank-2 module).
 _ENTRIES_PER_GENERATOR = 2
-
-
-class FeasibilityError(RuntimeError):
-    """A computation exceeds the configured feasibility bound."""
 
 
 def max_generators() -> int:

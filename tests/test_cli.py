@@ -1,12 +1,17 @@
-"""CLI behavior: subcommand outputs, exit codes, JSON round-trips, and
-catalog determinism."""
+"""CLI behavior: subcommand outputs, exit codes, JSON round-trips,
+catalog determinism, and the layers each subcommand imports."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+import types
 
 import pytest
 
+from u4class import classify, cli, errors, groups, manifolds, resolutions
 from u4class.cli import builtin_catalog_specs, main
 
 
@@ -248,3 +253,105 @@ class TestUsage:
                            "--range", "1", "--diagonal", "0")
         assert code == 0
         assert "diagonal 0:" in out
+
+
+class TestExitCodes:
+    EXIT_CODES = {errors.ParseError: 2, errors.ManifoldError: 2,
+                  errors.UsageError: 2, errors.HypothesisFailure: 1,
+                  errors.FeasibilityError: 1, errors.DomainError: 1,
+                  KeyError: 1, NotImplementedError: 1}
+
+    def test_every_error_class_has_a_code(self):
+        assert {getattr(errors, n) for n in errors.__all__} == \
+            set(self.EXIT_CODES) - {KeyError, NotImplementedError}
+
+    @pytest.mark.parametrize("cls", list(EXIT_CODES),
+                             ids=lambda cls: cls.__name__)
+    def test_exit_code(self, capsys, monkeypatch, cls):
+        exc = cls(types.SimpleNamespace(conclusion="boom")) \
+            if cls is errors.HypothesisFailure else cls("boom")
+
+        def handler(args, started):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_tables", handler)
+        code, out, err = run(capsys, "tables")
+        assert code == self.EXIT_CODES[cls]
+        assert not out
+        prefix = "usage error: " if code == 2 else "error: "
+        assert err.startswith(prefix) and "boom" in err
+
+    def test_layers_reexport_the_classes(self):
+        assert groups.ParseError is errors.ParseError
+        assert manifolds.ManifoldError is errors.ManifoldError
+        assert classify.HypothesisFailure is errors.HypothesisFailure
+        assert resolutions.FeasibilityError is errors.FeasibilityError
+        assert cli.DomainError is errors.DomainError
+        assert cli.UsageError is errors.UsageError
+
+    def test_category_choices_match_classify(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "subcommand")
+        for command in ("classify", "compare"):
+            category = next(a for a in sub.choices[command]._actions
+                            if a.dest == "category")
+            assert tuple(category.choices) == classify.CATEGORIES
+
+    def test_timing_ignores_wall_clock_steps(self, capsys, monkeypatch):
+        # a wall clock that steps back 1 s on every read
+        clock = iter(range(10**6, 0, -1))
+        monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+        code, data, _ = run_json(capsys, "tables")
+        assert code == 0
+        assert data["timing"] >= 0
+
+
+def _loaded_after(*argv):
+    """The modules a fresh interpreter holds after importing u4class.cli
+    and, given argv, running that request."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import contextlib, io, json, sys\n"
+            "import u4class.cli as cli\n"
+            f"argv = {list(argv)!r}\n"
+            "if argv:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout))
+
+
+class TestImports:
+    """Each subcommand imports only the layers it runs.  Without cached
+    bytecode every loaded module is compiled again in each process.  The
+    checks run in fresh interpreters, since this one has every layer
+    loaded."""
+
+    HEAVY = {"u4class.cohomology", "u4class.spectral", "u4class.manifolds",
+             "scipy"}
+
+    def test_import_cli_loads_no_numpy(self):
+        loaded = _loaded_after()
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("u4class")} == \
+            {"u4class", "u4class.cli", "u4class.errors"}
+
+    def test_compare_loads_no_numpy(self):
+        loaded = _loaded_after("compare", "RP4", "Q", "--category", "top",
+                               "--structure", "pin+")
+        assert "numpy" not in loaded and "scipy" not in loaded
+        assert "u4class.manifolds" in loaded
+
+    def test_classify_c6(self):
+        loaded = _loaded_after("classify", "C6")
+        assert not loaded & self.HEAVY
+        assert not loaded & {"u4class.resolutions", "u4class.modules"}
+        assert "u4class.classify" in loaded
+
+    def test_tables(self):
+        loaded = _loaded_after("tables")
+        assert not loaded & self.HEAVY
+        assert "u4class.bordism" in loaded
