@@ -95,7 +95,9 @@ def _check_witness_cells(kernel: FiniteGroup, n):
     """Raise FeasibilityError unless the degree-n cocycle extraction stays
     within ``_WITNESS_CELL_CAP``: ``integer_kernel`` of the j (|K|-1)^n
     rows of ``BarResolution.cocycle_rows`` by (|K|-1)^n columns allocates
-    (|K|-1)^n x (j (|K|-1)^n + (|K|-1)^n) cells."""
+    (|K|-1)^n x (j (|K|-1)^n + (|K|-1)^n) cells, j the last greedy
+    generator of K.  The largest it admits is the order-39 kernel C13 : C3
+    in degree 2, with j = 3: 1444 x 5776 cells (67 MB)."""
     cols = (kernel.order - 1) ** n
     j = max(kernel.generating_set(), default=0)
     cells = cols * (j * cols + cols)
@@ -105,13 +107,16 @@ def _check_witness_cells(kernel: FiniteGroup, n):
             f"(cap {_WITNESS_CELL_CAP})")
 
 
-def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
-                             resolution=None):
-    """A cocycle generator of H^n(K; Z) moved by alpha, or None.
+def action_witness_in_degree(kernel: FiniteGroup, alphas: list[GroupHom],
+                             n):
+    """The first automorphism in alphas that moves a class of H^n(K; Z),
+    as (its index, a moved cocycle generator), or None.
 
     Generators are a saturated integral basis of the degree-n cocycles;
     alpha fixes every class iff it fixes each generator's class, tested by
-    lattice membership of alpha^*(z) - z among the coboundaries.
+    lattice membership of alpha^*(z) - z among the coboundaries.  The cap
+    (``_WITNESS_CELL_CAP``) is checked first; the resolution, the basis
+    and the coboundary lattice are then built once for all of alphas.
 
     The basis is ``integer_kernel`` of ``res.cocycle_rows``, a prefix of
     the rows of delta^n, and it is the very list that the full delta^n
@@ -123,24 +128,23 @@ def action_witness_in_degree(kernel: FiniteGroup, alpha: GroupHom, n,
     same; only the cut columns, carried along, are gone.  The coboundary
     lattice keeps all of delta^(n-1).
 
-    ``resolutions`` and ``modules`` are imported here and in the
-    nonabelian branch of ``check_action_trivial``, not at module level:
-    only the bar witness needs them, so a report that never reaches it
-    (``classify C6``, say) does not load them.
+    ``resolutions`` and ``modules`` are imported here, not at module
+    level: only the bar witness needs them, so a report that never
+    reaches it (``classify C6``, say) does not load them.
     """
     from .modules import trivial_integers
     from .resolutions import BarResolution
     _check_witness_cells(kernel, n)
-    res = resolution if resolution is not None \
-        else BarResolution(kernel, n)
+    res = BarResolution(kernel, n)
     free = trivial_integers(kernel)
     cocycles = integer_kernel(res.cocycle_rows(free, n))
     boundaries = ColumnLattice(res.coboundary_matrix(free, n - 1))
-    for z in cocycles:
-        moved = _pullback_vector(res, alpha, n, z)
-        diff = [a - b for a, b in zip(moved, z)]
-        if not boundaries.contains(diff):
-            return z
+    for index, alpha in enumerate(alphas):
+        for z in cocycles:
+            moved = _pullback_vector(res, alpha, n, z)
+            diff = [a - b for a, b in zip(moved, z)]
+            if not boundaries.contains(diff):
+                return index, z
     return None
 
 
@@ -176,9 +180,9 @@ def check_action_trivial(group: FiniteGroup, decomp: OddDecomposition,
         # it while the degree-2 cocycle extraction stays cheap
         if (kernel.order - 1) ** 3 <= 10000:
             try:
-                z = action_witness_in_degree(kernel, alpha, 2)
-                if z is not None:
-                    witness = _describe_class(z)
+                found = action_witness_in_degree(kernel, [alpha], 2)
+                if found is not None:
+                    witness = _describe_class(found[1])
             except FeasibilityError:
                 pass
         if witness is None:
@@ -189,23 +193,20 @@ def check_action_trivial(group: FiniteGroup, decomp: OddDecomposition,
                              notes=("abelian kernel: verdict exact in all "
                                     "degrees",))
     # nonabelian kernel: bounded chain-map verdict
-    from .resolutions import BarResolution
     checked = 0
     notes = []
     for n in range(1, max_degree + 1):
         try:
-            _check_witness_cells(kernel, n)
-            res = BarResolution(kernel, n)
-            for i, alpha in nontrivial:
-                z = action_witness_in_degree(kernel, alpha, n, res)
-                if z is not None:
-                    return ActionVerdict(
-                        "proved_nontrivial", degree=n,
-                        witness=_describe_class(z),
-                        acting_element=decomp.coset_reps[i])
+            found = action_witness_in_degree(
+                kernel, [a for _, a in nontrivial], n)
         except FeasibilityError as exc:
             notes.append(f"stopped before degree {n}: {exc}")
             break
+        if found is not None:
+            k, z = found
+            return ActionVerdict(
+                "proved_nontrivial", degree=n, witness=_describe_class(z),
+                acting_element=decomp.coset_reps[nontrivial[k][0]])
         checked = n
     return ActionVerdict("trivial_up_to", checked_up_to=checked,
                          notes=tuple(notes) or

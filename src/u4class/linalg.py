@@ -947,11 +947,7 @@ def integer_kernel(m: IntMatrix) -> list[list[int]]:
     of length m.ncols.  Row-echelons [m^T | I] with ``_echelon``, so only
     the column count drives the cost; suitable for tall sparse matrices.
     The array holds m.ncols x (m.nrows + m.ncols) cells, 8 bytes each in
-    int64.  The witness search passes the j (|K|-1)^n rows of
-    ``BarResolution.cocycle_rows`` by (|K|-1)^n columns, j the last
-    greedy generator of K, and ``hypothesis._WITNESS_CELL_CAP`` bounds
-    those cells by 10^7 (80 MB).  The largest it admits is the order-39
-    kernel C13 : C3 in degree 2, with j = 3: 1444 x 5776 cells (67 MB)."""
+    int64, so callers bound that product."""
     n = m.ncols
     a = _lattice_array(m, np.arange(n), m.nrows + n)
     a[np.arange(n), m.nrows + np.arange(n)] = 1

@@ -34,14 +34,12 @@ _ETA = {("RP4", "+"): 1, ("RP4", "-"): 15,
         ("S4", "+"): 0, ("S4", "-"): 0,
         ("S2xS2", "+"): 0, ("S2xS2", "-"): 0}
 
-# S in Z/8 for the topological pin+ tangential type: the image of eta
-# under the comparison Z/16 -> Z/8 on the smoothable generators, with
-# S(RP4) a generator; E8 contributes 0 (not in the comparison image)
-_S_INV = {("RP4", "+"): 1, ("RP4", "-"): 7,
-          ("Q", "+"): 1, ("Q", "-"): 7,
-          ("E8", "+"): 0, ("E8", "-"): 0,
-          ("S4", "+"): 0, ("S4", "-"): 0,
-          ("S2xS2", "+"): 0, ("S2xS2", "-"): 0}
+# S in Z/8 for the topological pin+ tangential type: the image k mod 8 of
+# eta under the comparison Z/16 -> Z/8 on the smoothable generators
+# (``classify.smooth_to_top_pin``), with S(RP4) a generator; E8
+# contributes 0 (not in the comparison image)
+_S_INV = {**{key: eta % 8 for key, eta in _ETA.items()},
+          ("E8", "+"): 0, ("E8", "-"): 0}
 
 # triangulation obstruction (topological category only)
 _KS = {"RP4": 0, "Q": 0, "RP2xRP2": 0, "E8": 1, "S4": 0, "S2xS2": 0}

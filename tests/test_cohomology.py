@@ -7,11 +7,15 @@ independently computed Betti numbers.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import u4class
 from u4class.cohomology import (BarMod2Complex, _pullback_cochain,
                                 inflation_map,
                                 mod2_dimensions, mod2_ring, cohomology,
@@ -345,6 +349,40 @@ class TestInflation:
         assert bar.route == "bar" and closed.route == "closed-form"
         assert bar.source_dimensions == closed.source_dimensions
         assert bar.isomorphism_degrees() == closed.isomorphism_degrees()
+
+    @pytest.mark.parametrize("spec, max_degree", [
+        ("C6", 4), ("C10", 4), ("D3", 4), ("D5", 4), ("C3xC6", 3)])
+    def test_product_cochain_is_pulled_back_cocycle(self, spec, max_degree):
+        # the closed-form route's certificate, re-verified on G's side:
+        # the product cochain over every tuple is phi^* of P's class
+        # [1|...|1] -> 1, and a cocycle of G
+        phi = odd_normal_complement(parse_group(spec)).project
+        src = BarMod2Complex(phi.source, max_degree)
+        tgt = BarMod2Complex(phi.target, max_degree)
+        chi = np.asarray(phi.mapping, dtype=bool)
+        for n in range(max_degree + 1):
+            bits = chi[src.res.tuples(n)].all(axis=1)
+            mask = int.from_bytes(
+                np.packbits(bits, bitorder="little").tobytes(), "little")
+            assert tgt.basis(n) == [1], (spec, n)
+            assert mask == _pullback_cochain(phi, src, tgt, n, 1), (spec, n)
+            assert src.is_cocycle(n, mask), (spec, n)
+
+    def test_closed_form_loads_no_numpy_random(self):
+        # a fresh interpreter, since this one may have loaded numpy.random
+        src = os.path.dirname(os.path.dirname(u4class.__file__))
+        code = ("import sys\n"
+                "from u4class.cohomology import inflation_map\n"
+                "from u4class.groups import odd_normal_complement, "
+                "parse_group\n"
+                "phi = odd_normal_complement(parse_group('C3xC6')).project\n"
+                "assert inflation_map(phi, 4).route == 'closed-form'\n"
+                "print('numpy.random' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_pullback_of_twisted_module_consistency(self):
         # sanity: cohomology of the pulled-back orientation module matches

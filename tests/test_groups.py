@@ -5,7 +5,8 @@ import pytest
 
 from u4class import groups
 from u4class.cli import builtin_catalog_specs
-from u4class.groups import (Character2, ParseError, conjugation_action,
+from u4class.groups import (Character2, GroupHom, ParseError,
+                            conjugation_action, cyclic_group,
                             is_inner_automorphism, odd_normal_complement,
                             orientation_characters, parse_group)
 
@@ -85,6 +86,38 @@ class TestOrientationCharacters:
         a = [c.values for c in orientation_characters(parse_group("C2xC2"))]
         b = [c.values for c in orientation_characters(parse_group("C2xC2"))]
         assert a == b == sorted(a)
+
+
+class TestGroupHom:
+    """``GroupHom`` checks its table against the source's whole
+    multiplication table; the closed-form inflation certificate rests on
+    that check."""
+
+    def test_accepts_reduction_mod_two(self):
+        phi = GroupHom(cyclic_group(4), cyclic_group(2), (0, 1, 0, 1))
+        assert phi.is_surjective
+
+    def test_rejects_non_homomorphism(self):
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            GroupHom(cyclic_group(4), cyclic_group(2), (0, 1, 1, 0))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            GroupHom(cyclic_group(4), cyclic_group(2), (0, 1, 0))
+
+    def test_rejects_moving_identity(self):
+        with pytest.raises(ValueError, match="identity not preserved"):
+            GroupHom(cyclic_group(2), cyclic_group(2), (1, 0))
+
+    def test_character_from_values(self):
+        c4 = cyclic_group(4)
+        assert Character2.from_values(c4, (0, 1, 0, 1)).values == \
+            (0, 1, 0, 1)
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            Character2.from_values(c4, (0, 1, 1, 0))
+        with pytest.raises(ValueError,
+                           match="character is not surjective"):
+            Character2.from_values(c4, (0, 0, 0, 0))
 
 
 class TestOddNormalComplement:

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from u4class.cohomology import inflation_map
+from u4class.errors import FeasibilityError
 from u4class.groups import GroupHom, odd_normal_complement, parse_group
 from u4class.hypothesis import (_pullback_vector, action_witness_in_degree,
                                 check_action_trivial,
@@ -31,12 +32,12 @@ class TestActionWitness:
     def test_identity_moves_nothing(self):
         k = parse_group("C5")
         ident = GroupHom(k, k, tuple(range(5)))
-        assert action_witness_in_degree(k, ident, 2) is None
+        assert action_witness_in_degree(k, [ident], 2) is None
 
     def test_inversion_on_c5_moves_degree_two(self):
         k = parse_group("C5")
         inv = GroupHom(k, k, tuple(k.inverse_table.tolist()))
-        assert action_witness_in_degree(k, inv, 2) is not None
+        assert action_witness_in_degree(k, [inv], 2) is not None
 
     def test_power_automorphism_matches_dual_formula(self):
         # t -> t^a acts as multiplication by a on H^2(C_m; Z) = Z/m, so a
@@ -52,14 +53,55 @@ class TestActionWitness:
                     y = int(k.mul[y, x])
                 mapping.append(y)
             alpha = GroupHom(k, k, tuple(mapping))
-            witness = action_witness_in_degree(k, alpha, 2)
+            witness = action_witness_in_degree(k, [alpha], 2)
             assert (witness is not None) == (a % m != 1), (m, a)
 
     def test_odd_degree_unmoved_for_cyclic(self):
         # H^1 and H^3 of an odd cyclic group vanish or are fixed
         k = parse_group("C5")
         inv = GroupHom(k, k, tuple(k.inverse_table.tolist()))
-        assert action_witness_in_degree(k, inv, 1) is None
+        assert action_witness_in_degree(k, [inv], 1) is None
+
+    def test_index_of_first_moving_automorphism(self):
+        k = parse_group("C5")
+        ident = GroupHom(k, k, tuple(range(5)))
+        inv = GroupHom(k, k, tuple(k.inverse_table.tolist()))
+        index, z = action_witness_in_degree(k, [ident, inv, inv], 2)
+        assert index == 1
+        assert (0, z) == action_witness_in_degree(k, [inv], 2)
+
+    def test_basis_and_lattice_built_once(self, monkeypatch):
+        from u4class import hypothesis, resolutions
+        calls = []
+
+        def counted(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for module, name in ((hypothesis, "integer_kernel"),
+                             (hypothesis, "ColumnLattice"),
+                             (resolutions, "BarResolution")):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+        k = parse_group("C5")
+        ident = GroupHom(k, k, tuple(range(5)))
+        assert action_witness_in_degree(k, [ident] * 3, 2) is None
+        assert sorted(calls) == ["BarResolution", "ColumnLattice",
+                                 "integer_kernel"]
+
+    def test_cap_checked_before_the_resolution(self, monkeypatch):
+        from u4class import resolutions
+
+        def unbuilt(*args):
+            raise AssertionError("resolution built past the cap")
+
+        monkeypatch.setattr(resolutions, "BarResolution", unbuilt)
+        k = _odd_kernel(C13_SEMI_C6)
+        ident = GroupHom(k, k, tuple(range(k.order)))
+        with pytest.raises(FeasibilityError, match="12043745536"):
+            action_witness_in_degree(k, [ident], 3)
 
 
 def _odd_kernel(spec):

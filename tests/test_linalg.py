@@ -719,7 +719,8 @@ class TestLatticeEchelon:
         identity = tuple(range(decomp.kernel.order))
         alpha = next(a for a in groups.conjugation_action(decomp)
                      if a.mapping != identity)
-        z = hypothesis.action_witness_in_degree(decomp.kernel, alpha, 2)
+        _, z = hypothesis.action_witness_in_degree(decomp.kernel,
+                                                   [alpha], 2)
         assert hashlib.sha256(json.dumps(z).encode()).hexdigest() == \
             "d0c122dcdbbacce96ee80d36249e7abc1b0b2f31b5618f239645611d955ee364"
 

@@ -89,6 +89,18 @@ class TestGeneratorValues:
     def test_s_generator(self):
         assert generator_invariants("RP4", "+", "top", "pin+").s_inv == 1
 
+    def test_s_is_the_image_of_eta(self):
+        # S = eta mod 8 under the comparison Z/16 -> Z/2 + Z/8 on every
+        # generator with a smooth pin+ structure; E8, not smoothable, has
+        # S = 0
+        from u4class.classify import smooth_to_top_pin
+        for name, sign in [("RP4", "+"), ("RP4", "-"), ("Q", "+"),
+                           ("Q", "-"), ("S4", None), ("S2xS2", None)]:
+            eta = generator_invariants(name, sign, "smooth", "pin+").eta
+            assert generator_invariants(name, sign, "top", "pin+").s_inv \
+                == smooth_to_top_pin(eta)[1], (name, sign)
+        assert generator_invariants("E8", None, "top", "pin+").s_inv == 0
+
     def test_null_bordant_generators(self):
         for name in ("S4", "S2xS2"):
             v = generator_invariants(name, None, "top", "pin+")
