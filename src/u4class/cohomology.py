@@ -2,16 +2,19 @@
 cohomology ring with cup products, and inflation along surjections.
 
 Free coefficients give a complex of free abelian groups; Z/2
-coefficients (relation +-2 on every generator) give one of GF(2) vector
-spaces.  Any other module M = Z^k / R Z^r has a diagonal,
-hence injective, relation matrix R (see ``GModule``), and runs through a
-mapping cone (Weibel, *An Introduction to Homological Algebra*, 1.5):
+coefficients (modulus 2 on every generator) give one of GF(2) vector
+spaces.  Any other module M = Z^k / f Z^r is presented by its moduli:
+the relation map f sends the j-th of the r generators with a modulus to
+m_i e_i (see ``GModule``), so f is injective.  M runs through a mapping
+cone (Weibel, *An Introduction to Homological Algebra*, 1.5):
 
 - Write C_k^n = Hom(F_n, Z^k) and C_r^n = Hom(F_n, Z^r), and f: C_r -> C_k
-  for R on every generator.  As F_n is free, Hom(F_n, M) = C_k^n / f C_r^n.
-- delta_k is the coboundary for the actions A_g on Z^k, delta_r the one
-  for the lifted actions A'_g = R^-1 A_g R on Z^r, so delta_k f = f delta_r.
-- A is a homomorphism only modulo R, so delta_k delta_k need not vanish
+  for the relation map on every generator.  As F_n is free,
+  Hom(F_n, M) = C_k^n / f C_r^n.
+- delta_k is the coboundary for the actions A_g on Z^k.  A_g preserves
+  im f, so delta_r = f^-1 delta_k f follows by exact division from the
+  matrices already held, and delta_k f = f delta_r.
+- A is a homomorphism only modulo f, so delta_k delta_k need not vanish
   (for D5's q = 2 module, g acts by -4 and delta delta = [[15]]); its
   columns lie in im f, and h = -f^-1(delta_k^n delta_k^(n-1)) follows by
   exact division.  The homotopy h closes the cone.
@@ -29,7 +32,7 @@ cocycles and coboundaries of Hom(F, M).  The full cone's next term also
 has a C_r^(n+2) row; as f is injective it adds no condition and is left
 out.  The check d_out d_in = 0 is the identity f h = -delta_k delta_k
 together with delta_k f = f delta_r.  Homology runs the same way on the
-chain matrices, with f_(n-1) going out.
+chain matrices, with d_r = f^-1 d_k f and f_(n-1) going out.
 
 At a position of free abelian groups, Z^c between d_in and d_out, the
 homology has free rank c - rank(d_out) - rank(d_in) and torsion the
@@ -68,16 +71,6 @@ __all__ = ["cohomology", "homology", "mod2_ring", "inflation_map",
 # Integer (co)homology with GModule coefficients
 
 
-def _relation_block(module: GModule, copies: int) -> IntMatrix:
-    """Block-diagonal stack of the module's relation columns."""
-    k, r = module.ngens, module.relations.ncols
-    rows, cols, vals = module.relations.arrays
-    shift = np.repeat(np.arange(copies, dtype=np.int64), len(vals))
-    return IntMatrix(copies * k, copies * r, np.tile(rows, copies) + shift * k,
-                     np.tile(cols, copies) + shift * r,
-                     np.tile(vals, copies))
-
-
 def _mod2_homology_at(d_in: IntMatrix, d_out: IntMatrix,
                       dim_here: int) -> AbelianGroup:
     """(Co)homology at a free Z/2 position: the complex is a complex of
@@ -88,15 +81,18 @@ def _mod2_homology_at(d_in: IntMatrix, d_out: IntMatrix,
 
 
 def _cone(module: GModule, d_in: IntMatrix, d_out: IntMatrix,
-          f_here: IntMatrix, f_next: IntMatrix,
-          d_lift: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+          rank_here: int, rank_next: int) -> tuple[IntMatrix, IntMatrix]:
     """The mapping cone's (d_in, d_out) at a presented position (see the
-    module docstring).  d_in and d_out act on generators, f_here and
-    f_next are f at this position and the next, and d_lift is the
-    differential of the lifted module from here to the next."""
+    module docstring).  d_in and d_out act on generators; the resolution
+    has rank_here generators at this position and rank_next at the next.
+    The lifted differential from here to the next is f^-1 (d_out f)."""
     p = module.relation_preimage(d_out.matmul(d_in))
     if p is None:
         raise ValueError("composition nonzero modulo relations")
+    f_here = module.relation_map(rank_here)
+    d_lift = module.relation_preimage(d_out.matmul(f_here))
+    if d_lift is None:
+        raise ValueError("action does not respect relations")
     top = d_in.hstack(f_here)
     low = p.hstack(d_lift)  # the row [h, -d_lift], negated
     rows, cols, vals = top.arrays
@@ -105,7 +101,7 @@ def _cone(module: GModule, d_in: IntMatrix, d_out: IntMatrix,
                         np.concatenate((rows, low_rows + top.nrows)),
                         np.concatenate((cols, low_cols)),
                         np.concatenate((vals, -low_vals)), canonical=True)
-    return cone_in, d_out.hstack(f_next)
+    return cone_in, d_out.hstack(module.relation_map(rank_next))
 
 
 def cohomology(group: FiniteGroup, module: GModule, n: int,
@@ -122,28 +118,35 @@ def homology(group: FiniteGroup, module: GModule, n: int,
 
 def _homology_in_degree(group, module, n, resolution, cochains):
     """Degree n of Hom_G(F, M) (cochains) or of F x_G M: the differential
-    into degree n comes from degree n - step and the one out of it goes to
-    n + step, with step 1 for cochains and -1 for chains.  Mod-2 free
-    modules take the GF(2) count; free and presented modules, the latter
-    through the mapping cone, give a position of free abelian groups.  In
-    degree 0 that takes ``homology_at``.  Above it the group is finite
-    (see the module docstring), so it is the torsion of d_in, and d_out
-    is only checked to compose to zero with it."""
+    d_in into degree n comes from degree n - 1 (n + 1 for chains) and d_out
+    goes to n + 1 (n - 1).  Mod-2 free modules take the GF(2) count; free
+    and presented modules, the latter through the mapping cone, give a
+    position of free abelian groups.  In degree 0 that takes
+    ``homology_at``.  Above it the group is finite (see the module
+    docstring), so it is the torsion of d_in, and d_out is only checked to
+    compose to zero with it.  The resolution and the module must be over
+    ``group``: the same object or an equal multiplication table."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     res = resolution if resolution is not None \
         else default_resolution(group, n)
-    matrix, step = (res.coboundary_matrix, 1) if cochains \
-        else (res.chain_matrix, -1)
-    d_in = matrix(module, n - step)
-    d_out = matrix(module, n)
+    for over in (res.group, module.group):
+        if over is not group and not np.array_equal(over.mul, group.mul):
+            raise ValueError(f"resolution and module must be over "
+                             f"{group.name}, not {over.name}")
+    # the matrix from the degree-(n + 1) boundary, the larger, comes
+    # first, so an oversized request is refused before the other is built
+    if cochains:
+        d_out = res.coboundary_matrix(module, n)
+        d_in = res.coboundary_matrix(module, n - 1)
+    else:
+        d_in = res.chain_matrix(module, n + 1)
+        d_out = res.chain_matrix(module, n)
     if module.is_mod2_free:
         return _mod2_homology_at(d_in, d_out, res.rank(n) * module.ngens)
     if not module.is_free:
-        d_in, d_out = _cone(module, d_in, d_out,
-                            _relation_block(module, res.rank(n)),
-                            _relation_block(module, res.rank(n + step)),
-                            matrix(module.lifted, n))
+        d_in, d_out = _cone(module, d_in, d_out, res.rank(n),
+                            res.rank(n + 1 if cochains else n - 1))
     if n == 0:
         return homology_at(d_in, d_out)
     check_composition(d_in, d_out)

@@ -84,8 +84,9 @@ class HypothesisReport:
 
 def _pullback_vector(res, alpha: GroupHom, n, vec):
     """(alpha^*)z for an integer degree-n cochain vector on the
-    ``BarResolution`` res.  The bar resolution is functorial and an automorphism permutes the tuples, so
-    the coordinate of z at t moves to alpha(t)."""
+    ``BarResolution`` res.  The bar resolution is functorial and an
+    automorphism permutes the tuples, so the coordinate of z at t moves to
+    alpha(t)."""
     out = np.zeros(len(vec), dtype=object)
     out[res.number(np.asarray(alpha.mapping)[res.tuples(n)])] = vec
     return out.tolist()

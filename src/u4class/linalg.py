@@ -28,8 +28,10 @@ those arrays directly.  The pre-pass takes one and leaves its core as
 one, so the integer and the GF(2) finishers read the same core.  Its
 ``rows``, ``cols`` and ``vals`` are list views, built afresh on every
 call, for the pure-Python unit-pivot phase and for callers that walk a
-small matrix entry by entry.  Its Smith diagonal and GF(2) rank are
-memoised on it; the module keeps no cache.
+small matrix entry by entry.  Its GF(2) rank is memoised on it, its
+Smith diagonal not: above degree 0 a (co)homology call eliminates d_in
+alone, so one matrix is seldom eliminated twice.  The module keeps no
+cache.
 """
 
 from __future__ import annotations
@@ -192,12 +194,10 @@ class IntMatrix:
 
     With ``canonical=True`` the triplets must already be canonical; arrays
     passed so are taken over, not copied, and made read-only.
-    ``_diagonal`` and ``_rank2`` memoise the Smith diagonal and the GF(2)
-    rank; equality ignores them.
+    ``_rank2`` memoises the GF(2) rank; equality ignores it.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_cols", "_vals", "_diagonal",
-                 "_rank2")
+    __slots__ = ("nrows", "ncols", "_rows", "_cols", "_vals", "_rank2")
 
     def __init__(self, nrows, ncols, rows=(), cols=(), vals=(), *,
                  canonical=False):
@@ -217,7 +217,7 @@ class IntMatrix:
         for a in (r, c, v):
             a.flags.writeable = False
         self._rows, self._cols, self._vals = r, c, v
-        self._diagonal = self._rank2 = None
+        self._rank2 = None
 
     # -- constructors -------------------------------------------------------
 
@@ -465,14 +465,11 @@ class SmithForm:
 
 
 def _snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """Smith diagonal, memoised on m: in a cochain complex the same
-    differential appears as d_out at one degree and d_in at the next."""
-    if m._diagonal is None:
-        npiv, rr, rc, rv = _eliminate_units(m)
-        diag = [1] * npiv + _remainder_snf(rr, rc, rv)
-        diag += [0] * (min(m.nrows, m.ncols) - len(diag))
-        m._diagonal = tuple(diag)
-    return m._diagonal
+    """Smith diagonal of m, zeros last."""
+    npiv, rr, rc, rv = _eliminate_units(m)
+    diag = [1] * npiv + _remainder_snf(rr, rc, rv)
+    diag += [0] * (min(m.nrows, m.ncols) - len(diag))
+    return tuple(diag)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:

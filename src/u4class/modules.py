@@ -1,5 +1,6 @@
-"""Modules over the integral group ring: presented abelian groups with an
-integer-matrix action of the group, including sign-twisted integers.
+"""Modules over the integral group ring: abelian groups presented by one
+modulus per generator, with an integer-matrix action of the group,
+including sign-twisted integers.
 """
 
 from __future__ import annotations
@@ -14,141 +15,118 @@ __all__ = ["GModule", "trivial_integers", "twisted_integers",
 
 
 class GModule:
-    """Z^ngens modulo relation columns, with one action matrix per group
-    element (dense row-major tuples; generators are small here).
+    """Z^ngens modulo m_i e_i for each generator i with modulus
+    m_i = moduli[i] > 0 (0 leaves generator i free), with one action
+    matrix per group element (dense row-major tuples; generators are small
+    here).
 
-    The relation matrix R is diagonal up to order: each column has one
-    nonzero entry, each in a row of its own, so R is injective and a
-    vector lies in its column lattice iff each entry is divisible by the
-    relation on its row (and vanishes on a row with none).  The actions
-    need to be a homomorphism only modulo R, and must preserve R's
-    column lattice.
+    The relation map f (``relation_map``) sends the j-th generator with a
+    modulus to m_i e_i, so f is injective and a vector lies in im f iff
+    each entry is divisible by its row's modulus (and vanishes on a free
+    row).  The actions need to be a homomorphism only modulo f, and must
+    preserve im f.
     """
 
-    __slots__ = ("group", "ngens", "relations", "actions", "lifted")
+    __slots__ = ("group", "moduli", "actions")
 
-    def __init__(self, group: FiniteGroup, ngens: int, relations: IntMatrix,
-                 actions, *, validate=True):
+    def __init__(self, group: FiniteGroup, moduli, actions, *,
+                 validate=True):
         self.group = group
-        self.ngens = ngens
-        self.relations = relations
+        self.moduli = tuple(int(m) for m in moduli)
         self.actions = tuple(tuple(tuple(row) for row in a) for a in actions)
         if validate:
             self._validate()
-        # the relation lattice Z^r (r = relations.ncols) with g acting by
-        # A'_g = R^-1 A_g R, so that A_g R = R A'_g; lifted once per
-        # module (``Resolution.coboundary_matrix`` memoises by the action
-        # tuples, not by this object).  Where A is a homomorphism
-        # only modulo R, A' is none either: the mapping cone in
-        # ``cohomology`` never composes two of its coboundaries
-        self.lifted = self._lift() if relations.ncols else None
+
+    @property
+    def ngens(self):
+        return len(self.moduli)
 
     def _validate(self):
-        rel = self.relations
-        if rel.nrows != self.ngens:
-            raise ValueError("relation matrix has wrong height")
-        if sorted(rel.cols) != list(range(rel.ncols)) or \
-                len(set(rel.rows)) != rel.ncols:
-            raise ValueError("relation matrix is not diagonal: each column "
-                             "needs one nonzero entry, in a row of its own")
+        if any(m < 0 for m in self.moduli):
+            raise ValueError("moduli must be nonnegative")
         if len(self.actions) != self.group.order:
             raise ValueError("one action matrix per group element required")
-        ident = tuple(tuple(int(i == j) for j in range(self.ngens))
-                      for i in range(self.ngens))
+        k = self.ngens
+        ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         if self.actions[0] != ident:
             raise ValueError("identity must act as the identity matrix")
-        if not self.ngens:
+        if not k:
             return
-        mul = self.group.mul.tolist()
-        diffs = []
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                prod = _matmat(self.actions[g], self.actions[h])
-                gh = self.actions[mul[g][h]]
-                diffs.append([[x - y for x, y in zip(pr, qr)]
-                              for pr, qr in zip(prod, gh)])
-        if self.relation_preimage(_side_by_side(diffs)) is None:
+        # Python ints, exact for any entries; the matrices are small
+        acts = np.array(self.actions, dtype=object).reshape(
+            self.group.order, k, k)
+        # A_g A_h - A_gh for every pair, and A_g f on the generators
+        prods = acts[:, None] @ acts[None, :] - acts[self.group.mul]
+        if not self._in_image(prods):
             raise ValueError("action is not a homomorphism")
+        if not self._in_image(acts * np.array(self.moduli)):
+            raise ValueError("action does not respect relations")
+
+    def _in_image(self, a):
+        """Whether every column of the stacked k-row matrices a lies in
+        im f: row i divisible by m_i, and zero where m_i = 0."""
+        m = np.array(self.moduli)[:, None]
+        return not np.where(m > 0, a % np.maximum(m, 1), a).any()
+
+    def relation_map(self, copies: int) -> IntMatrix:
+        """f repeated down the diagonal ``copies`` times: column j of each
+        block, for the j-th generator i with a modulus, is m_i e_i."""
+        k = self.ngens
+        moduli = np.array(self.moduli, dtype=np.int64)
+        gens = np.flatnonzero(moduli)
+        r = len(gens)
+        shift = np.repeat(np.arange(copies, dtype=np.int64), r) * k
+        return IntMatrix(copies * k, copies * r, np.tile(gens, copies) + shift,
+                         np.arange(copies * r), np.tile(moduli[gens], copies),
+                         canonical=True)
 
     def relation_preimage(self, m: IntMatrix) -> IntMatrix | None:
-        """The matrix x with f x = m, for f the relation matrix repeated
-        down the diagonal once per ngens rows of m, or None when a column
-        of m lies outside the column lattice of f.  R is diagonal, so each
-        entry of m is divided exactly by the relation on its row."""
-        k, r = self.ngens, self.relations.ncols
-        rel_rows, rel_cols, rel_vals = self.relations.arrays
-        column = np.full(k, -1, dtype=np.int64)
-        column[rel_rows] = rel_cols
-        divisor = np.zeros(k, dtype=rel_vals.dtype)
-        divisor[rel_rows] = rel_vals
+        """The matrix x with f x = m, for f = ``relation_map`` with one
+        copy per ngens rows of m, or None when a column of m lies outside
+        im f.  Each entry of m is divided exactly by its row's modulus."""
+        k = self.ngens
+        moduli = np.array(self.moduli, dtype=np.int64)
+        has = moduli > 0
+        column = np.cumsum(has) - 1
         rows, cols, vals = m.arrays
         block, gen = np.divmod(rows, k)
-        if (column[gen] < 0).any():
+        if not has[gen].all():
             return None
-        d = divisor[gen]
+        d = moduli[gen]
         if (vals % d).any():
             return None
+        r = int(has.sum())
         return IntMatrix(m.nrows // k * r, m.ncols, block * r + column[gen],
                          cols, vals // d)
-
-    def _lift(self):
-        r = self.relations.ncols
-        rel = self.relations.to_dense()
-        acted = self.relation_preimage(
-            _side_by_side([_matmat(a, rel) for a in self.actions]))
-        if acted is None:
-            raise ValueError("action does not respect relations")
-        dense = acted.to_dense()
-        actions = [[row[g * r:(g + 1) * r] for row in dense]
-                   for g in range(self.group.order)]
-        return GModule(self.group, r, IntMatrix.zeros(r, 0), actions,
-                       validate=False)
 
     # -- structure queries --------------------------------------------------
 
     @property
     def is_free(self):
-        return self.relations.ncols == 0
+        return not any(self.moduli)
 
     @property
     def is_mod2_free(self):
-        """Every generator has relation +-2: a free Z/2-module, so
+        """Every generator has modulus 2: a free Z/2-module, so
         (co)homology can be computed over GF(2)."""
-        rel = self.relations
-        return rel.ncols == self.ngens and all(abs(v) == 2 for v in rel.vals)
-
-
-def _side_by_side(blocks):
-    """Dense matrices of equal height, side by side, as one IntMatrix."""
-    return IntMatrix.from_dense([[x for b in blocks for x in b[i]]
-                                 for i in range(len(blocks[0]))])
-
-
-def _matmat(a, b):
-    n = len(a)
-    m = len(b[0]) if b else 0
-    k = len(b)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+        return all(m == 2 for m in self.moduli)
 
 
 def trivial_integers(group: FiniteGroup) -> GModule:
     actions = [((1,),)] * group.order
-    return GModule(group, 1, IntMatrix.zeros(1, 0), actions, validate=False)
+    return GModule(group, (0,), actions, validate=False)
 
 
 def twisted_integers(character: Character2) -> GModule:
     """The integers with the group acting through the sign
     (-1)^character."""
     actions = [((-1 if v else 1,),) for v in character.values]
-    return GModule(character.group, 1, IntMatrix.zeros(1, 0), actions,
-                   validate=False)
+    return GModule(character.group, (0,), actions, validate=False)
 
 
 def mod2_integers(group: FiniteGroup) -> GModule:
     actions = [((1,),)] * group.order
-    return GModule(group, 1, IntMatrix.from_dense([[2]]), actions,
-                   validate=False)
+    return GModule(group, (2,), actions, validate=False)
 
 
 def module_from_abelian_group(group: FiniteGroup, ab: AbelianGroup,
@@ -160,9 +138,6 @@ def module_from_abelian_group(group: FiniteGroup, ab: AbelianGroup,
     sign character, if any, multiplies every action by (-1)^value.
     """
     k = ab.rank + len(ab.torsion)
-    nt = len(ab.torsion)
-    relations = IntMatrix(k, nt, [ab.rank + i for i in range(nt)],
-                          list(range(nt)), list(ab.torsion))
     ident = [[int(i == j) for j in range(k)] for i in range(k)]
     actions = []
     for g in range(group.order):
@@ -170,4 +145,4 @@ def module_from_abelian_group(group: FiniteGroup, ab: AbelianGroup,
         sign = -1 if sign_character is not None and \
             sign_character.value(g) else 1
         actions.append([[sign * x for x in row] for row in base])
-    return GModule(group, k, relations, actions)
+    return GModule(group, (0,) * ab.rank + tuple(ab.torsion), actions)

@@ -1,14 +1,19 @@
 """Truncated free resolutions of the trivial module over the group ring.
 
-Three constructions: the normalized bar resolution (any group), the
-2-periodic resolution (cyclic groups), and tensor products of resolutions
-(direct products).  The latter two keep direct-product groups of order up
-to ~100 inside the feasibility bound that the bar resolution would blow.
+Four constructions: the normalized bar resolution (any group), the
+2-periodic resolution (cyclic groups), tensor products of resolutions
+(direct products), and a resolution relabeled along a group isomorphism
+(abelian groups without product structure, onto a tensor resolution of
+their cyclic factors).  All but the bar one keep abelian and
+direct-product groups of order up to ~100 inside the feasibility bound
+that the bar resolution would blow.
 
 Each construction gives its boundaries in one array form (see
-``Resolution``); the bar resolution computes its own faces, so it stays an
-independent check on the other two.  ``Resolution`` alone turns that form
-into coboundary and chain matrices for any module and checks d d = 0.
+``Resolution``) and counts them in closed form (``face_count``), so
+matrix assembly refuses an oversized matrix before any face is built;
+the bar resolution computes its own faces, so it stays an independent
+check on the others.  ``Resolution`` alone turns that form into
+coboundary and chain matrices for any module and checks d d = 0.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ class Resolution:
         stacked in that order and assembled from those tuples' faces
         alone.  The matrix depends on the module only through its action,
         so it is memoised per (module.actions, n, firsts): Z and Z/2 share
-        one matrix and the ranks memoised on it."""
+        one matrix and the GF(2) rank memoised on it."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
         cache = self._cob_cache
@@ -109,25 +114,18 @@ class Resolution:
                                 coeffs, module, self.rank(n - 1),
                                 self.rank(n))
 
-    def face_count(self, n, firsts=None):
-        """The length of boundary(n) when it is known without building the
-        arrays, else None."""
-        return None
+    def face_count(self, n):
+        """len(boundary(n)), counted without building the arrays."""
+        raise NotImplementedError
 
     def _bounded_boundary(self, n, module, firsts=None):
         """boundary(n) (with ``firsts``, bar only) once the matrix it
         assembles to, ngens^2 entries per face, is within
         _ENTRIES_PER_GENERATOR entries per generator of the bound; else
-        FeasibilityError.  The check runs before the faces are built when
-        ``face_count`` knows their number, after otherwise."""
-        known = self.face_count(n, firsts)
-        if known is not None:
-            self._check_entries(known, module)
-        faces = self.boundary(n) if firsts is None \
-            else self.boundary(n, firsts)
-        if known is None:
-            self._check_entries(len(faces[3]), module)
-        return faces
+        FeasibilityError before any face is built."""
+        args = (n,) if firsts is None else (n, firsts)
+        self._check_entries(self.face_count(*args), module)
+        return self.boundary(*args)
 
     def _check_entries(self, nfaces, module):
         entries = nfaces * module.ngens ** 2
@@ -221,6 +219,10 @@ class PeriodicResolution(Resolution):
             coeffs = np.ones(self.group.order, dtype=np.int64)
         zeros = np.zeros(len(elems), dtype=np.int64)
         return zeros, zeros, elems, coeffs
+
+    def face_count(self, n):
+        """t - 1 in odd degrees, the norm element in even ones."""
+        return 2 if n % 2 else self.group.order
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +399,13 @@ class TensorResolution(Resolution):
         return tuple(np.concatenate([a.ravel() for a in part])
                      for part in zip(*parts))
 
+    def face_count(self, n):
+        """dx o y and x o dy: each face of one factor in degree i meets
+        every generator of the other in degree n - i."""
+        a, b = self.res_a, self.res_b
+        return sum(a.face_count(i) * b.rank(n - i)
+                   + a.rank(n - i) * b.face_count(i) for i in range(1, n + 1))
+
 
 # ---------------------------------------------------------------------------
 # Transport along an isomorphism
@@ -426,6 +435,9 @@ class RelabeledResolution(Resolution):
     def boundary(self, n):
         rows, cols, elems, coeffs = self.inner.boundary(n)
         return rows, cols, self._iso[elems], coeffs
+
+    def face_count(self, n):
+        return self.inner.face_count(n)
 
 
 def _abelian_tensor_resolution(group: FiniteGroup,

@@ -23,8 +23,9 @@ from u4class.cohomology import (BarMod2Complex, _pullback_cochain,
 from u4class.groups import Character2, GroupHom, cyclic_group, \
     odd_normal_complement, orientation_characters, parse_group
 from u4class.linalg import AbelianGroup, IntMatrix
-from u4class.modules import (mod2_integers, module_from_abelian_group,
-                             trivial_integers, twisted_integers)
+from u4class.modules import (GModule, mod2_integers,
+                             module_from_abelian_group, trivial_integers,
+                             twisted_integers)
 from u4class.kernels import gf2
 from u4class.resolutions import BarResolution, FeasibilityError
 
@@ -73,6 +74,30 @@ class TestCohomology:
                 assert h.rank == 0
                 assert all(g.order % t == 0 for t in h.torsion)
             assert mod2_dimensions(g, 3) == (1, 0, 0, 0)
+
+
+class TestGroupMismatch:
+    """The resolution and the module must be over the group asked for."""
+
+    def test_resolution_of_another_group(self):
+        c4 = parse_group("C4")
+        res = BarResolution(parse_group("C2xC2"), 2)
+        with pytest.raises(ValueError, match="must be over C4, not C2xC2"):
+            cohomology(c4, trivial_integers(c4), 2, res)
+        assert str(cohomology(c4, trivial_integers(c4), 2,
+                              BarResolution(c4, 2))) == "Z/4"
+
+    def test_module_of_another_group(self):
+        c3, c6 = parse_group("C3"), parse_group("C6")
+        for degree in (cohomology, homology):
+            with pytest.raises(ValueError, match="must be over C3, not C6"):
+                degree(c3, trivial_integers(c6), 1)
+
+    def test_equal_table_accepted(self):
+        g, h = parse_group("D3"), parse_group("D3")
+        assert g is not h
+        assert str(cohomology(g, trivial_integers(h), 2,
+                              BarResolution(h, 2))) == "Z/2"
 
 
 class TestHomology:
@@ -384,6 +409,34 @@ class TestInflation:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("spec, order, degrees", [
+        # degree 2 has equal dimensions but inflation is zero there
+        ("C4", 2, (0, 1)),
+        # H^1 of C2xC2 has dimension 2 against C2's 1
+        ("C2xC2", 2, (0,)),
+        # every degree is zero-dimensional on both sides but degree 0
+        ("C1", 1, (0, 1, 2))])
+    def test_isomorphism_degrees(self, spec, order, degrees):
+        g = parse_group(spec)
+        phi = GroupHom(g, cyclic_group(order),
+                       tuple(i % order for i in range(g.order)))
+        assert inflation_map(phi, 2).isomorphism_degrees() == degrees
+
+    @pytest.mark.parametrize("spec, order, message", [
+        ("C3xC6", 3, "needs a target of order 2"),
+        ("C4xC9", 2, "no order-2 element maps onto the target generator"),
+        ("C2xC2xC5", 2, "H\\^1 of C2xC2xC5 has dimension 2")])
+    def test_closed_form_refusals(self, monkeypatch, spec, order, message):
+        # each source is too large for the bar route at the default bound;
+        # the projection reads the first factor, index // (|G| / |A|)
+        monkeypatch.delenv("U4CLASS_MAX_GENERATORS", raising=False)
+        g = parse_group(spec)
+        first = parse_group(spec.split("x")[0]).order
+        phi = GroupHom(g, cyclic_group(order), tuple(
+            i // (g.order // first) % order for i in range(g.order)))
+        with pytest.raises(FeasibilityError, match=message):
+            inflation_map(phi, 4)
+
     def test_pullback_of_twisted_module_consistency(self):
         # sanity: cohomology of the pulled-back orientation module matches
         # the quotient's in low degrees for C6 -> C2
@@ -490,17 +543,20 @@ class TestAnswerPins:
             _ANSWER_PINS[(kind, spec)]
 
 
-def test_relation_block_against_copy_loop():
-    from u4class.cohomology import _relation_block
+def test_relation_map_against_copy_loop():
     g = parse_group("C6")
-    for ab in (AbelianGroup(0, (3,)), AbelianGroup(1, (2, 4)),
-               AbelianGroup(2)):
-        module = module_from_abelian_group(g, ab)
-        rel, k = module.relations, module.ngens
+    ident = [[[int(i == j) for j in range(3)] for i in range(3)]] * 6
+    for module in [module_from_abelian_group(g, ab) for ab in (
+            AbelianGroup(0, (3,)), AbelianGroup(1, (2, 4)),
+            AbelianGroup(2))] + [GModule(g, (3, 0, 4), ident)]:
+        k = module.ngens
+        gens = [i for i, m in enumerate(module.moduli) if m]
+        r = len(gens)
         for copies in (0, 1, 3):
-            rows = [c * k + r for c in range(copies) for r in rel.rows]
-            cols = [c * rel.ncols + cc for c in range(copies)
-                    for cc in rel.cols]
-            vals = [v for _ in range(copies) for v in rel.vals]
-            assert _relation_block(module, copies) == IntMatrix(
-                copies * k, copies * rel.ncols, rows, cols, vals)
+            rows = [c * k + i for c in range(copies) for i in gens]
+            vals = [module.moduli[i] for _ in range(copies) for i in gens]
+            f = module.relation_map(copies)
+            assert f == IntMatrix(copies * k, copies * r, rows,
+                                  list(range(copies * r)), vals)
+            assert module.relation_preimage(f) == \
+                IntMatrix.identity(copies * r)

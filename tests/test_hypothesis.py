@@ -9,11 +9,13 @@ isomorphism through degree 4.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from u4class.cohomology import inflation_map
 from u4class.errors import FeasibilityError
-from u4class.groups import GroupHom, odd_normal_complement, parse_group
+from u4class.groups import FiniteGroup, GroupHom, odd_normal_complement, \
+    parse_group
 from u4class.hypothesis import (_pullback_vector, action_witness_in_degree,
                                 check_action_trivial,
                                 thom_simplification_applicable)
@@ -299,6 +301,28 @@ class TestApplicability:
         assert not r.applicable
         assert r.verdict.kind == "trivial_up_to"
         assert "undetermined" in r.conclusion
+
+    def test_inner_conjugation_applicable(self):
+        # F21 x C2 with (0, 1), index 1, swapped for (k0, 1), index
+        # 2 k0 + 1: the least element of the odd kernel's other coset is
+        # then (k0, 1), and k0 is not central (F21 has trivial centre), so
+        # conjugation by it is a nontrivial inner automorphism of F21
+        f21 = parse_group("perm[(1 2 3 4 5 6 7), (2 3 5)(4 7 6)]")
+        assert f21.order == 21
+        k0 = 1
+        assert any(f21.mul[k0, x] != f21.mul[x, k0] for x in range(21))
+        mul = f21.direct_product(parse_group("C2")).mul
+        swap = np.arange(42)
+        swap[[1, 2 * k0 + 1]] = [2 * k0 + 1, 1]
+        g = FiniteGroup(swap[mul[np.ix_(swap, swap)]], "F21xC2'")
+        d = odd_normal_complement(g)
+        assert d.kernel.order == 21 and d.coset_reps == (0, 1)
+        r = thom_simplification_applicable(g)
+        assert r.verdict.kind == "proved_trivial"
+        assert r.verdict.notes == ("conjugation is inner; inner "
+                                   "automorphisms act trivially on group "
+                                   "cohomology",)
+        assert r.applicable
 
     def test_json_shape(self):
         data = thom_simplification_applicable(parse_group("C6")).to_json()

@@ -49,8 +49,8 @@ def rank_one_signs(m):
 
 
 def underlying_group(m):
-    """The module's abelian group: the cokernel of its relations."""
-    return homology_at(m.relations, IntMatrix.zeros(0, m.ngens))
+    """The module's abelian group: the cokernel of its relation map."""
+    return homology_at(m.relation_map(1), IntMatrix.zeros(0, m.ngens))
 
 
 class TestModules:
@@ -70,10 +70,9 @@ class TestModules:
 
     def test_bad_action_rejected(self):
         g = parse_group("C2")
-        from u4class.linalg import IntMatrix
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a homomorphism"):
             # "multiplication by 2" is not an involution on Z
-            GModule(g, 1, IntMatrix.zeros(1, 0), [((1,),), ((2,),)])
+            GModule(g, (0,), [((1,),), ((2,),)])
 
     def test_action_must_respect_relations(self):
         g = parse_group("C2")
@@ -83,17 +82,33 @@ class TestModules:
             module_from_abelian_group(g, ab,
                                       action_matrices=[[[1]], [[2]]])
 
-    def test_relations_must_be_diagonal(self):
+    def test_moduli_validated(self):
         g = parse_group("C2")
         ident = [[[1, 0], [0, 1]]] * 2
-        # two entries in a column, two columns in a row, an empty column
-        for rel in ([[2, 1], [0, 2]], [[2], [2]], [[2, 3], [0, 0]],
-                    [[2, 0], [0, 0]]):
-            with pytest.raises(ValueError, match="not diagonal"):
-                GModule(g, 2, IntMatrix.from_dense(rel), ident)
-        # diagonal up to the order of rows and columns is accepted
-        m = GModule(g, 2, IntMatrix.from_dense([[0, 3], [2, 0]]), ident)
-        assert underlying_group(m) == AbelianGroup(0, (6,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            GModule(g, (2, -3), ident)
+        with pytest.raises(ValueError, match="one action matrix"):
+            GModule(g, (2, 3), ident[:1])
+        with pytest.raises(ValueError, match="identity"):
+            GModule(g, (2, 3), [[[0, 1], [1, 0]]] * 2)
+        # any order of free and torsion generators is a presentation
+        m = GModule(g, (3, 0, 2), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2)
+        assert m.ngens == 3
+        assert underlying_group(m) == AbelianGroup(1, (6,))
+
+    def test_action_must_preserve_the_relations(self):
+        g = parse_group("C2")
+        swap = [[0, 1], [1, 0]]
+        # swapping Z/2 and Z/4 sends 4 e_2 to 4 e_1, outside 2 e_1 Z, yet
+        # is an involution
+        with pytest.raises(ValueError, match="does not respect relations"):
+            GModule(g, (2, 4), [[[1, 0], [0, 1]], swap])
+        # swapping Z/2 and Z sends 2 e_1 to 2 e_2, nonzero on a free row
+        with pytest.raises(ValueError, match="does not respect relations"):
+            GModule(g, (2, 0), [[[1, 0], [0, 1]], swap])
+        # swapping two Z/4 summands preserves them
+        m = GModule(g, (4, 4), [[[1, 0], [0, 1]], swap])
+        assert underlying_group(m) == AbelianGroup(0, (4, 4))
 
     def test_module_from_abelian_group_shape(self):
         g = parse_group("C2")
@@ -194,8 +209,7 @@ def _pin_modules(group, regular):
         n = group.order
         perms = [[[int(group.mul[g, j] == i) for j in range(n)]
                   for i in range(n)] for g in range(n)]
-        mods.append(GModule(group, n, IntMatrix.zeros(n, 0), perms,
-                            validate=False))
+        mods.append(GModule(group, (0,) * n, perms, validate=False))
     return mods
 
 
@@ -622,25 +636,28 @@ class TestEntryBound:
             homology(g, module, 5)
         assert built == []
 
-    def test_d5_refusal_peak_memory(self):
-        # the degree-6 faces alone took the process past 300 MB; the
-        # interpreter with the package imported takes about 31 MB.  VmHWM
-        # is the peak of this process alone (ru_maxrss would keep the
-        # peak of the test process that started it)
+    @staticmethod
+    def _refusal_peak_kb(spec, call):
+        """VmHWM of a fresh interpreter that runs ``call`` on g, the group
+        of ``spec``, and ch, its first orientation character, and catches
+        the refusal.  VmHWM is
+        the peak of that process alone (ru_maxrss would keep the peak of
+        the test process that started it)."""
         import os
         import subprocess
         import sys
         src = os.path.dirname(os.path.dirname(resolutions.__file__))
         code = (
-            "from u4class.cohomology import homology\n"
+            "from u4class.cohomology import cohomology, homology\n"
             "from u4class.groups import orientation_characters, "
             "parse_group\n"
-            "from u4class.modules import twisted_integers\n"
+            "from u4class.modules import trivial_integers, "
+            "twisted_integers\n"
             "from u4class.resolutions import FeasibilityError\n"
-            "g = parse_group('D5')\n"
+            f"g = parse_group({spec!r})\n"
+            "ch = orientation_characters(g)[0]\n"
             "try:\n"
-            "    homology(g, twisted_integers("
-            "orientation_characters(g)[0]), 5)\n"
+            f"    {call}\n"
             "except FeasibilityError:\n"
             "    print(open('/proc/self/status').read()"
             ".split('VmHWM:')[1].split()[0])\n")
@@ -650,7 +667,37 @@ class TestEntryBound:
                              env={**env, "PYTHONPATH": src},
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert int(out.stdout) < 60 * 1024      # VmHWM is in kB
+        return int(out.stdout)
+
+    def test_d5_refusal_peak_memory(self):
+        # the degree-6 faces alone took the process past 300 MB; the
+        # interpreter with the package imported takes about 31 MB
+        peak = self._refusal_peak_kb(
+            "D5", "homology(g, twisted_integers(ch), 5)")
+        assert peak < 60 * 1024      # VmHWM is in kB
+
+    def test_d5xc3_refusal_peak_memory(self):
+        # the tensor resolution built its bar D5 factor's degree-6 faces
+        # before counting them (371 MB); counted first, the degree-4
+        # coboundary assembled ahead of the refused one still took 79 MB
+        peak = self._refusal_peak_kb(
+            "D5xC3", "cohomology(g, trivial_integers(g), 5)")
+        assert peak < 60 * 1024
+
+    @pytest.mark.parametrize("name", ["C6", "C3xC6", "D3xC5",
+                                      "C3xC3<C3xC6"])
+    def test_face_count_of_default_resolutions(self, name):
+        # periodic; tensor; tensor over a bar factor; relabeled
+        group = _kernel("C3xC6") if name == "C3xC3<C3xC6" \
+            else parse_group(name)
+        res = default_resolution(group, 3)
+        for n in range(1, 5):
+            assert res.face_count(n) == len(res.boundary(n)[3]), n
+
+    def test_face_count_is_required(self):
+        g = parse_group("C2")
+        with pytest.raises(NotImplementedError):
+            Resolution(g, 1, [1, 1, 1]).face_count(1)
 
     @pytest.mark.parametrize("spec", ["C2", "C3", "C5", "C7", "D3",
                                       "C2xC2"])
