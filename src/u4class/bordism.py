@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import AbelianGroup
+from .abelian import AbelianGroup
 
 __all__ = ["CoefficientEntry", "ThomIdentification", "bordism_group",
            "coefficient_table", "structures", "identify_thom",

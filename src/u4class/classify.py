@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .abelian import AbelianGroup
 from .bordism import FLAVORS, ThomIdentification, bordism_group, \
     identify_thom
 from .errors import HypothesisFailure
 from .groups import FiniteGroup
 from .hypothesis import HypothesisReport, thom_simplification_applicable
-from .linalg import AbelianGroup
 
 __all__ = ["HypothesisFailure", "NormalOneType", "OrbitStructure",
            "StableClass", "ClassificationTable", "CATEGORIES",

@@ -55,10 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .abelian import AbelianGroup
 from .groups import FiniteGroup, GroupHom
 from .kernels import gf2
-from .linalg import (AbelianGroup, IntMatrix, check_composition,
-                     homology_at, mod2_rank, smith_normal_form)
+from .linalg import (IntMatrix, check_composition, homology_at, mod2_rank,
+                     smith_normal_form)
 from .modules import GModule, mod2_integers, trivial_integers
 from .resolutions import (BarResolution, FeasibilityError, Resolution,
                           default_resolution, max_generators)
@@ -162,18 +163,20 @@ class BarMod2Complex:
     whose bit i is the value on the tuple numbered i by ``BarResolution``.
 
     The bar complex is that of Brown, *Cohomology of Groups* (GTM 87),
-    III.1.  Its top coboundary is stored over the rows [s|...] with s in
-    a generating set S only: a normalized coboundary vanishes iff it
-    vanishes on those rows, over any coefficients (the lemma at
-    ``BarResolution.cocycle_rows``).  Those rows are assembled directly
-    from the faces of the tuples [s|...] (``coboundary_matrix`` with
-    ``firsts=S``); the full top coboundary is never built.
+    III.1.  Its top coboundary is stored over the prefix of rows that
+    ``BarResolution.cocycle_rows`` cuts: it holds the rows [s|...] of a
+    generating set S, and a normalized coboundary vanishes iff it
+    vanishes on those (the lemma there), so the kernel is that of the
+    full top coboundary, which is never built.  An echelon's kernel
+    depends on that subspace alone (the dependent columns and each one's
+    unique kernel vector), so bases, labels and coordinates are the same
+    as over all rows.
 
-    So ker delta^n is the kernel of the S-rows of delta^n.  The output of
-    ``gf2.kernel`` depends on that subspace alone (the dependent columns
-    and each one's unique kernel vector), so bases, labels and coordinates
-    are the same as over all rows.  The lower degrees keep all their rows:
-    their columns span the coboundaries that ``_prepare`` inserts.
+    One ``gf2.Echelon`` per coboundary delta^n, fed its columns in order,
+    gives the degree-n cocycles as its kernel.  Extended by the
+    degree-(n+1) cocycles, it gives the degree-(n+1) basis modulo
+    im delta^n and the coordinates of a class in it; so the lower
+    coboundaries keep all their rows.
     """
 
     def __init__(self, group: FiniteGroup, max_degree: int):
@@ -182,22 +185,33 @@ class BarMod2Complex:
         self.res = BarResolution(group, max_degree)
         free = trivial_integers(group)
         # columns of delta^n as masks over the degree-(n+1) tuples, those
-        # of the top delta over the tuples [s|...] with s generating only
+        # of the top delta over the cut rows only
         self._delta = [self.res.coboundary_matrix(free, n).mod2_column_masks()
                        for n in range(max_degree)]
-        top = self.res.coboundary_matrix(free, max_degree,
-                                         firsts=group.generating_set())
-        self._delta.append(top.mod2_column_masks())
-        self._basis = {}
-        self._echelon = {}
-        self._rep_positions = {}
+        self._delta.append(
+            self.res.cocycle_rows(free, max_degree).mod2_column_masks())
+        # per degree n: the basis, and the echelon of delta^(n-1) extended
+        # by the cocycles with the positions at which the basis went in
+        self._basis, self._classes = [], []
+        below = gf2.Echelon()   # delta^-1 = 0
+        for cols in self._delta:
+            ech = gf2.Echelon(cols)
+            reps, positions = [], []
+            for z in ech.kernel:
+                pos = below.ninserted
+                if below.insert(z):
+                    reps.append(z)
+                    positions.append(pos)
+            self._basis.append(reps)
+            self._classes.append((below, positions))
+            below = ech
 
     def rank(self, n):
         return self.res.rank(n)
 
     def is_cocycle(self, n, mask):
         """Whether a degree-n cochain mask has zero coboundary; in the top
-        degree this is tested on the rows [s|...] alone (see the lemma)."""
+        degree this is tested on the cut rows alone (see the lemma)."""
         cols = self._delta[n]
         out = 0
         while mask:
@@ -206,27 +220,9 @@ class BarMod2Complex:
             mask ^= 1 << top
         return not out
 
-    def _prepare(self, n):
-        if n in self._basis:
-            return
-        ech = gf2.Echelon()
-        boundaries = self._delta[n - 1] if n >= 1 else []
-        for col in boundaries:
-            ech.insert(col)
-        reps, positions = [], []
-        for z in gf2.kernel(self._delta[n]):
-            pos = ech.ninserted
-            if ech.insert(z):
-                reps.append(z)
-                positions.append(pos)
-        self._basis[n] = reps
-        self._echelon[n] = ech
-        self._rep_positions[n] = positions
-
     def basis(self, n):
         """Chosen cohomology basis: first lexicographic cocycle kernel
         vectors surviving reduction by coboundaries."""
-        self._prepare(n)
         return self._basis[n]
 
     def dimension(self, n):
@@ -234,13 +230,13 @@ class BarMod2Complex:
 
     def coordinates(self, n, mask):
         """Coordinates of a cocycle's class in the chosen basis."""
-        self._prepare(n)
         if not self.is_cocycle(n, mask):
             raise ValueError("not a cocycle")
-        combo = self._echelon[n].coordinates(mask)
+        ech, positions = self._classes[n]
+        combo = ech.coordinates(mask)
         if combo is None:
             raise ValueError("cocycle outside the computed span")
-        return tuple((combo >> p) & 1 for p in self._rep_positions[n])
+        return tuple((combo >> p) & 1 for p in positions)
 
     def cup(self, p, q, a, b):
         """Alexander-Whitney cup of cochain masks: value on a (p+q)-tuple

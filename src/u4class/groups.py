@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import FeasibilityError, ParseError
 
 __all__ = [
     "FiniteGroup",
@@ -27,11 +27,20 @@ __all__ = [
 
 _UNSET = object()   # FiniteGroup._odd_decomposition before it is computed
 
+# Largest group order whose multiplication table is built.  Tables are
+# stored whole and built through order^2 int64 arrays (134 MB at 4096,
+# 2.98 GiB for C20000), so a larger group is refused before any of that
+# is allocated.  Tests and the catalog stay at or below order 300, and
+# ``cohomology C3000`` (229 MB peak) still answers.
+_MAX_ORDER = 4096
+
 
 class FiniteGroup:
     """Finite group on indices 0..order-1 with 0 the identity.
 
-    The multiplication table is stored whole (target scale is order <= ~300).
+    The multiplication table is stored whole (target scale is order <= ~300;
+    ``cyclic_group``, ``dihedral_group`` and ``direct_product`` refuse
+    orders above ``_MAX_ORDER``).
     Construction checks the identity and the inverses on the full table,
     and associativity by Light's test on a generating set (see
     ``_check_associative``).
@@ -236,11 +245,12 @@ class FiniteGroup:
     def direct_product(self, other, name=None):
         """Direct product with index (a, b) -> a * |other| + b."""
         n, m = self.order, other.order
+        name = name or f"{self.name}x{other.name}"
+        _check_order(n * m, name)
         a_part = self.mul.repeat(m, axis=0).repeat(m, axis=1)
         b_part = np.tile(other.mul, (n, n))
         mul = a_part * m + b_part
-        return FiniteGroup(mul, name or f"{self.name}x{other.name}",
-                           product_factors=(self, other))
+        return FiniteGroup(mul, name, product_factors=(self, other))
 
     def commutator_square_subgroup(self):
         """Closure of all commutators and squares; the quotient is the
@@ -282,10 +292,18 @@ class GroupHom:
         return len(set(self.mapping)) == self.target.order
 
 
+def _check_order(order, name):
+    if order > _MAX_ORDER:
+        raise FeasibilityError(f"{name} has order {order}; multiplication "
+                               f"tables are built up to order {_MAX_ORDER}")
+
+
 def cyclic_group(n, name=None):
+    name = name or f"C{n}"
+    _check_order(n, name)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(mul, name or f"C{n}")
+    return FiniteGroup(mul, name)
 
 
 C2 = cyclic_group(2)
@@ -399,11 +417,13 @@ def dihedral_group(n, name=None):
     indexed i + n*j with j the reflection bit."""
     if n < 1:
         raise ParseError("dihedral parameter must be >= 1")
+    name = name or f"D{n}"
+    _check_order(2 * n, name)
     # r^i1 s^j1 * r^i2 s^j2 = r^(i1 +- i2) s^(j1 + j2), minus if j1 = 1
     j, i = np.divmod(np.arange(2 * n), n)
     rot = (i[:, None] + (1 - 2 * j)[:, None] * i[None, :]) % n
     mul = rot + n * ((j[:, None] + j[None, :]) % 2)
-    return FiniteGroup(mul, name or f"D{n}")
+    return FiniteGroup(mul, name)
 
 
 def permutation_group(body: str) -> FiniteGroup:
@@ -423,7 +443,7 @@ def permutation_group(body: str) -> FiniteGroup:
             for g in gens:
                 q = tuple(p[g[i]] for i in range(degree))
                 if q not in elements:
-                    if len(elements) > 400:
+                    if len(elements) == 400:
                         raise ParseError("generated group too large")
                     elements[q] = len(order_list)
                     order_list.append(q)

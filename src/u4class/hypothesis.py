@@ -83,10 +83,12 @@ class HypothesisReport:
 
 
 def _pullback_vector(res, alpha: GroupHom, n, vec):
-    """(alpha^*)z for an integer degree-n cochain vector on the
-    ``BarResolution`` res.  The bar resolution is functorial and an
-    automorphism permutes the tuples, so the coordinate of z at t moves to
-    alpha(t)."""
+    """(alpha^-1)^* z for an integer degree-n cochain vector z on the
+    ``BarResolution`` res.  An automorphism permutes the tuples, and the
+    coordinate of z at t moves to alpha(t), so the result is z alpha^-1.
+    Verdicts and witnesses are those of alpha^*: the bar resolution is
+    functorial, so alpha^* and its inverse (alpha^-1)^* both preserve the
+    coboundaries, and each fixes exactly the classes the other fixes."""
     out = np.zeros(len(vec), dtype=object)
     out[res.number(np.asarray(alpha.mapping)[res.tuples(n)])] = vec
     return out.tolist()

@@ -27,8 +27,6 @@ class Echelon:
     independent of the columns before it, the kernel vector of a dependent
     column j is the unique sum of e_j and earlier independent columns, and
     a vector in the span has unique coordinates in the independent columns.
-    Only ``residue`` depends on the pivot rule: it is one representative of
-    the vector's coset, zero exactly when the vector lies in the span.
     """
 
     def __init__(self, columns=()):
@@ -66,15 +64,6 @@ class Echelon:
     @property
     def rank(self):
         return len(self.cols)
-
-    def residue(self, vec):
-        """Remainder of vec after reduction against the span: zero exactly
-        when vec lies in the span, otherwise a representative of its coset
-        that depends on the pivot rule."""
-        return self._reduce(vec, 0)[0]
-
-    def contains(self, vec):
-        return self.residue(vec) == 0
 
     def coordinates(self, vec):
         """Combination of inserted columns equal to vec, or None."""

@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import Character2, FiniteGroup
-from .linalg import AbelianGroup, IntMatrix
+from .abelian import AbelianGroup
+from .linalg import IntMatrix
 
 __all__ = ["GModule", "trivial_integers", "twisted_integers",
            "mod2_integers", "module_from_abelian_group"]

@@ -13,7 +13,10 @@ Each construction gives its boundaries in one array form (see
 matrix assembly refuses an oversized matrix before any face is built;
 the bar resolution computes its own faces, so it stays an independent
 check on the others.  ``Resolution`` alone turns that form into
-coboundary and chain matrices for any module and checks d d = 0.
+coboundary and chain matrices for any module and checks d d = 0.  Only
+``BarResolution`` knows how its tuples are numbered, and with it the cut
+of a coboundary to the rows that cut out its kernel
+(``BarResolution.cocycle_rows``).
 """
 
 from __future__ import annotations
@@ -80,29 +83,23 @@ class Resolution:
 
     # -- matrix assembly ----------------------------------------------------
 
-    def coboundary_matrix(self, module: GModule, n,
-                          firsts=None) -> IntMatrix:
+    def coboundary_matrix(self, module: GModule, n) -> IntMatrix:
         """delta^n: Hom(F_n, M) -> Hom(F_{n+1}, M) as an integer matrix on
         generator coordinates (relations are the caller's concern).
 
-        With ``firsts`` (bar resolution only), only the rows of the tuples
-        [s|...] with s in firsts: len(firsts) blocks of rank(n) rows,
-        stacked in that order and assembled from those tuples' faces
-        alone.  The matrix depends on the module only through its action,
-        so it is memoised per (module.actions, n, firsts): Z and Z/2 share
-        one matrix and the GF(2) rank memoised on it."""
+        The matrix depends on the module only through its action, so it
+        is memoised per (module.actions, n): Z and Z/2 share one matrix
+        and the GF(2) rank memoised on it.  Every row is assembled; the
+        bar resolution's cut to the rows that fix the kernel is
+        ``BarResolution.cocycle_rows``."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
         cache = self._cob_cache
-        key = (module.actions, n,
-               None if firsts is None else tuple(firsts))
+        key = (module.actions, n)
         if key not in cache:
-            rows, cols, elems, coeffs = self._bounded_boundary(
-                n + 1, module, firsts)
-            nrow_gens = self.rank(n + 1) if firsts is None \
-                else len(firsts) * self.rank(n)
+            rows, cols, elems, coeffs = self._bounded_boundary(n + 1, module)
             cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
-                                          nrow_gens, self.rank(n))
+                                          self.rank(n + 1), self.rank(n))
         return cache[key]
 
     def chain_matrix(self, module: GModule, n) -> IntMatrix:
@@ -118,14 +115,12 @@ class Resolution:
         """len(boundary(n)), counted without building the arrays."""
         raise NotImplementedError
 
-    def _bounded_boundary(self, n, module, firsts=None):
-        """boundary(n) (with ``firsts``, bar only) once the matrix it
-        assembles to, ngens^2 entries per face, is within
-        _ENTRIES_PER_GENERATOR entries per generator of the bound; else
-        FeasibilityError before any face is built."""
-        args = (n,) if firsts is None else (n, firsts)
-        self._check_entries(self.face_count(*args), module)
-        return self.boundary(*args)
+    def _bounded_boundary(self, n, module):
+        """boundary(n) once the matrix it assembles to, ngens^2 entries per
+        face, is within _ENTRIES_PER_GENERATOR entries per generator of
+        the bound; else FeasibilityError before any face is built."""
+        self._check_entries(self.face_count(n), module)
+        return self.boundary(n)
 
     def _check_entries(self, nfaces, module):
         entries = nfaces * module.ngens ** 2
@@ -269,23 +264,24 @@ class BarResolution(Resolution):
         elements = np.asarray(elements, dtype=np.int64)
         return (elements - 1) @ self._place_values(elements.shape[-1])
 
-    def face_count(self, n, firsts=None):
-        """len(boundary(n, firsts)) in closed form.  Each tuple has n + 1
+    def face_count(self, n, blocks=None):
+        """len(boundary(n, blocks)) in closed form.  Each tuple has n + 1
         faces less one per inner product g_i g_{i+1} that is the identity,
         and such a pair leaves g_{i+1} no choice.  With q = |G|-1 that is
-        2 q^n + (n-1)(q^n - q^(n-1)) in all, times len(firsts)/q with
-        ``firsts``."""
-        blocks, shift = (1, 0) if firsts is None else (len(firsts), 1)
+        2 q^n + (n-1)(q^n - q^(n-1)) in all, times blocks/q with
+        ``blocks``."""
+        blocks, shift = (1, 0) if blocks is None else (blocks, 1)
         return blocks * ((n + 1) * self.rank(n - shift)
                          - (n - 1) * self.rank(n - 1 - shift))
 
     def cocycle_rows(self, module: GModule, n) -> IntMatrix:
         """The first rows of delta^n, enough to cut out its kernel: the
         rows of the tuples [s|...] with s <= j, j the largest element of
-        ``group.generating_set()``.  By the numbering these are the first
-        j (|G|-1)^n rows of ``coboundary_matrix(module, n)``, in the same
-        order (``firsts`` = 1..j), so the result is that matrix with its
-        other rows cut.
+        ``group.generating_set()``.  By the numbering these tuples are the
+        first j (|G|-1)^n generators of F_(n+1), so the result is
+        ``coboundary_matrix(module, n)`` with its other rows cut.  It is
+        assembled from those tuples' faces alone (``boundary(n + 1, j)``),
+        checked against the entry bound first, and not memoised.
 
         Lemma (Brown, *Cohomology of Groups*, III.1).  Let S, a subset of
         G without 1, generate G.  A normalized cochain u = delta f
@@ -301,31 +297,27 @@ class BarResolution(Resolution):
         normalization were used, so the lemma holds over any coefficients
         and for any action.
 
-        So a cochain is a cocycle iff its coboundary vanishes on these
-        rows; the lower coboundaries need all their rows, since their
-        columns span the coboundaries."""
+        The rows [s|...] with s <= j hold those of S, so a cochain is a
+        cocycle iff its coboundary vanishes on them; the lower coboundaries
+        need all their rows, since their columns span the coboundaries."""
         j = max(self.group.generating_set(), default=0)
-        return self.coboundary_matrix(module, n, firsts=range(1, j + 1))
+        self._check_entries(self.face_count(n + 1, j), module)
+        rows, cols, elems, coeffs = self.boundary(n + 1, j)
+        return self._hom_matrix(cols, rows, elems, coeffs, module,
+                                j * self.rank(n), self.rank(n))
 
-    def boundary(self, n, firsts=None):
+    def boundary(self, n, blocks=None):
         """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then
         (-1)^i [...|g_i g_{i+1}|...] for 0 < i < n (dropped when the
         product is the identity), then (-1)^n [g_1|...|g_{n-1}].
 
-        With ``firsts`` (nonidentity elements), only the tuples with g_1
-        in firsts get faces: for each s, the block of (|G|-1)^(n-1)
-        consecutive generators from (s-1)(|G|-1)^(n-1) on, stacked in the
-        order of firsts, and the column of a tuple is its position in
-        that stack.  Rows keep their F_{n-1} numbering."""
+        With ``blocks``, only the first blocks (|G|-1)^(n-1) tuples get
+        faces: by the numbering, those with g_1 <= blocks."""
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
-        col = None
-        if firsts is not None:
-            block = self.ranks[n - 1]
-            col = ((np.asarray(firsts, dtype=np.int64)[:, None] - 1) * block
-                   + np.arange(block, dtype=np.int64)).ravel()
-        elems = self.tuples(n, col)
-        index = np.arange(len(elems), dtype=np.int64)
+        index = np.arange(self.rank(n) if blocks is None
+                          else blocks * self.rank(n - 1), dtype=np.int64)
+        elems = self.tuples(n, index)
         zeros = np.zeros(index.size, dtype=np.int64)
         ones = np.ones(index.size, dtype=np.int64)
         faces = [(self.number(elems[:, 1:]), index, elems[:, 0], ones)]

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .abelian import AbelianGroup
 from .bordism import bordism_group
 from .cohomology import cohomology, homology
 from .groups import Character2, FiniteGroup, OddDecomposition, \
     conjugation_action
-from .linalg import AbelianGroup
 from .modules import module_from_abelian_group, trivial_integers, \
     twisted_integers
 

@@ -15,6 +15,15 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from u4class.linalg import AbelianGroup, IntMatrix
 
 
+def bar_first_blocks(res, module, n, blocks):
+    """The rows of the bar delta^n at the first ``blocks`` (|G|-1)^n tuples
+    of degree n + 1, assembled from ``boundary(n + 1, blocks)`` as
+    ``BarResolution.cocycle_rows`` assembles its own prefix."""
+    rows, cols, elems, coeffs = res.boundary(n + 1, blocks)
+    return res._hom_matrix(cols, rows, elems, coeffs, module,
+                           blocks * res.rank(n), res.rank(n))
+
+
 def to_sympy(m: IntMatrix) -> sympy.Matrix:
     return sympy.Matrix(m.to_dense()) if m.nrows and m.ncols else \
         sympy.zeros(m.nrows, m.ncols)

@@ -354,4 +354,5 @@ class TestImports:
     def test_tables(self):
         loaded = _loaded_after("tables")
         assert not loaded & self.HEAVY
+        assert "numpy" not in loaded
         assert "u4class.bordism" in loaded

@@ -29,6 +29,8 @@ from u4class.modules import (GModule, mod2_integers,
 from u4class.kernels import gf2
 from u4class.resolutions import BarResolution, FeasibilityError
 
+from helpers import bar_first_blocks
+
 
 def w_module(spec):
     g = parse_group(spec)
@@ -196,21 +198,11 @@ def _rows_starting_with(masks, firsts, block):
                 for i, s in enumerate(firsts)) for c in masks]
 
 
-def _row_cut(m, firsts, block):
-    """The rows of a full bar coboundary that belong to the tuples [s|...],
-    s in firsts, stacked in that order: tuple t owns the rows from
-    t * k on (k generators per cochain value), so s owns the ``block``
-    rows from (s-1) * block on."""
+def _row_prefix(m, nrows):
+    """The first nrows rows of m."""
     rows, cols, vals = m.arrays
-    keep = [np.flatnonzero((rows >= (s - 1) * block) & (rows < s * block))
-            for s in firsts]
-    empty = np.empty(0, dtype=np.int64)
-    take = np.concatenate([empty] + keep)
-    moved = np.concatenate([empty] + [rows[k] + (i - s + 1) * block
-                                      for i, (s, k) in
-                                      enumerate(zip(firsts, keep))])
-    return IntMatrix(len(firsts) * block, m.ncols, moved, cols[take],
-                     vals[take])
+    keep = rows < nrows
+    return IntMatrix(nrows, m.ncols, rows[keep], cols[keep], vals[keep])
 
 
 def _cut_modules(group):
@@ -251,53 +243,58 @@ class TestGeneratorRowsLemma:
                    for _, full, block in _bar_masks(g, 4))
 
     CUTS = [(spec, None) for spec in SPECS] + [
-        ("D3", (3,)), ("C2xC2", (1,)), ("C6", (3,))]
+        ("D3", 3), ("C2xC2", 1), ("C6", 3)]
 
-    @pytest.mark.parametrize("spec, firsts", CUTS, ids=[
-        spec if firsts is None else f"{spec}-{firsts[0]}"
-        for spec, firsts in CUTS])
-    def test_restricted_assembly_is_the_row_cut(self, spec, firsts):
-        """coboundary_matrix(..., firsts) equals the rows [s|...] cut from
-        the full delta^n, for generating and non-generating firsts."""
+    @pytest.mark.parametrize("spec, blocks", CUTS, ids=[
+        spec if blocks is None else f"{spec}-{blocks}"
+        for spec, blocks in CUTS])
+    def test_restricted_assembly_is_the_row_cut(self, spec, blocks):
+        """The rows assembled from the faces of the first tuples alone are
+        the first rows of the full delta^n: ``cocycle_rows``, and
+        ``boundary(n + 1, blocks)`` for prefixes that are and are not its
+        own."""
         g = parse_group(spec)
-        if firsts is None:
-            firsts = g.generating_set()
         for module in _cut_modules(g):
             k = module.ngens
             res = BarResolution(g, 4)
             for n in range(5):
-                part = res.coboundary_matrix(module, n, firsts=firsts)
+                if blocks is None:
+                    part = res.cocycle_rows(module, n)
+                    j = max(g.generating_set(), default=0)
+                else:
+                    part = bar_first_blocks(res, module, n, blocks)
+                    j = blocks
                 full = res.coboundary_matrix(module, n)
-                assert part == _row_cut(full, firsts,
-                                        res.rank(n) * k), (spec, k, n)
+                assert part == _row_prefix(full, j * res.rank(n) * k), \
+                    (spec, k, n)
 
     @pytest.mark.parametrize("spec", ["C6", "D3"])
     def test_restricted_and_full_in_either_order(self, spec):
+        """The cut and the full delta^n agree in either order of assembly
+        and never share a cache slot: only the full one is memoised."""
         g = parse_group(spec)
-        gens = g.generating_set()
+        j = max(g.generating_set())
         free = trivial_integers(g)
         pairs = []
         for restricted_first in (True, False):
             res = BarResolution(g, 4)
             if restricted_first:
-                part = res.coboundary_matrix(free, 4, firsts=gens)
+                part = res.cocycle_rows(free, 4)
+                assert res._cob_cache == {}
                 full = res.coboundary_matrix(free, 4)
             else:
                 full = res.coboundary_matrix(free, 4)
-                part = res.coboundary_matrix(free, 4, firsts=gens)
-            assert (part.nrows, part.ncols) == \
-                (len(gens) * res.rank(4), res.rank(4))
+                part = res.cocycle_rows(free, 4)
+            assert res._cob_cache == {(free.actions, 4): full}
+            assert (part.nrows, part.ncols) == (j * res.rank(4), res.rank(4))
             assert (full.nrows, full.ncols) == (res.rank(5), res.rank(4))
             assert part.nrows < full.nrows
+            assert part == _row_prefix(full, part.nrows)
             pairs.append((part, full))
         assert pairs[0] == pairs[1]
         # the full top coboundary is never assembled for the complex
         cx = BarMod2Complex(g, 4)
-        top = [key[2] for key in cx.res._cob_cache if key[1] == 4]
-        assert top == [gens]
-        assert all(m.nrows != cx.rank(5)
-                   for m in cx.res._cob_cache.values()
-                   if m.ncols == cx.rank(4))
+        assert sorted(n for _, n in cx.res._cob_cache) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("spec", ["C6", "D3", "C10"])
     def test_top_degree_cocycle_check_keeps_its_strength(self, spec):

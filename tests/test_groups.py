@@ -1,10 +1,15 @@
 """Group parsing, characters, and odd-normal-complement decomposition."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from u4class import groups
 from u4class.cli import builtin_catalog_specs
+from u4class.errors import FeasibilityError
 from u4class.groups import (Character2, GroupHom, ParseError,
                             conjugation_action, cyclic_group,
                             is_inner_automorphism, odd_normal_complement,
@@ -38,6 +43,11 @@ class TestParsing:
             with pytest.raises(ParseError):
                 parse_group(bad)
 
+    def test_permutation_group_refused_at_its_401st_element(self):
+        cycle = " ".join(str(i) for i in range(1, 402))
+        with pytest.raises(ParseError, match="too large"):
+            parse_group(f"perm[({cycle})]")
+
     def test_axioms_checked_on_full_table(self):
         bad = [[0, 1], [1, 1]]
         with pytest.raises(ValueError):
@@ -53,6 +63,31 @@ class TestParsing:
             for a in range(n):
                 assert g.mul[0, a] == a
                 assert g.mul[a, g.inverse_table[a]] == 0
+
+
+class TestOrderBound:
+    """Groups above ``groups._MAX_ORDER`` are refused before their
+    multiplication table is allocated."""
+
+    @pytest.mark.parametrize("spec", ["C4097", "D2049", "C64xC65",
+                                      "C2xC2xC1025"])
+    def test_refused(self, spec):
+        with pytest.raises(FeasibilityError, match="order 4"):
+            parse_group(spec)
+
+    def test_c20000_refused_under_an_address_space_limit(self):
+        # its int64 table alone would take 2.98 GiB, so under a 1 GiB
+        # limit the refusal must come before any of it is allocated
+        src = os.path.dirname(os.path.dirname(groups.__file__))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from u4class.cli import main\n"
+                "sys.exit(main(['classify', 'C20000']))\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1, out.stderr
+        assert "C20000 has order 20000" in out.stderr
 
 
 class TestOrientationCharacters:

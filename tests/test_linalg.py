@@ -895,7 +895,7 @@ class TestMod2:
         ech = gf2.Echelon([0b01, 0b10])
         assert ech.rank == 2
         assert ech.coordinates(0b11) == 0b11
-        assert ech.contains(0b10)
+        assert ech.coordinates(0b10) is not None
 
     def test_mod2_rank_matches_integer_rank_mod2(self):
         rng = random.Random(9)
@@ -1231,7 +1231,7 @@ class TestGF2Echelon:
                 want = None if coeffs is None else sum(
                     1 << i for i, a in zip(independent, coeffs) if a)
                 assert ech.coordinates(vec) == want
-                assert ech.contains(vec) == (want is not None)
-                assert (ech.residue(vec) == 0) == (want is not None)
+                assert (ech.coordinates(vec) is not None) == \
+                    (want is not None)
             for vec in members:
-                assert ech.contains(vec)
+                assert ech.coordinates(vec) is not None

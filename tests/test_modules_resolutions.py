@@ -160,22 +160,19 @@ class TestBarResolution:
 
     @pytest.mark.parametrize("spec", _CODEC_GROUPS)
     def test_first_entry_blocks_follow_tuples(self, spec):
-        # column j of boundary(n, firsts) is the j-th tuple, in the stack
-        # of the tuples [s|...] for s in firsts, and has its full faces
+        # boundary(n, blocks) gives the full faces of the first
+        # blocks (|G|-1)^(n-1) tuples, which are those with g_1 <= blocks
         group = parse_group(spec)
         res = BarResolution(group, 3)
-        orders = (list(group.generating_set()),
-                  list(range(group.order - 1, 0, -1)))
         for n in range(1, 5):
             full = np.stack(res.boundary(n), axis=1)
             heads = res.tuples(n)[:, 0]
-            for firsts in orders:
-                stack = np.concatenate(
-                    [np.flatnonzero(heads == s) for s in firsts]
-                    + [np.empty(0, dtype=np.int64)])
-                part = np.stack(res.boundary(n, firsts), axis=1)
-                part[:, 1] = stack[part[:, 1]]
-                want = full[np.isin(full[:, 1], stack)]
+            for blocks in range(group.order):
+                count = blocks * res.rank(n - 1)
+                assert np.array_equal(np.flatnonzero(heads <= blocks),
+                                      np.arange(count))
+                part = np.stack(res.boundary(n, blocks), axis=1)
+                want = full[full[:, 1] < count]
                 assert sorted(map(tuple, part.tolist())) == \
                     sorted(map(tuple, want.tolist()))
 
@@ -626,9 +623,9 @@ class TestEntryBound:
         built = []
         boundary = BarResolution.boundary
 
-        def spy(res, n, firsts=None):
+        def spy(res, n, blocks=None):
             built.append(n)
-            return boundary(res, n, firsts)
+            return boundary(res, n, blocks)
         monkeypatch.setattr(BarResolution, "boundary", spy)
         g = parse_group("D5")
         module = twisted_integers(orientation_characters(g)[0])
@@ -705,18 +702,13 @@ class TestEntryBound:
         g = parse_group(spec)
         res = BarResolution(g, 3)
         q = g.order - 1
-        firsts_choices = (None, list(g.generating_set()),
-                          list(range(q, 0, -1)), [1])
         for n in range(1, 5):
-            for firsts in firsts_choices:
+            for blocks in (None, max(g.generating_set()), q, 1):
                 want = 2 * q**n + (n - 1) * (q**n - q**(n - 1))
-                if firsts is not None:
-                    want = want * len(firsts) // q
-                    built = res.boundary(n, firsts)
-                else:
-                    built = res.boundary(n)
-                assert res.face_count(n, firsts) == want == \
-                    len(built[3]), (n, firsts)
+                if blocks is not None:
+                    want = want * blocks // q
+                assert res.face_count(n, blocks) == want == \
+                    len(res.boundary(n, blocks)[3]), (n, blocks)
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("kind", ["cochain", "chain"])
