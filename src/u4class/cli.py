@@ -5,7 +5,8 @@ tables, and the small-group catalog scan.
 Exit codes: 0 success, 1 the mathematics refuses a valid request, 2 the
 invocation is wrong; errors.py lists the exceptions behind each code.
 Each subcommand imports the layers it runs inside its handler, so a
-request loads only those; compare, for one, loads no numpy.
+request loads only those; compare, for one, loads no numpy, and a
+malformed group expression is refused before any layer loads.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def _emit(args, result, citations, text_lines, started):
     return 0
 
 
+def _check_spec(spec):
+    """Refuse a malformed group expression before the handler imports its
+    layers, so that ``classify C2xx`` loads no numpy."""
+    from .specs import split_product
+    split_product(spec)
+
+
 def _first_twist(group):
     from .groups import orientation_characters
     chars = orientation_characters(group)
@@ -60,6 +68,7 @@ def _first_twist(group):
 
 
 def _cmd_classify(args, started):
+    _check_spec(args.group)
     from .classify import classification_json, classify_group
     from .groups import parse_group
     group = parse_group(args.group)
@@ -79,6 +88,7 @@ def _cmd_classify(args, started):
 
 
 def _cmd_check_hypothesis(args, started):
+    _check_spec(args.group)
     from .groups import parse_group
     from .hypothesis import thom_simplification_applicable
     group = parse_group(args.group)
@@ -92,6 +102,7 @@ def _cmd_check_hypothesis(args, started):
 
 
 def _cmd_cohomology(args, started):
+    _check_spec(args.group)
     from .cohomology import cohomology
     from .groups import parse_group
     from .modules import mod2_integers, trivial_integers, twisted_integers
@@ -115,6 +126,7 @@ def _cmd_cohomology(args, started):
 
 
 def _cmd_lhs(args, started):
+    _check_spec(args.group)
     from .groups import odd_normal_complement, parse_group
     from .spectral import lhs_e2_page
     group = parse_group(args.group)
@@ -137,6 +149,7 @@ def _cmd_ahss(args, started):
     if args.diagonal is not None and args.diagonal >= args.range:
         raise UsageError(f"--diagonal {args.diagonal} must be below "
                          f"--range {args.range}")
+    _check_spec(args.group)
     from .groups import parse_group
     from .spectral import ahss_e2_page, diagonal_report, \
         twisted_thom_homology

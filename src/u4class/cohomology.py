@@ -163,8 +163,8 @@ class BarMod2Complex:
     whose bit i is the value on the tuple numbered i by ``BarResolution``.
 
     The bar complex is that of Brown, *Cohomology of Groups* (GTM 87),
-    III.1.  Its top coboundary is stored over the prefix of rows that
-    ``BarResolution.cocycle_rows`` cuts: it holds the rows [s|...] of a
+    III.1.  Its top coboundary is stored over the rows that
+    ``BarResolution.cocycle_rows`` cuts: the rows [s|...] of the greedy
     generating set S, and a normalized coboundary vanishes iff it
     vanishes on those (the lemma there), so the kernel is that of the
     full top coboundary, which is never built.  An echelon's kernel

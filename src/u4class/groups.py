@@ -4,12 +4,12 @@ for an odd-order normal subgroup with 2-group quotient.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FeasibilityError, ParseError
+from .specs import CYCLIC_RE, DIHEDRAL_RE, PERM_RE, split_product
 
 __all__ = [
     "FiniteGroup",
@@ -28,10 +28,10 @@ __all__ = [
 _UNSET = object()   # FiniteGroup._odd_decomposition before it is computed
 
 # Largest group order whose multiplication table is built.  Tables are
-# stored whole and built through order^2 int64 arrays (134 MB at 4096,
-# 2.98 GiB for C20000), so a larger group is refused before any of that
-# is allocated.  Tests and the catalog stay at or below order 300, and
-# ``cohomology C3000`` (229 MB peak) still answers.
+# stored whole in int32 (67 MB at 4096, 1.6 GB for C20000) and checked
+# through two more order^2 arrays, so a larger group is refused before
+# any of that is allocated.  Tests and the catalog stay at or below order
+# 300, and building D2048 peaks at about 240 MB.
 _MAX_ORDER = 4096
 
 
@@ -86,15 +86,16 @@ class FiniteGroup:
         that holds the identity.  So if every generator passes and the
         left-normed words in the generators (``closure``) cover the table,
         every element passes.  Costs O(n^2 |gens|) against n^3 for all
-        triples; needs only an identity and in-range entries.
+        triples, one generator at a time, so two n x n tables are live at
+        once; needs only an identity and in-range entries.
         """
-        gens = np.asarray(gens, dtype=np.intp)
         if len(self.closure(gens)) != self.order:
             raise ValueError("generators do not generate the table")
-        left = self.mul[self.mul[:, gens]]       # (x,a,y) -> (xa)y
-        right = self.mul[:, self.mul[gens]]      # (x,a,y) -> x(ay)
-        if not np.array_equal(left, right):
-            raise ValueError("multiplication table not associative")
+        for a in gens:
+            # (x, y) -> (xa)y against x(ay)
+            if not np.array_equal(self.mul[self.mul[:, a]],
+                                  self.mul[:, self.mul[a]]):
+                raise ValueError("multiplication table not associative")
 
     # -- basic queries ------------------------------------------------------
 
@@ -247,9 +248,9 @@ class FiniteGroup:
         n, m = self.order, other.order
         name = name or f"{self.name}x{other.name}"
         _check_order(n * m, name)
-        a_part = self.mul.repeat(m, axis=0).repeat(m, axis=1)
-        b_part = np.tile(other.mul, (n, n))
-        mul = a_part * m + b_part
+        mul = self.mul.repeat(m, axis=0).repeat(m, axis=1)
+        mul *= m
+        mul += np.tile(other.mul, (n, n))
         return FiniteGroup(mul, name, product_factors=(self, other))
 
     def commutator_square_subgroup(self):
@@ -301,8 +302,9 @@ def _check_order(order, name):
 def cyclic_group(n, name=None):
     name = name or f"C{n}"
     _check_order(n, name)
-    idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
+    idx = np.arange(n, dtype=np.int32)
+    mul = idx[:, None] + idx
+    mul %= n
     return FiniteGroup(mul, name)
 
 
@@ -356,60 +358,36 @@ class OddDecomposition:
 # Parsing
 
 
-_CYCLIC_RE = re.compile(r"^C(\d+)$")
-_DIHEDRAL_RE = re.compile(r"^D(\d+)$")
-_PERM_RE = re.compile(r"^perm\[(.*)\]$")
-
-
 def parse_group(spec: str) -> FiniteGroup:
     """Parse a group expression.
 
     Grammar: ``Cn`` (cyclic), ``Dn`` (dihedral of order 2n),
     ``AxB``/``A×B`` (direct product), ``perm[(1 2 3)(4 5), ...]``
-    (permutation generators, cycles on positive integers).
+    (permutation generators, cycles on positive integers).  The product
+    is split by ``specs.split_product``, and the factors are built left
+    to right.
     """
-    spec = spec.strip()
-    if not spec:
-        raise ParseError("empty group spec")
-    parts = _split_product(spec)
-    if len(parts) > 1:
-        group = parse_group(parts[0])
-        for part in parts[1:]:
-            group = group.direct_product(parse_group(part))
-        return group
-    m = _CYCLIC_RE.match(spec)
+    parts = split_product(spec)
+    group = _parse_factor(parts[0])
+    for part in parts[1:]:
+        group = group.direct_product(_parse_factor(part))
+    return group
+
+
+def _parse_factor(spec):
+    m = CYCLIC_RE.match(spec)
     if m:
         n = int(m.group(1))
         if n < 1:
             raise ParseError("cyclic order must be >= 1")
         return cyclic_group(n)
-    m = _DIHEDRAL_RE.match(spec)
+    m = DIHEDRAL_RE.match(spec)
     if m:
         return dihedral_group(int(m.group(1)))
-    m = _PERM_RE.match(spec)
+    m = PERM_RE.match(spec)
     if m:
         return permutation_group(m.group(1))
     raise ParseError(f"cannot parse group spec {spec!r}")
-
-
-def _split_product(spec):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in spec:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if depth == 0 and (ch == "x" or ch == "×"):
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    if any(not p.strip() for p in parts):
-        raise ParseError(f"malformed product expression {spec!r}")
-    return [p.strip() for p in parts]
 
 
 def dihedral_group(n, name=None):
@@ -419,10 +397,15 @@ def dihedral_group(n, name=None):
         raise ParseError("dihedral parameter must be >= 1")
     name = name or f"D{n}"
     _check_order(2 * n, name)
-    # r^i1 s^j1 * r^i2 s^j2 = r^(i1 +- i2) s^(j1 + j2), minus if j1 = 1
-    j, i = np.divmod(np.arange(2 * n), n)
-    rot = (i[:, None] + (1 - 2 * j)[:, None] * i[None, :]) % n
-    mul = rot + n * ((j[:, None] + j[None, :]) % 2)
+    # r^i1 s^j1 * r^i2 s^j2 = r^(i1 +- i2) s^(j1 + j2), minus if j1 = 1;
+    # the first n indices are the rotations (j = 0), the last n the
+    # reflections, and the table is built in place in int32
+    i = np.arange(2 * n, dtype=np.int32) % n
+    mul = np.multiply.outer(np.repeat(np.int32([1, -1]), n), i)
+    mul += i[:, None]
+    mul %= n
+    mul[:n, n:] += n
+    mul[n:, :n] += n
     return FiniteGroup(mul, name)
 
 

@@ -96,14 +96,14 @@ def _pullback_vector(res, alpha: GroupHom, n, vec):
 
 def _check_witness_cells(kernel: FiniteGroup, n):
     """Raise FeasibilityError unless the degree-n cocycle extraction stays
-    within ``_WITNESS_CELL_CAP``: ``integer_kernel`` of the j (|K|-1)^n
+    within ``_WITNESS_CELL_CAP``: ``integer_kernel`` of the |S| (|K|-1)^n
     rows of ``BarResolution.cocycle_rows`` by (|K|-1)^n columns allocates
-    (|K|-1)^n x (j (|K|-1)^n + (|K|-1)^n) cells, j the last greedy
-    generator of K.  The largest it admits is the order-39 kernel C13 : C3
-    in degree 2, with j = 3: 1444 x 5776 cells (67 MB)."""
+    (|K|-1)^n x (|S| (|K|-1)^n + (|K|-1)^n) cells, S the greedy
+    generating set of K.  The largest it admits is the order-39 kernel
+    C13 : C3 in degree 2, with S = (1, 3): 1444 x 4332 cells (50 MB)."""
     cols = (kernel.order - 1) ** n
-    j = max(kernel.generating_set(), default=0)
-    cells = cols * (j * cols + cols)
+    blocks = len(kernel.generating_set())
+    cells = cols * (blocks * cols + cols)
     if cells > _WITNESS_CELL_CAP:
         raise FeasibilityError(
             f"degree {n} cocycle extraction needs {cells} kernel cells "
@@ -121,15 +121,18 @@ def action_witness_in_degree(kernel: FiniteGroup, alphas: list[GroupHom],
     (``_WITNESS_CELL_CAP``) is checked first; the resolution, the basis
     and the coboundary lattice are then built once for all of alphas.
 
-    The basis is ``integer_kernel`` of ``res.cocycle_rows``, a prefix of
-    the rows of delta^n, and it is the very list that the full delta^n
-    gives.  Each row of the echelon of [M^T | I] stays [delta f | f] for
-    some cochain f.  If delta f vanishes on the prefix, it vanishes on
-    every row (the lemma at ``BarResolution.cocycle_rows``), so no cut
-    column ever holds a row's leading entry.  The two-row steps, which
-    read the leading column alone, the free rows and the basis are the
-    same; only the cut columns, carried along, are gone.  The coboundary
-    lattice keeps all of delta^(n-1).
+    The basis is ``integer_kernel`` of ``res.cocycle_rows``, the rows of
+    delta^n at the tuples [s|...] with s in S, the greedy generating set,
+    and it is the very list that the full delta^n gives.  Row operations
+    keep every linear relation among the columns of [M^T | I], and each
+    row of M = delta^n at a tuple [g|...] with g outside S is a
+    combination of earlier rows of S blocks (the lemma at
+    ``BarResolution.cocycle_rows`` and the greedy choice of S).  So its
+    column of M^T is zero in any row whose earlier entries are all zero,
+    and it never holds a leading entry.  The two-row steps, which read the
+    leading column alone, the free rows and the basis are the same; only
+    the cut columns, carried along, are gone.  The coboundary lattice
+    keeps all of delta^(n-1).
 
     ``resolutions`` and ``modules`` are imported here, not at module
     level: only the bar witness needs them, so a report that never

@@ -15,8 +15,8 @@ the bar resolution computes its own faces, so it stays an independent
 check on the others.  ``Resolution`` alone turns that form into
 coboundary and chain matrices for any module and checks d d = 0.  Only
 ``BarResolution`` knows how its tuples are numbered, and with it the cut
-of a coboundary to the rows that cut out its kernel
-(``BarResolution.cocycle_rows``).
+of a coboundary to the rows that cut out its kernel, those of the tuples
+that start with a generator (``BarResolution.cocycle_rows``).
 """
 
 from __future__ import annotations
@@ -264,24 +264,23 @@ class BarResolution(Resolution):
         elements = np.asarray(elements, dtype=np.int64)
         return (elements - 1) @ self._place_values(elements.shape[-1])
 
-    def face_count(self, n, blocks=None):
-        """len(boundary(n, blocks)) in closed form.  Each tuple has n + 1
+    def face_count(self, n, firsts=None):
+        """len(boundary(n, firsts)) in closed form.  Each tuple has n + 1
         faces less one per inner product g_i g_{i+1} that is the identity,
         and such a pair leaves g_{i+1} no choice.  With q = |G|-1 that is
-        2 q^n + (n-1)(q^n - q^(n-1)) in all, times blocks/q with
-        ``blocks``."""
-        blocks, shift = (1, 0) if blocks is None else (blocks, 1)
+        2 q^n + (n-1)(q^n - q^(n-1)) in all, and len(firsts)/q of it with
+        ``firsts``: every first entry heads as many faces."""
+        blocks, shift = (1, 0) if firsts is None else (len(firsts), 1)
         return blocks * ((n + 1) * self.rank(n - shift)
                          - (n - 1) * self.rank(n - 1 - shift))
 
     def cocycle_rows(self, module: GModule, n) -> IntMatrix:
-        """The first rows of delta^n, enough to cut out its kernel: the
-        rows of the tuples [s|...] with s <= j, j the largest element of
-        ``group.generating_set()``.  By the numbering these tuples are the
-        first j (|G|-1)^n generators of F_(n+1), so the result is
-        ``coboundary_matrix(module, n)`` with its other rows cut.  It is
-        assembled from those tuples' faces alone (``boundary(n + 1, j)``),
-        checked against the entry bound first, and not memoised.
+        """The rows of delta^n that cut out its kernel: those of the tuples
+        [s|...] with s in S = ``group.generating_set()``, one block of
+        (|G|-1)^n rows per s, stacked in ascending order of s.  It is
+        assembled from those tuples' faces alone (``boundary(n + 1, S)``),
+        checked against the entry bound first, and not memoised.  For a
+        cyclic group S = (1,), the first block.
 
         Lemma (Brown, *Cohomology of Groups*, III.1).  Let S, a subset of
         G without 1, generate G.  A normalized cochain u = delta f
@@ -297,27 +296,39 @@ class BarResolution(Resolution):
         normalization were used, so the lemma holds over any coefficients
         and for any action.
 
-        The rows [s|...] with s <= j hold those of S, so a cochain is a
-        cocycle iff its coboundary vanishes on them; the lower coboundaries
-        need all their rows, since their columns span the coboundaries."""
-        j = max(self.group.generating_set(), default=0)
-        self._check_entries(self.face_count(n + 1, j), module)
-        rows, cols, elems, coeffs = self.boundary(n + 1, j)
+        The same induction, read as an identity in f, writes each row
+        [g|t] of delta^n as an integer combination of the rows [s_i|...].
+        The greedy S puts every g outside S in the group generated by
+        the s in S with s < g, so each of its rows is a combination of
+        earlier rows of S blocks: between two generators as after the
+        last.  The lower coboundaries need all their rows, since their
+        columns span the coboundaries."""
+        firsts = self.group.generating_set()
+        self._check_entries(self.face_count(n + 1, firsts), module)
+        rows, cols, elems, coeffs = self.boundary(n + 1, firsts)
         return self._hom_matrix(cols, rows, elems, coeffs, module,
-                                j * self.rank(n), self.rank(n))
+                                len(firsts) * self.rank(n), self.rank(n))
 
-    def boundary(self, n, blocks=None):
+    def boundary(self, n, firsts=None):
         """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then
         (-1)^i [...|g_i g_{i+1}|...] for 0 < i < n (dropped when the
         product is the identity), then (-1)^n [g_1|...|g_{n-1}].
 
-        With ``blocks``, only the first blocks (|G|-1)^(n-1) tuples get
-        faces: by the numbering, those with g_1 <= blocks."""
+        With ``firsts``, an ascending tuple of nonidentity elements, only
+        the tuples with g_1 in firsts get faces, and column c is the c-th
+        of them in numbering order: block b of (|G|-1)^(n-1) columns holds
+        the tuples [firsts[b]|...].  For firsts = (1, ..., k) the columns
+        are the tuples' own numbers."""
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
-        index = np.arange(self.rank(n) if blocks is None
-                          else blocks * self.rank(n - 1), dtype=np.int64)
+        index = np.arange(self.rank(n) if firsts is None
+                          else len(firsts) * self.rank(n - 1),
+                          dtype=np.int64)
         elems = self.tuples(n, index)
+        if firsts is not None:
+            # index counts the tuples of the blocks 1..len(firsts); each
+            # block b takes first entry firsts[b] in place of b + 1
+            elems[:, 0] = np.asarray(firsts, dtype=np.int64)[elems[:, 0] - 1]
         zeros = np.zeros(index.size, dtype=np.int64)
         ones = np.ones(index.size, dtype=np.int64)
         faces = [(self.number(elems[:, 1:]), index, elems[:, 0], ones)]

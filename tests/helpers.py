@@ -15,13 +15,14 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from u4class.linalg import AbelianGroup, IntMatrix
 
 
-def bar_first_blocks(res, module, n, blocks):
-    """The rows of the bar delta^n at the first ``blocks`` (|G|-1)^n tuples
-    of degree n + 1, assembled from ``boundary(n + 1, blocks)`` as
-    ``BarResolution.cocycle_rows`` assembles its own prefix."""
-    rows, cols, elems, coeffs = res.boundary(n + 1, blocks)
+def bar_rows_starting_with(res, module, n, firsts):
+    """The rows of the bar delta^n at the degree-(n + 1) tuples [s|...],
+    s in the ascending ``firsts``, one block of (|G|-1)^n tuples per s,
+    assembled from ``boundary(n + 1, firsts)`` as
+    ``BarResolution.cocycle_rows`` assembles its own generator blocks."""
+    rows, cols, elems, coeffs = res.boundary(n + 1, firsts)
     return res._hom_matrix(cols, rows, elems, coeffs, module,
-                           blocks * res.rank(n), res.rank(n))
+                           len(firsts) * res.rank(n), res.rank(n))
 
 
 def to_sympy(m: IntMatrix) -> sympy.Matrix:

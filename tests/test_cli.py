@@ -281,6 +281,13 @@ class TestExitCodes:
         prefix = "usage error: " if code == 2 else "error: "
         assert err.startswith(prefix) and "boom" in err
 
+    @pytest.mark.parametrize("command", ["classify", "check-hypothesis",
+                                         "lhs"])
+    def test_malformed_product_refused(self, capsys, command):
+        code, out, err = run(capsys, command, "C2xx")
+        assert (code, out) == (2, "")
+        assert err == "usage error: malformed product expression 'C2xx'\n"
+
     def test_layers_reexport_the_classes(self):
         assert groups.ParseError is errors.ParseError
         assert manifolds.ManifoldError is errors.ManifoldError
@@ -306,16 +313,17 @@ class TestExitCodes:
         assert data["timing"] >= 0
 
 
-def _loaded_after(*argv):
+def _loaded_after(*argv, status=0):
     """The modules a fresh interpreter holds after importing u4class.cli
-    and, given argv, running that request."""
+    and, given argv, running that request, which exits with status."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = ("import contextlib, io, json, sys\n"
             "import u4class.cli as cli\n"
             f"argv = {list(argv)!r}\n"
             "if argv:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(argv) == 0\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            f"        assert cli.main(argv) == {status}\n"
             "print(json.dumps(sorted(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=src,
                          env={**os.environ, "PYTHONPATH": src},
@@ -356,3 +364,9 @@ class TestImports:
         assert not loaded & self.HEAVY
         assert "numpy" not in loaded
         assert "u4class.bordism" in loaded
+
+    def test_malformed_spec_loads_no_numpy(self):
+        loaded = _loaded_after("classify", "C2xx", status=2)
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("u4class")} == \
+            {"u4class", "u4class.cli", "u4class.errors", "u4class.specs"}

@@ -29,7 +29,7 @@ from u4class.modules import (GModule, mod2_integers,
 from u4class.kernels import gf2
 from u4class.resolutions import BarResolution, FeasibilityError
 
-from helpers import bar_first_blocks
+from helpers import bar_rows_starting_with
 
 
 def w_module(spec):
@@ -198,11 +198,17 @@ def _rows_starting_with(masks, firsts, block):
                 for i, s in enumerate(firsts)) for c in masks]
 
 
-def _row_prefix(m, nrows):
-    """The first nrows rows of m."""
+def _row_blocks(m, firsts, block):
+    """The rows of m in blocks of ``block`` rows, block s - 1 for each s
+    in firsts, stacked in that order."""
+    position = np.full(m.nrows, -1)
+    for i, s in enumerate(firsts):
+        position[(s - 1) * block:s * block] = np.arange(i * block,
+                                                        (i + 1) * block)
     rows, cols, vals = m.arrays
-    keep = rows < nrows
-    return IntMatrix(nrows, m.ncols, rows[keep], cols[keep], vals[keep])
+    keep = position[rows] >= 0
+    return IntMatrix(len(firsts) * block, m.ncols, position[rows[keep]],
+                     cols[keep], vals[keep])
 
 
 def _cut_modules(group):
@@ -249,10 +255,10 @@ class TestGeneratorRowsLemma:
         spec if blocks is None else f"{spec}-{blocks}"
         for spec, blocks in CUTS])
     def test_restricted_assembly_is_the_row_cut(self, spec, blocks):
-        """The rows assembled from the faces of the first tuples alone are
-        the first rows of the full delta^n: ``cocycle_rows``, and
-        ``boundary(n + 1, blocks)`` for prefixes that are and are not its
-        own."""
+        """The rows assembled from the faces of the tuples [s|...] alone
+        are those rows of the full delta^n: ``cocycle_rows`` for s in the
+        generating set, and ``boundary(n + 1, range(1, blocks + 1))`` for
+        prefixes that do and do not generate."""
         g = parse_group(spec)
         for module in _cut_modules(g):
             k = module.ngens
@@ -260,12 +266,12 @@ class TestGeneratorRowsLemma:
             for n in range(5):
                 if blocks is None:
                     part = res.cocycle_rows(module, n)
-                    j = max(g.generating_set(), default=0)
+                    firsts = g.generating_set()
                 else:
-                    part = bar_first_blocks(res, module, n, blocks)
-                    j = blocks
+                    firsts = range(1, blocks + 1)
+                    part = bar_rows_starting_with(res, module, n, firsts)
                 full = res.coboundary_matrix(module, n)
-                assert part == _row_prefix(full, j * res.rank(n) * k), \
+                assert part == _row_blocks(full, firsts, res.rank(n) * k), \
                     (spec, k, n)
 
     @pytest.mark.parametrize("spec", ["C6", "D3"])
@@ -273,7 +279,7 @@ class TestGeneratorRowsLemma:
         """The cut and the full delta^n agree in either order of assembly
         and never share a cache slot: only the full one is memoised."""
         g = parse_group(spec)
-        j = max(g.generating_set())
+        gens = g.generating_set()
         free = trivial_integers(g)
         pairs = []
         for restricted_first in (True, False):
@@ -286,10 +292,11 @@ class TestGeneratorRowsLemma:
                 full = res.coboundary_matrix(free, 4)
                 part = res.cocycle_rows(free, 4)
             assert res._cob_cache == {(free.actions, 4): full}
-            assert (part.nrows, part.ncols) == (j * res.rank(4), res.rank(4))
+            assert (part.nrows, part.ncols) == \
+                (len(gens) * res.rank(4), res.rank(4))
             assert (full.nrows, full.ncols) == (res.rank(5), res.rank(4))
             assert part.nrows < full.nrows
-            assert part == _row_prefix(full, part.nrows)
+            assert part == _row_blocks(full, gens, res.rank(4))
             pairs.append((part, full))
         assert pairs[0] == pairs[1]
         # the full top coboundary is never assembled for the complex

@@ -76,7 +76,7 @@ class TestOrderBound:
             parse_group(spec)
 
     def test_c20000_refused_under_an_address_space_limit(self):
-        # its int64 table alone would take 2.98 GiB, so under a 1 GiB
+        # its int32 table alone would take 1.6 GB, so under a 1 GiB
         # limit the refusal must come before any of it is allocated
         src = os.path.dirname(os.path.dirname(groups.__file__))
         code = ("import resource, sys\n"
@@ -88,6 +88,35 @@ class TestOrderBound:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 1, out.stderr
         assert "C20000 has order 20000" in out.stderr
+
+    def test_d2048_table_peak_memory(self):
+        # VmHWM of a fresh interpreter (ru_maxrss would keep the peak of
+        # the test process) that builds the largest dihedral table: its
+        # int64 temporaries and two (n, |gens|, n) associativity tensors
+        # took 652 MB; built in int32 and checked one generator at a time,
+        # about 240 MB
+        src = os.path.dirname(os.path.dirname(groups.__file__))
+        code = ("from u4class.groups import parse_group\n"
+                "assert parse_group('D2048').order == 4096\n"
+                "print(open('/proc/self/status').read()"
+                ".split('VmHWM:')[1].split()[0])\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) < 320 * 1024      # VmHWM is in kB
+
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_tables_match_the_closed_form(self, n):
+        # i + j mod n, and r^i1 s^j1 r^i2 s^j2 = r^(i1 +- i2) s^(j1 + j2)
+        # on index i + n j, evaluated in int64
+        idx = np.arange(n)
+        assert np.array_equal(cyclic_group(n).mul,
+                              (idx[:, None] + idx) % n)
+        j, i = np.divmod(np.arange(2 * n), n)
+        rot = (i[:, None] + (1 - 2 * j)[:, None] * i) % n
+        want = rot + n * ((j[:, None] + j) % 2)
+        assert np.array_equal(groups.dihedral_group(n).mul, want)
 
 
 class TestOrientationCharacters:

@@ -1,5 +1,6 @@
 """Exact linear algebra: Smith form, homology subquotients, GF(2) ops."""
 
+import math
 import random
 
 import numpy as np
@@ -723,6 +724,37 @@ class TestLatticeEchelon:
                                                    [alpha], 2)
         assert hashlib.sha256(json.dumps(z).encode()).hexdigest() == \
             "d0c122dcdbbacce96ee80d36249e7abc1b0b2f31b5618f239645611d955ee364"
+
+    @pytest.mark.parametrize("scale", [1, 2**45, 2**70],
+                             ids=["1", "2^45", "2^70"])
+    def test_dead_rows_leave_the_kernel(self, monkeypatch, scale):
+        # a row of m that is a rational combination of earlier rows is a
+        # column of [m^T | I] that is zero wherever the earlier ones are,
+        # so it never holds a leading entry: inserting such rows after the
+        # rows they combine leaves integer_kernel identical, list for list
+        # (the cut of BarResolution.cocycle_rows); 2^45 promotes to Python
+        # ints mid-echelon and 2^70 starts there
+        calls = []
+        gcdex = linalg._gcdex
+        monkeypatch.setattr(linalg, "_gcdex",
+                            lambda a, b: calls.append(1) or gcdex(a, b))
+        rng = random.Random(37)
+        for _ in range(40):
+            nr, nc = rng.randint(1, 4), rng.randint(2, 7)
+            dense = _random_dense(rng, nr, nc, [-6, -4, -3, -1, 1, 2, 3, 5])
+            dense = [[x * scale for x in row] for row in dense]
+            grown = [list(row) for row in dense]
+            for _ in range(rng.randint(1, 4)):
+                k = rng.randint(1, len(grown))
+                coef = [rng.randint(-3, 3) for _ in range(k)]
+                row = [sum(c * grown[i][j] for i, c in enumerate(coef))
+                       for j in range(nc)]
+                g = math.gcd(*row)
+                row = [x // g for x in row] if g else row
+                grown.insert(rng.randint(k, len(grown)), row)
+            want = linalg.integer_kernel(IntMatrix.from_dense(dense))
+            assert linalg.integer_kernel(IntMatrix.from_dense(grown)) == want
+        assert calls    # the extended-gcd combination ran
 
     def test_kernel_matches_oracle(self, monkeypatch):
         calls = []

@@ -160,21 +160,28 @@ class TestBarResolution:
 
     @pytest.mark.parametrize("spec", _CODEC_GROUPS)
     def test_first_entry_blocks_follow_tuples(self, spec):
-        # boundary(n, blocks) gives the full faces of the first
-        # blocks (|G|-1)^(n-1) tuples, which are those with g_1 <= blocks
+        # boundary(n, firsts) gives the full faces of the tuples with g_1
+        # in firsts, the c-th of them in numbering order as column c; the
+        # first k (|G|-1)^(n-1) tuples are those with g_1 <= k
         group = parse_group(spec)
         res = BarResolution(group, 3)
+        odd = tuple(range(1, group.order, 2))
         for n in range(1, 5):
             full = np.stack(res.boundary(n), axis=1)
             heads = res.tuples(n)[:, 0]
-            for blocks in range(group.order):
-                count = blocks * res.rank(n - 1)
-                assert np.array_equal(np.flatnonzero(heads <= blocks),
-                                      np.arange(count))
-                part = np.stack(res.boundary(n, blocks), axis=1)
-                want = full[full[:, 1] < count]
+            for k in range(group.order):
+                assert np.array_equal(np.flatnonzero(heads <= k),
+                                      np.arange(k * res.rank(n - 1)))
+            for firsts in [range(1, k + 1) for k in range(group.order)] \
+                    + [group.generating_set(), odd, odd[1:]]:
+                take = np.flatnonzero(np.isin(heads, firsts))
+                position = np.full(res.rank(n), -1)
+                position[take] = np.arange(take.size)
+                want = full[np.isin(full[:, 1], take)]
+                want[:, 1] = position[want[:, 1]]
+                part = np.stack(res.boundary(n, firsts), axis=1)
                 assert sorted(map(tuple, part.tolist())) == \
-                    sorted(map(tuple, want.tolist()))
+                    sorted(map(tuple, want.tolist())), (n, firsts)
 
 
 def _pin_group(spec):
@@ -623,9 +630,9 @@ class TestEntryBound:
         built = []
         boundary = BarResolution.boundary
 
-        def spy(res, n, blocks=None):
+        def spy(res, n, firsts=None):
             built.append(n)
-            return boundary(res, n, blocks)
+            return boundary(res, n, firsts)
         monkeypatch.setattr(BarResolution, "boundary", spy)
         g = parse_group("D5")
         module = twisted_integers(orientation_characters(g)[0])
@@ -703,12 +710,13 @@ class TestEntryBound:
         res = BarResolution(g, 3)
         q = g.order - 1
         for n in range(1, 5):
-            for blocks in (None, max(g.generating_set()), q, 1):
+            for firsts in (None, g.generating_set(), range(1, q + 1), (1,),
+                           tuple(range(2, q + 1, 2))):
                 want = 2 * q**n + (n - 1) * (q**n - q**(n - 1))
-                if blocks is not None:
-                    want = want * blocks // q
-                assert res.face_count(n, blocks) == want == \
-                    len(res.boundary(n, blocks)[3]), (n, blocks)
+                if firsts is not None:
+                    want = want * len(firsts) // q
+                assert res.face_count(n, firsts) == want == \
+                    len(res.boundary(n, firsts)[3]), (n, firsts)
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("kind", ["cochain", "chain"])
