@@ -263,9 +263,11 @@ def stable_classes(normal_type: NormalOneType) -> ClassificationTable:
         (entry.citation, normal_type.identification.citation))
 
 
-def classify_group(group: FiniteGroup, category: str
+def classify_group(group: FiniteGroup, category: str,
+                   report: HypothesisReport | None = None
                    ) -> list[ClassificationTable]:
-    report = thom_simplification_applicable(group)
+    """The stable classes of the three normal 1-types; pass the group's
+    hypothesis report if already built."""
     types = enumerate_normal_one_types(group, category, report)
     return [stable_classes(t) for t in types]
 

@@ -245,7 +245,8 @@ def _cmd_catalog(args, started):
         if report.applicable:
             counts = {}
             for cat in CATEGORIES:
-                counts[cat] = [t.count for t in classify_group(group, cat)]
+                counts[cat] = [t.count
+                               for t in classify_group(group, cat, report)]
             row["counts"] = counts
             smooth, top = sum(counts["smooth"]), sum(counts["top"])
             lines.append(f"  {spec:<10} order {group.order:>3}  PASS  "

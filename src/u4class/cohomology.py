@@ -120,13 +120,15 @@ def homology(group: FiniteGroup, module: GModule, n: int,
 def _homology_in_degree(group, module, n, resolution, cochains):
     """Degree n of Hom_G(F, M) (cochains) or of F x_G M: the differential
     d_in into degree n comes from degree n - 1 (n + 1 for chains) and d_out
-    goes to n + 1 (n - 1).  Mod-2 free modules take the GF(2) count; free
-    and presented modules, the latter through the mapping cone, give a
-    position of free abelian groups.  In degree 0 that takes
-    ``homology_at``.  Above it the group is finite (see the module
-    docstring), so it is the torsion of d_in, and d_out is only checked to
-    compose to zero with it.  The resolution and the module must be over
-    ``group``: the same object or an equal multiplication table."""
+    goes to n + 1 (n - 1).  Mod-2 free modules take the GF(2) count, on
+    ``Resolution.cocycle_rows`` for cochains: each delta^n there has the
+    kernel, so the rank, of the full one.  Free and presented modules,
+    the latter through the mapping cone, give a position of free abelian
+    groups.  In degree 0 that takes ``homology_at``.  Above it the group
+    is finite (see the module docstring), so it is the torsion of d_in,
+    and d_out is only checked to compose to zero with it.  The resolution
+    and the module must be over ``group``: the same object or an equal
+    multiplication table."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     res = resolution if resolution is not None \
@@ -136,10 +138,13 @@ def _homology_in_degree(group, module, n, resolution, cochains):
             raise ValueError(f"resolution and module must be over "
                              f"{group.name}, not {over.name}")
     # the matrix from the degree-(n + 1) boundary, the larger, comes
-    # first, so an oversized request is refused before the other is built
+    # first, so an oversized request is refused before the other is built;
+    # a GF(2) count needs only ranks, which cocycle_rows keeps
     if cochains:
-        d_out = res.coboundary_matrix(module, n)
-        d_in = res.coboundary_matrix(module, n - 1)
+        matrix = res.cocycle_rows if module.is_mod2_free \
+            else res.coboundary_matrix
+        d_out = matrix(module, n)
+        d_in = matrix(module, n - 1)
     else:
         d_in = res.chain_matrix(module, n + 1)
         d_out = res.chain_matrix(module, n)

@@ -2,8 +2,8 @@
 
 This is the arbitrary-precision implementation of the unit-pivot phase;
 entries are Python ints, so no input can overflow it.  It works over Z
-only: a GF(2) rank takes the core the integer pre-pass leaves to
-``gf2.rank`` instead (see ``linalg.mod2_rank``).
+only: a GF(2) rank goes to ``gf2.rank`` instead (see
+``linalg.mod2_rank``).
 """
 
 import heapq

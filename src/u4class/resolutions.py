@@ -72,7 +72,8 @@ class Resolution:
         self.group = group
         self.degree = degree
         self.ranks = ranks
-        # coboundary matrices memoised by coboundary_matrix
+        # coboundary matrices memoised by coboundary_matrix, and the bar
+        # resolution's cuts by cocycle_rows
         self._cob_cache = {}
 
     def rank(self, n):
@@ -88,10 +89,10 @@ class Resolution:
         generator coordinates (relations are the caller's concern).
 
         The matrix depends on the module only through its action, so it
-        is memoised per (module.actions, n): Z and Z/2 share one matrix
-        and the GF(2) rank memoised on it.  Every row is assembled; the
-        bar resolution's cut to the rows that fix the kernel is
-        ``BarResolution.cocycle_rows``."""
+        is memoised per (module.actions, n): Z and Z/2 share one matrix.
+        Every row is assembled.  A Z/2 count ranks ``cocycle_rows``
+        instead, which on the bar resolution is a cut with a slot of its
+        own, so there Z and Z/2 share no matrix."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
         cache = self._cob_cache
@@ -101,6 +102,12 @@ class Resolution:
             cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
                                           self.rank(n + 1), self.rank(n))
         return cache[key]
+
+    def cocycle_rows(self, module: GModule, n) -> IntMatrix:
+        """Rows of delta^n with the kernel of delta^n, over any
+        coefficients, so with its rank over any field too: all of them
+        (``coboundary_matrix``) unless a resolution knows a cut."""
+        return self.coboundary_matrix(module, n)
 
     def chain_matrix(self, module: GModule, n) -> IntMatrix:
         """d_n tensored with M: (M x F_n)_G -> (M x F_{n-1})_G."""
@@ -279,8 +286,10 @@ class BarResolution(Resolution):
         [s|...] with s in S = ``group.generating_set()``, one block of
         (|G|-1)^n rows per s, stacked in ascending order of s.  It is
         assembled from those tuples' faces alone (``boundary(n + 1, S)``),
-        checked against the entry bound first, and not memoised.  For a
-        cyclic group S = (1,), the first block.
+        checked against the entry bound first, and memoised in
+        ``_cob_cache`` per (module.actions, n, "cut"), beside the full
+        matrix.  For a cyclic group S = (1,), the first block; for n < 0,
+        the empty delta^-1 of ``Resolution``.
 
         Lemma (Brown, *Cohomology of Groups*, III.1).  Let S, a subset of
         G without 1, generate G.  A normalized cochain u = delta f
@@ -303,11 +312,18 @@ class BarResolution(Resolution):
         earlier rows of S blocks: between two generators as after the
         last.  The lower coboundaries need all their rows, since their
         columns span the coboundaries."""
-        firsts = self.group.generating_set()
-        self._check_entries(self.face_count(n + 1, firsts), module)
-        rows, cols, elems, coeffs = self.boundary(n + 1, firsts)
-        return self._hom_matrix(cols, rows, elems, coeffs, module,
-                                len(firsts) * self.rank(n), self.rank(n))
+        if n < 0:
+            return super().cocycle_rows(module, n)
+        cache = self._cob_cache
+        key = (module.actions, n, "cut")
+        if key not in cache:
+            firsts = self.group.generating_set()
+            self._check_entries(self.face_count(n + 1, firsts), module)
+            rows, cols, elems, coeffs = self.boundary(n + 1, firsts)
+            cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
+                                          len(firsts) * self.rank(n),
+                                          self.rank(n))
+        return cache[key]
 
     def boundary(self, n, firsts=None):
         """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then

@@ -22,7 +22,7 @@ from u4class.cohomology import (BarMod2Complex, _pullback_cochain,
                                 homology)
 from u4class.groups import Character2, GroupHom, cyclic_group, \
     odd_normal_complement, orientation_characters, parse_group
-from u4class.linalg import AbelianGroup, IntMatrix
+from u4class.linalg import AbelianGroup, IntMatrix, mod2_rank
 from u4class.modules import (GModule, mod2_integers,
                              module_from_abelian_group, trivial_integers,
                              twisted_integers)
@@ -277,21 +277,31 @@ class TestGeneratorRowsLemma:
     @pytest.mark.parametrize("spec", ["C6", "D3"])
     def test_restricted_and_full_in_either_order(self, spec):
         """The cut and the full delta^n agree in either order of assembly
-        and never share a cache slot: only the full one is memoised."""
+        and each has a cache slot of its own: after either order the cache
+        holds exactly those two, and a repeat call returns the same
+        object, never the other one."""
         g = parse_group(spec)
         gens = g.generating_set()
         free = trivial_integers(g)
+        full_key, cut_key = (free.actions, 4), (free.actions, 4, "cut")
         pairs = []
         for restricted_first in (True, False):
             res = BarResolution(g, 4)
+            cache = res._cob_cache
             if restricted_first:
                 part = res.cocycle_rows(free, 4)
-                assert res._cob_cache == {}
+                assert list(cache) == [cut_key] and cache[cut_key] is part
                 full = res.coboundary_matrix(free, 4)
             else:
                 full = res.coboundary_matrix(free, 4)
+                assert list(cache) == [full_key] and cache[full_key] is full
                 part = res.cocycle_rows(free, 4)
-            assert res._cob_cache == {(free.actions, 4): full}
+            assert set(cache) == {full_key, cut_key}
+            assert cache[full_key] is full and cache[cut_key] is part
+            for _ in range(2):
+                assert res.cocycle_rows(free, 4) is part
+                assert res.coboundary_matrix(free, 4) is full
+            assert len(cache) == 2
             assert (part.nrows, part.ncols) == \
                 (len(gens) * res.rank(4), res.rank(4))
             assert (full.nrows, full.ncols) == (res.rank(5), res.rank(4))
@@ -301,7 +311,31 @@ class TestGeneratorRowsLemma:
         assert pairs[0] == pairs[1]
         # the full top coboundary is never assembled for the complex
         cx = BarMod2Complex(g, 4)
-        assert sorted(n for _, n in cx.res._cob_cache) == [0, 1, 2, 3]
+        assert sorted(key[1:] for key in cx.res._cob_cache) == \
+            [(0,), (1,), (2,), (3,), (4, "cut")]
+
+    RANK_SPECS = [(f"C{n}", 4) for n in range(2, 9)] + \
+        [("D3", 4), ("C2xC2", 4), ("D5", 3)]
+
+    @pytest.mark.parametrize("spec, top", RANK_SPECS,
+                             ids=[spec for spec, _ in RANK_SPECS])
+    def test_cut_has_the_full_gf2_rank(self, spec, top):
+        """The cut delta^n, ranked as cohomology ranks it (``mod2_rank``),
+        has the GF(2) rank of the full delta^n, for Z/2 and, where the
+        group has an orientation character, Z_w."""
+        g = parse_group(spec)
+        modules = [mod2_integers(g)]
+        chars = orientation_characters(g)
+        if chars:
+            modules.append(twisted_integers(chars[0]))
+        res = BarResolution(g, top)
+        for module in modules:
+            for n in range(top + 1):
+                full = res.coboundary_matrix(module, n)
+                cut = res.cocycle_rows(module, n)
+                assert cut.nrows < full.nrows or g.order == 2
+                assert mod2_rank(cut) == gf2.rank(full.mod2_column_masks()), \
+                    (spec, module.moduli, n)
 
     @pytest.mark.parametrize("spec", ["C6", "D3", "C10"])
     def test_top_degree_cocycle_check_keeps_its_strength(self, spec):

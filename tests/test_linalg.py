@@ -977,8 +977,11 @@ class TestMod2:
                          list(entries.values()))
 
     def test_prepass_core_finishes_on_gf2(self):
-        # past the size cutoff the integer pre-pass runs first, and the
-        # +-3 pivots it cannot take over Z are left to gf2 in its core
+        # every pre-pass step is unimodular over Z, so its pivots plus the
+        # GF(2) rank of its core give the GF(2) rank of the matrix; the
+        # +-3 pivots it cannot take over Z stay in the core.  mod2_rank
+        # runs no pre-pass; this pins the soundness modulo a prime that a
+        # local Smith form modulo p^k, finishing on the core, relies on
         rng = random.Random(53)
         odd_core = 0
         for _ in range(6):
@@ -997,7 +1000,10 @@ class TestMod2:
     def test_prepass_abandonment_boundary(self):
         # [[1, b], [c, d]] beside a unit filler: the Schur complement
         # d - c*b is bounded by |d| + |c|*|b| = |d| + safe - 1; past the
-        # bound the round is abandoned and gf2 ranks the whole matrix
+        # bound the round is abandoned and the whole matrix is left as
+        # the core.  Either way the pivots plus the core's GF(2) rank are
+        # the matrix's: the steps taken are unimodular, so they stay
+        # sound modulo 2 (as a local Smith form would need)
         b, c = 2**31 + 1, 2**31 - 1
         assert c * b == linalg._INT64_SAFE - 1
         fill = linalg._PREPASS_MIN_NNZ
@@ -1068,8 +1074,7 @@ class TestRankMemo:
     def eliminations(self, monkeypatch):
         """(matrix, mod2) for every integer elimination (mod2 False) and
         every GF(2) rank computed (mod2 True): a ``gf2.rank`` call made
-        for the matrix ``mod2_rank`` was asked for, on whatever core the
-        pre-pass left of it."""
+        for the matrix ``mod2_rank`` was asked for."""
         from u4class import cohomology
         calls, asked = [], []
         eliminate, ask, finish = linalg._eliminate_units, linalg.mod2_rank, \
@@ -1130,12 +1135,55 @@ class TestRankMemo:
         got = {module: cohomology(group, module, 4, res) for module in order}
         assert (str(got[z2]), str(got[z])) == ("Z/2", "Z/8")
         delta4 = res.coboundary_matrix(z, 4)
-        # H^4(C8; Z) is finite, so it is read off delta^3 alone and
-        # delta^4 is eliminated over Z in neither order; the Z/2 count
-        # takes its GF(2) rank once
-        assert not any(m is delta4 for m, mod2 in eliminations if not mod2)
-        assert [m is delta4 for m, mod2 in eliminations if mod2].count(
+        cut4 = res.cocycle_rows(z2, 4)
+        assert cut4 is not delta4 and cut4.nrows < delta4.nrows
+        # H^4(C8; Z) is finite, so it is read off delta^3 alone; the Z/2
+        # count ranks the cut of delta^4 over GF(2), once, so in either
+        # order neither arithmetic eliminates the full delta^4
+        assert not any(m is delta4 for m, _ in eliminations)
+        assert [m is cut4 for m, mod2 in eliminations if mod2].count(
             True) == 1
+        assert not any(m is cut4 for m, mod2 in eliminations if not mod2)
+
+    @pytest.mark.parametrize("spec, dims", [
+        ("C6", (1, 1, 1, 1, 1)), ("D3", (1, 1, 1, 1, 1)),
+        ("C2xC2", (1, 2, 3, 4, 5))], ids=["C6", "D3", "C2xC2"])
+    def test_mod2_cohomology_ranks_only_cuts(self, eliminations,
+                                             monkeypatch, spec, dims):
+        """Over bar, H^n(G; Z/2) for n = 0..4 assembles no full
+        coboundary (``Resolution.coboundary_matrix`` sees only the empty
+        delta^-1), ranks each cut delta^n over GF(2) exactly once, and
+        runs no integer pre-pass."""
+        from u4class.cohomology import cohomology
+        from u4class.groups import parse_group
+        from u4class.modules import mod2_integers
+        from u4class.resolutions import BarResolution, Resolution
+        assembled, prepassed = [], []
+        assemble, prepass = Resolution.coboundary_matrix, linalg._prepass
+
+        def assembling(res, module, n):
+            assembled.append(n)
+            return assemble(res, module, n)
+
+        def prepassing(m):
+            prepassed.append(m)
+            return prepass(m)
+
+        monkeypatch.setattr(Resolution, "coboundary_matrix", assembling)
+        monkeypatch.setattr(linalg, "_prepass", prepassing)
+        group = parse_group(spec)
+        res, z2 = BarResolution(group, 4), mod2_integers(group)
+        got = [cohomology(group, z2, n, res).torsion for n in range(5)]
+        assert got == [(2,) * d for d in dims]
+        assert assembled == [-1]
+        assert all(len(key) == 3 for key in res._cob_cache)
+        cuts = [res.cocycle_rows(z2, n) for n in range(5)]
+        ranked = [m for m, mod2 in eliminations if mod2]
+        assert not [m for m, mod2 in eliminations if not mod2]
+        # delta^0 and the empty delta^-1 at n = 0, then one new cut per n
+        assert [id(m) for m in ranked if m.ncols] == [id(m) for m in cuts]
+        assert len(ranked) == 6 and ranked[1].ncols == 0
+        assert prepassed == []
 
     def test_positive_degree_leaves_d_out_alone(self, eliminations,
                                                 monkeypatch):
