@@ -4,6 +4,7 @@ for an odd-order normal subgroup with 2-group quotient.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,6 +293,16 @@ class GroupHom:
         if not np.array_equal(m[src], tgt[np.ix_(m, m)]):
             raise ValueError("not a homomorphism")
 
+    @classmethod
+    def _unchecked(cls, source, target, mapping):
+        """The homomorphism of a mapping checked before on these groups,
+        rebuilt without checking the table again."""
+        hom = cls.__new__(cls)
+        for name, value in (("source", source), ("target", target),
+                            ("mapping", mapping)):
+            object.__setattr__(hom, name, value)
+        return hom
+
     def __call__(self, a):
         return self.mapping[a]
 
@@ -528,11 +539,50 @@ def odd_normal_complement(group: FiniteGroup) -> OddDecomposition | None:
     2-group is trivial), so K exists iff the odd-order elements form a
     subgroup of full odd part; that K is then unique and automatically
     normal, making the spec's maximal-order tie-break vacuous.  The result
-    is memoised on the group, so every caller shares one decomposition.
+    is memoised on the group (``_OddMemo``), so every caller shares one
+    kernel and quotient, and one decomposition while any caller holds it.
     """
-    if group._odd_decomposition is _UNSET:
-        group._odd_decomposition = _find_odd_decomposition(group)
-    return group._odd_decomposition
+    memo = group._odd_decomposition
+    if memo is _UNSET:
+        decomp = _find_odd_decomposition(group)
+        group._odd_decomposition = None if decomp is None \
+            else _OddMemo(decomp)
+        return decomp
+    return None if memo is None else memo.decomposition(group)
+
+
+class _OddMemo:
+    """A group's odd decomposition as its memo keeps it: every part but
+    the group itself, and a weak reference to the decomposition last
+    handed out.  The decomposition refers to the group (``group``,
+    ``embed.target``, ``project.source``), so a memo that held it would
+    make a reference cycle, and a dropped group would keep its tables until
+    the cyclic collector ran.  A decomposition no caller holds any more is
+    rebuilt from the parts, its homomorphisms unchecked since they were
+    checked when first built."""
+
+    __slots__ = ("kernel", "embedding", "quotient", "projection",
+                 "coset_reps", "last")
+
+    def __init__(self, decomp: OddDecomposition):
+        self.kernel = decomp.kernel
+        self.embedding = decomp.embed.mapping
+        self.quotient = decomp.quotient
+        self.projection = decomp.project.mapping
+        self.coset_reps = decomp.coset_reps
+        self.last = weakref.ref(decomp)
+
+    def decomposition(self, group: FiniteGroup) -> OddDecomposition:
+        decomp = self.last()
+        if decomp is None:
+            decomp = OddDecomposition(
+                group, self.kernel,
+                GroupHom._unchecked(self.kernel, group, self.embedding),
+                self.quotient,
+                GroupHom._unchecked(group, self.quotient, self.projection),
+                self.coset_reps)
+            self.last = weakref.ref(decomp)
+        return decomp
 
 
 def _find_odd_decomposition(group):

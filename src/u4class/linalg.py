@@ -23,13 +23,15 @@ from the column masks of the matrix.
 An ``IntMatrix`` holds its canonical triplets in read-only numpy arrays,
 with int64 values when every value lies within +-``_INT64_SAFE`` and
 Python integers (dtype=object) otherwise, and each step above reads
-those arrays directly.  The pre-pass takes one and leaves its core as
-one for the unit-pivot phase.  Its ``rows``, ``cols`` and ``vals`` are
-list views, built afresh on every call, for the pure-Python unit-pivot
-phase and for callers that walk a small matrix entry by entry.  Its
-GF(2) rank is memoised on it, its Smith diagonal not: above degree 0 a
-(co)homology call eliminates d_in alone, so one matrix is seldom
-eliminated twice.  The module keeps no cache.
+those arrays directly.  The canonicaliser sorts once, stably, on the
+int64 position key row * ncols + col, so an ``IntMatrix`` refuses a shape
+whose nrows * ncols exceeds 2^63 - 1 before any sort runs.  The
+pre-pass takes one and leaves its core as one for the unit-pivot phase.
+Its ``rows``, ``cols`` and ``vals`` are list views, built afresh on every
+call, for the pure-Python unit-pivot phase and for callers that walk a
+small matrix entry by entry.  Its GF(2) rank is memoised on it, its Smith
+diagonal not: above degree 0 a (co)homology call eliminates d_in alone,
+so one matrix is seldom eliminated twice.  The module keeps no cache.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ __all__ = [
 
 # every int64 intermediate is proven to stay within this magnitude
 _INT64_SAFE = 2**62
+# the largest nrows * ncols of an IntMatrix: its canonicaliser sorts the
+# positions on the int64 key row * ncols + col
+_KEY_MAX = 2**63 - 1
 # packed uint8 block behind IntMatrix.mod2_column_masks; 16 MB built the
 # top-degree masks of C10 and D5 no faster (C10: 17 vs 11 ms) and raised
 # the peak RSS of their degree-4 ring and inflation checks (88.4 vs 85.5 MB)
@@ -73,9 +78,12 @@ class IntMatrix:
     column), with no repeated position and no zero value.  Rows and
     columns are int64; values are int64 when every value lies within
     +-``_INT64_SAFE`` and Python ints (dtype=object) otherwise, so the
-    dtype depends only on the values.  ``arrays`` returns the three arrays;
-    ``rows``, ``cols`` and ``vals`` build a fresh list of Python ints on
-    every call, for callers that walk the entries one by one.
+    dtype depends only on the values.  Triplets passed in any order are
+    canonicalised by one stable sort on the int64 key row * ncols + col
+    (``_canonical_triplets``), so the shape must have nrows * ncols at most
+    2^63 - 1; a larger one raises ValueError.  ``arrays`` returns the three
+    arrays; ``rows``, ``cols`` and ``vals`` build a fresh list of Python
+    ints on every call, for callers that walk the entries one by one.
 
     With ``canonical=True`` the triplets must already be canonical; arrays
     passed so are taken over, not copied, and made read-only.
@@ -88,6 +96,9 @@ class IntMatrix:
                  canonical=False):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
+        if self.nrows * self.ncols > _KEY_MAX:
+            raise ValueError(f"a {self.nrows} x {self.ncols} matrix has "
+                             "more positions than int64 keys")
         if canonical:
             r = np.asarray(rows, dtype=np.int64)
             c = np.asarray(cols, dtype=np.int64)
@@ -283,34 +294,51 @@ def _value_array(vals):
 
 
 def _canonical_triplets(nrows, ncols, rows, cols, vals):
-    """Triplets (lists or arrays) as arrays sorted by (row, column), with
-    repeated positions summed and zero sums dropped.
+    """Triplets (lists, or arrays of one shape) as flat arrays sorted by
+    (row, column), with repeated positions summed and zero sums dropped.
 
-    The sums run in int64 when the largest |value| times the number of
-    values is at most ``_INT64_SAFE``, so that no partial sum can leave
-    int64, and in Python ints (dtype=object) otherwise.
+    The positions are sorted once, stably, on the int64 key row * ncols +
+    col, which the shape check of ``IntMatrix`` keeps inside int64.  The
+    canonical triplets are unique, so the sort chosen cannot change them; a
+    stable one is timsort, which merges presorted runs in close to linear
+    time, and an assembled coboundary arrives as one run per face
+    (``Resolution._hom_matrix``).  Broadcast views are read in place, never
+    copied.  The sums run in int64 when the largest |value| times the
+    number of values is at most ``_INT64_SAFE``, so that no partial sum can
+    leave int64, and in Python ints (dtype=object) otherwise.
     """
     try:
         r = np.asarray(rows, dtype=np.int64)
         c = np.asarray(cols, dtype=np.int64)
     except OverflowError:
         raise ValueError("entry out of range") from None
-    if not r.size == c.size == len(vals):
-        raise ValueError("triplet lengths differ")
     v = _value_array(vals)
+    if not r.shape == c.shape == v.shape:
+        raise ValueError("triplet lengths differ")
+    # as uint64 a negative index wraps past every bound
+    if r.size and (r.view(np.uint64).max() >= nrows
+                   or c.view(np.uint64).max() >= ncols):
+        raise ValueError("entry out of range")
+    keys = r * ncols
+    keys += c
+    keys, v = keys.ravel(), v.ravel()
     if _array_max_abs(v) * v.size > _INT64_SAFE:
         v = v.astype(object)
-    if r.size and (r.min() < 0 or r.max() >= nrows
-                   or c.min() < 0 or c.max() >= ncols):
-        raise ValueError("entry out of range")
-    order = np.lexsort((c, r))
-    r, c, v = r[order], c[order], v[order]
-    starts = np.ones(r.size, dtype=bool)
-    starts[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(starts)
-    sums = np.add.reduceat(v, starts) if r.size else v
-    keep = sums != 0
-    return r[starts][keep], c[starts][keep], sums[keep]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    v = v[order]
+    del order
+    # fold every later entry of a repeated key into the run's first entry
+    later = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    if later.size:
+        np.add.at(v, np.searchsorted(keys, keys[later]), v[later])
+    keep = v != 0
+    keep[later] = False
+    if not keep.all():
+        keys, v = keys[keep], v[keep]
+    r = keys // ncols
+    keys -= r * ncols                # the sorted copy, now the columns
+    return r, keys, v
 
 
 def _sorted_join(keys, probes):

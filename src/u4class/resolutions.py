@@ -65,7 +65,8 @@ class Resolution:
     generator of F_{n-1}, column generator of F_n, group element and
     coefficient.  Column generator c maps to the sum of coefficient *
     element * (row generator) over its entries; repeated (row, column,
-    element) triples add up.
+    element) triples add up.  Every matrix over a module is assembled from
+    these arrays by ``_hom_matrix``.
     """
 
     def __init__(self, group: FiniteGroup, degree: int, ranks):
@@ -98,9 +99,9 @@ class Resolution:
         cache = self._cob_cache
         key = (module.actions, n)
         if key not in cache:
-            rows, cols, elems, coeffs = self._bounded_boundary(n + 1, module)
-            cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
-                                          self.rank(n + 1), self.rank(n))
+            cache[key] = self._hom_matrix(
+                self._bounded_boundary(n + 1, module), module,
+                self.rank(n + 1), self.rank(n), cochain=True)
         return cache[key]
 
     def cocycle_rows(self, module: GModule, n) -> IntMatrix:
@@ -113,10 +114,9 @@ class Resolution:
         """d_n tensored with M: (M x F_n)_G -> (M x F_{n-1})_G."""
         if n < 1:
             return IntMatrix.zeros(0, self.rank(0) * module.ngens)
-        rows, cols, elems, coeffs = self._bounded_boundary(n, module)
-        return self._hom_matrix(rows, cols, self.group.inverse_table[elems],
-                                coeffs, module, self.rank(n - 1),
-                                self.rank(n))
+        return self._hom_matrix(self._bounded_boundary(n, module), module,
+                                self.rank(n - 1), self.rank(n),
+                                cochain=False)
 
     def face_count(self, n):
         """len(boundary(n)), counted without building the arrays."""
@@ -138,22 +138,44 @@ class Resolution:
                 f"the bound {limit} ({_ENTRIES_PER_GENERATOR} entries per "
                 f"allowed generator; set {_ENV_BOUND} to raise it)")
 
-    def _hom_matrix(self, rows, cols, elems, coeffs, module, nrow_gens,
-                    ncol_gens):
-        """Block (row, col) of size ngens x ngens gets coefficient times the
-        action matrix of the element, once per entry."""
+    def _hom_matrix(self, faces, module, nrow_gens, ncol_gens, *,
+                    cochain):
+        """The matrix of ``faces``, the four arrays of a ``boundary``,
+        over ``module``.  Face (row r, column c, element g, coefficient v)
+        adds v times the action matrix of g to the ngens x ngens block
+        (c, r) of a coboundary (``cochain``), and v times that of g^-1 to
+        block (r, c) of a chain matrix.
+
+        Each face array is dropped once read, so a caller that passes a
+        ``boundary`` it does not keep lets the assembly peak at a few
+        arrays of the face count: the block rows and columns reach the
+        canonicaliser as broadcast views.  A coboundary's faces are runs
+        sorted by block row, one per face of a tuple on the bar
+        resolution, which its stable sort merges."""
+        rows, cols, elems, coeffs = faces
+        del faces
+        if cochain:
+            rows, cols = cols, rows
+        else:
+            elems = self.group.inverse_table[elems]
         k = module.ngens
         acts = np.array(module.actions).reshape(self.group.order, k, k)
-        if acts.dtype != np.int64:
-            acts = acts.astype(object)
-        vals = _exact_product(coeffs[:, None, None], acts[elems])
+        if acts.dtype != np.int64 or \
+                _array_max_abs(coeffs) * _array_max_abs(acts) > _INT64_SAFE:
+            acts, coeffs = acts.astype(object), coeffs.astype(object)
+        vals = acts[elems]
+        del elems
+        vals *= coeffs[:, None, None]
+        del coeffs
         i = np.arange(k, dtype=np.int64)
-        shape = vals.shape
         block_rows = np.broadcast_to(rows[:, None, None] * k + i[:, None],
-                                     shape)
-        block_cols = np.broadcast_to(cols[:, None, None] * k + i, shape)
-        return IntMatrix(nrow_gens * k, ncol_gens * k, block_rows.ravel(),
-                         block_cols.ravel(), vals.ravel())
+                                     vals.shape)
+        del rows
+        block_cols = np.broadcast_to(cols[:, None, None] * k + i,
+                                     vals.shape)
+        del cols
+        return IntMatrix(nrow_gens * k, ncol_gens * k, block_rows,
+                         block_cols, vals)
 
     # -- verification -------------------------------------------------------
 
@@ -235,9 +257,11 @@ class BarResolution(Resolution):
     """Normalized inhomogeneous bar resolution; rank (|G|-1)^n in degree n.
 
     Generators of F_n are the tuples [g_1|...|g_n] of nonidentity
-    elements, numbered big-endian in base |G|-1 with digit g_i - 1.  Only
-    ``tuples`` and ``number`` know this numbering; cochain code reads and
-    writes tuples through them.
+    elements, numbered big-endian in base |G|-1 with digit g_i - 1.
+    ``tuples`` and ``number`` own this numbering; cochain code reads and
+    writes tuples through them.  ``boundary`` works on the digits of the
+    numbers instead, without building the tuples, and the tests check its
+    faces against ones built tuple by tuple through ``number``.
     """
 
     def __init__(self, group: FiniteGroup, degree: int):
@@ -319,10 +343,9 @@ class BarResolution(Resolution):
         if key not in cache:
             firsts = self.group.generating_set()
             self._check_entries(self.face_count(n + 1, firsts), module)
-            rows, cols, elems, coeffs = self.boundary(n + 1, firsts)
-            cache[key] = self._hom_matrix(cols, rows, elems, coeffs, module,
-                                          len(firsts) * self.rank(n),
-                                          self.rank(n))
+            cache[key] = self._hom_matrix(
+                self.boundary(n + 1, firsts), module,
+                len(firsts) * self.rank(n), self.rank(n), cochain=True)
         return cache[key]
 
     def boundary(self, n, firsts=None):
@@ -334,30 +357,56 @@ class BarResolution(Resolution):
         the tuples with g_1 in firsts get faces, and column c is the c-th
         of them in numbering order: block b of (|G|-1)^(n-1) columns holds
         the tuples [firsts[b]|...].  For firsts = (1, ..., k) the columns
-        are the tuples' own numbers."""
+        are the tuples' own numbers.
+
+        Each face's number comes from the digits of its tuple's number t
+        (see the class docstring): the first face drops the first digit
+        (t mod q^(n-1), q = |G|-1), the last drops the last (t div q), and
+        face i merges digits i-1 and i into the one of g_i g_{i+1} through
+        ``group.mul``.  The faces are written into four preallocated
+        arrays as n + 1 runs, face 0 first, each in ascending column
+        order."""
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
-        index = np.arange(self.rank(n) if firsts is None
-                          else len(firsts) * self.rank(n - 1),
-                          dtype=np.int64)
-        elems = self.tuples(n, index)
-        if firsts is not None:
-            # index counts the tuples of the blocks 1..len(firsts); each
-            # block b takes first entry firsts[b] in place of b + 1
-            elems[:, 0] = np.asarray(firsts, dtype=np.int64)[elems[:, 0] - 1]
-        zeros = np.zeros(index.size, dtype=np.int64)
-        ones = np.ones(index.size, dtype=np.int64)
-        faces = [(self.number(elems[:, 1:]), index, elems[:, 0], ones)]
+        q = self.group.order - 1
+        lead = q ** (n - 1)              # place value of g_1's digit
+        col = np.arange(self.rank(n) if firsts is None
+                        else len(firsts) * lead, dtype=np.int64)
+        if firsts is None:
+            tup = col
+        else:
+            # column c is the tuple [firsts[c div lead]|...]
+            heads = np.asarray(firsts, dtype=np.int64) - 1
+            tup = heads[col // lead] * lead + col % lead
+        # above[j]: the number of the first j digits, t div q^(n-j)
+        above = [tup // q ** (n - j) for j in range(n)] + [tup]
+        # products of nonidentity elements, by digit
+        table = self.group.mul[1:, 1:]
+        rows, cols, elems, coeffs = (
+            np.empty(self.face_count(n, firsts), dtype=np.int64)
+            for _ in range(4))
+        stop = col.size
+        rows[:stop] = tup - above[1] * lead
+        elems[:stop] = above[1] + 1
+        cols[:stop] = col
+        coeffs[:stop] = 1
+        elems[stop:] = 0
         for i in range(1, n):
-            prod = self.group.mul[elems[:, i - 1], elems[:, i]]
-            keep = prod != 0
-            merged = np.delete(elems[keep], i, axis=1)
-            merged[:, i - 1] = prod[keep]
-            faces.append((self.number(merged), index[keep], zeros[keep],
-                          ones[keep] * (-1) ** i))
-        faces.append((self.number(elems[:, :-1]), index, zeros,
-                       ones * (-1) ** n))
-        return tuple(np.concatenate(part) for part in zip(*faces))
+            place = q ** (n - 1 - i)     # place value of digit i
+            prod = table[above[i] - above[i - 1] * q,
+                         above[i + 1] - above[i] * q]
+            keep = np.flatnonzero(prod)
+            start, stop = stop, stop + keep.size
+            # digits 0..i-2, the product's digit, digits i+1..n-1
+            rows[start:stop] = (
+                (above[i - 1][keep] * q + prod[keep] - 1) * place
+                + tup[keep] - above[i + 1][keep] * place)
+            cols[start:stop] = keep
+            coeffs[start:stop] = (-1) ** i
+        rows[stop:] = above[n - 1]
+        cols[stop:] = col
+        coeffs[stop:] = (-1) ** n
+        return rows, cols, elems, coeffs
 
 
 # ---------------------------------------------------------------------------

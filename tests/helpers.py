@@ -20,9 +20,9 @@ def bar_rows_starting_with(res, module, n, firsts):
     s in the ascending ``firsts``, one block of (|G|-1)^n tuples per s,
     assembled from ``boundary(n + 1, firsts)`` as
     ``BarResolution.cocycle_rows`` assembles its own generator blocks."""
-    rows, cols, elems, coeffs = res.boundary(n + 1, firsts)
-    return res._hom_matrix(cols, rows, elems, coeffs, module,
-                           len(firsts) * res.rank(n), res.rank(n))
+    return res._hom_matrix(res.boundary(n + 1, firsts), module,
+                           len(firsts) * res.rank(n), res.rank(n),
+                           cochain=True)
 
 
 def to_sympy(m: IntMatrix) -> sympy.Matrix:

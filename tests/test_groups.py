@@ -220,6 +220,54 @@ class TestOddNormalComplement:
         assert {a for a, b in enumerate(d.project.mapping) if b == 0} == \
             {d.embed(i) for i in range(d.kernel.order)}
 
+    @pytest.mark.parametrize("spec", ["D15", "C6", "D3xC5",
+                                      "perm[(1 2 3 4 5), (2 5)(3 4)]",
+                                      "perm[(1 2 3), (1 2)(3 4)]"])
+    def test_dropped_group_leaves_nothing_for_the_collector(self, spec):
+        # the memo on the group holds no reference back to it, so the
+        # group, its table and its decomposition go as soon as the last
+        # caller drops them, with the cyclic collector off
+        import gc
+        import weakref
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            g = parse_group(spec)
+            d = odd_normal_complement(g)
+            kernel = d and d.kernel
+            table, decomp = weakref.ref(g.mul), d and weakref.ref(d)
+            del d
+            again = odd_normal_complement(g)
+            if again is not None:
+                # rebuilt from the memo, not recomputed or re-checked
+                assert decomp() is None and again.kernel is kernel
+                assert again.group is g and again.embed.target is g
+                assert again.project.source is g
+                assert again.embed.source is kernel
+                assert odd_normal_complement(g) is again
+                decomp = weakref.ref(again)
+            del g, again, kernel
+            assert table() is None
+            assert decomp is None or decomp() is None
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_rebuilt_decomposition_checks_nothing(self, monkeypatch):
+        g = parse_group("D15")
+        first = odd_normal_complement(g)
+        embed, project = first.embed.mapping, first.project.mapping
+        del first
+
+        def refuse(self):
+            raise AssertionError("a homomorphism was checked again")
+        monkeypatch.setattr(GroupHom, "__post_init__", refuse)
+        monkeypatch.setattr(groups, "_find_odd_decomposition", refuse)
+        d = odd_normal_complement(g)
+        assert d.embed.mapping == embed and d.project.mapping == project
+
 
 class TestConjugationAction:
     def test_c6_trivial(self):

@@ -147,6 +147,135 @@ class TestIntMatrix:
             with pytest.raises(ValueError):
                 IntMatrix(2, 3, rows, cols, vals)
 
+    @staticmethod
+    def _lexsort_canonical(rows, cols, vals):
+        """The canonical form by its definition: entries ordered by
+        np.lexsort on (column, row), each run of one position summed in
+        Python ints, zero sums dropped."""
+        r = np.asarray(rows, dtype=np.int64)
+        c = np.asarray(cols, dtype=np.int64)
+        out = []
+        for i in np.lexsort((c, r)).tolist():
+            pos = (int(r[i]), int(c[i]))
+            if out and out[-1][0] == pos:
+                out[-1][1] += int(vals[i])
+            else:
+                out.append([pos, int(vals[i])])
+        out = [(pos, v) for pos, v in out if v]
+        return ([pos[0] for pos, _ in out], [pos[1] for pos, _ in out],
+                [v for _, v in out])
+
+    @staticmethod
+    def _random_triplets(rng, count, nrows, ncols, scale, runs):
+        """count entries with values in [-scale, scale], a third of them
+        repeating an earlier position and a fifth of those cancelling it;
+        with ``runs``, cut into that many runs each sorted by position."""
+        rows, cols, vals = [], [], []
+        for _ in range(count):
+            if vals and rng.random() < 0.3:
+                k = rng.randrange(len(vals))
+                r, c = rows[k], cols[k]
+                v = -vals[k] if rng.random() < 0.2 \
+                    else rng.randint(-scale, scale)
+            else:
+                r, c = rng.randrange(nrows), rng.randrange(ncols)
+                v = rng.randint(-scale, scale)
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+        if runs:
+            cuts = sorted(rng.sample(range(count + 1), runs - 1))
+            entries = list(zip(rows, cols, vals))
+            ordered = []
+            for lo, hi in zip([0] + cuts, cuts + [count]):
+                ordered += sorted(entries[lo:hi],
+                                  key=lambda e: (e[0], e[1]))
+            rows, cols, vals = (list(x) for x in zip(*ordered)) \
+                if ordered else ([], [], [])
+        return rows, cols, vals
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("count, runs", [
+        (0, 0), (1, 0), (1, 1), (30, 0), (30, 1), (30, 5), (700, 0),
+        (700, 1), (700, 5)])
+    @pytest.mark.parametrize("scale", [1, 2**31, 2**62 + 5, 2**80])
+    def test_canonical_equals_lexsort_definition(self, seed, count, runs,
+                                                 scale):
+        # one stable sort on row * ncols + col gives what lexsort gives;
+        # runs = 0 leaves the entries unsorted, runs = 1 sorts them all
+        rng = random.Random(f"{seed} {count} {runs} {scale}")
+        nrows, ncols = rng.choice([(1, 1), (3, 7), (40, 25), (2, 5000)])
+        rows, cols, vals = self._random_triplets(rng, count, nrows, ncols,
+                                                 scale, runs)
+        expect = self._lexsort_canonical(rows, cols, vals)
+        inputs = [(rows, cols, vals)]
+        if scale < 2**63:
+            inputs.append((np.array(rows, dtype=np.int64),
+                           np.array(cols, dtype=np.int64),
+                           np.array(vals, dtype=np.int64)))
+        for triplets in inputs:
+            r, c, v = linalg._canonical_triplets(nrows, ncols, *triplets)
+            assert (r.tolist(), c.tolist(), v.tolist()) == expect
+            assert r.dtype == c.dtype == np.int64
+            safe = linalg._array_max_abs(np.array(vals, dtype=object)) \
+                * len(vals) <= linalg._INT64_SAFE
+            assert v.dtype == (np.int64 if safe else object)
+            assert IntMatrix(nrows, ncols, *triplets).rows == expect[0]
+
+    def test_canonical_reads_views_in_place(self):
+        # broadcast (read-only) views of one shape give what their copies
+        # give, and no input array is written
+        rows = np.array([[2], [0], [2]], dtype=np.int64)
+        cols = np.array([[1, 3]], dtype=np.int64)
+        vals = np.array([[5, 1], [2, 7], [-5, 4]], dtype=np.int64)
+        r, c = np.broadcast_arrays(rows, cols)
+        want = self._lexsort_canonical(r.ravel(), c.ravel(), vals.ravel())
+        assert want == ([0, 0, 2], [1, 3, 3], [2, 7, 5])
+        m = IntMatrix(3, 4, r, c, vals)
+        assert (m.rows, m.cols, m.vals) == want
+        assert m == IntMatrix(3, 4, r.ravel(), c.ravel(), vals.ravel())
+        assert rows.ravel().tolist() == [2, 0, 2]
+        assert cols.ravel().tolist() == [1, 3]
+        assert vals.ravel().tolist() == [5, 1, 2, 7, -5, 4]
+        with pytest.raises(ValueError, match="lengths differ"):
+            IntMatrix(3, 4, rows, cols, vals)
+
+    @pytest.mark.parametrize("nrows, ncols", [
+        (2, 2**62 - 1),                  # 2^63 - 2: one position below
+        (7, (2**63 - 1) // 7),           # 2^63 - 1, the largest key + 1
+        ((2**63 - 1) // 7, 7),
+        (1, 2**63 - 1),
+        (2**63 - 1, 1)])
+    def test_shape_at_the_key_limit(self, nrows, ncols):
+        # every corner, given last first; the far corner's key is
+        # nrows * ncols - 1, the largest int64 but one at the limit
+        corners = [(nrows - 1, ncols - 1), (nrows - 1, 0), (0, ncols - 1),
+                   (0, 0), (nrows - 1, ncols - 1)]
+        rows, cols = [r for r, _ in corners], [c for _, c in corners]
+        vals = [3, 1, 2, 5, 4]
+        m = IntMatrix(nrows, ncols, rows, cols, vals)
+        want = sorted(set(corners))
+        assert list(zip(m.rows, m.cols)) == want
+        assert (m.rows, m.cols, m.vals) == \
+            self._lexsort_canonical(rows, cols, vals)
+        t = m.transpose()
+        assert list(zip(t.cols, t.rows)) == sorted(want,
+                                                   key=lambda p: p[::-1])
+
+    @pytest.mark.parametrize("nrows, ncols", [
+        (2, 2**62), (2**62, 2), (1, 2**63), (2**63, 1), (2**40, 2**40),
+        (3, (2**63 - 1) // 3 + 1)])
+    def test_shape_past_the_key_limit(self, monkeypatch, nrows, ncols):
+        def no_sort(*args):
+            raise AssertionError("sorted a matrix with no int64 keys")
+        monkeypatch.setattr(linalg, "_canonical_triplets", no_sort)
+        for canonical in (False, True):
+            with pytest.raises(ValueError, match="int64 keys"):
+                IntMatrix(nrows, ncols, [nrows - 1], [ncols - 1], [1],
+                          canonical=canonical)
+        with pytest.raises(ValueError, match="int64 keys"):
+            IntMatrix.zeros(nrows, ncols)
+
     def test_matmul_int64_boundary(self, monkeypatch):
         safe = linalg._INT64_SAFE
         # bound = inner * max|a| * max|b| = 2 * 2^30 * 2^31
