@@ -32,7 +32,11 @@ cocycles and coboundaries of Hom(F, M).  The full cone's next term also
 has a C_r^(n+2) row; as f is injective it adds no condition and is left
 out.  The check d_out d_in = 0 is the identity f h = -delta_k delta_k
 together with delta_k f = f delta_r.  Homology runs the same way on the
-chain matrices, with d_r = f^-1 d_k f and f_(n-1) going out.
+chain matrices, with d_r = f^-1 d_k f and f_(n-1) going out.  A chain
+matrix d_n x M is the transposed coboundary delta^(n-1) of the dual
+action g -> A_(g^-1)^T (``GModule.dual``), and a Z/2 (co)homology count
+ranks the generator cut of that coboundary (``Resolution.cocycle_rows``),
+whose rank over GF(2) is the full one's.
 
 At a position of free abelian groups, Z^c between d_in and d_out, the
 homology has free rank c - rank(d_out) - rank(d_in) and torsion the
@@ -70,15 +74,6 @@ __all__ = ["cohomology", "homology", "mod2_ring", "inflation_map",
 
 # ---------------------------------------------------------------------------
 # Integer (co)homology with GModule coefficients
-
-
-def _mod2_homology_at(d_in: IntMatrix, d_out: IntMatrix,
-                      dim_here: int) -> AbelianGroup:
-    """(Co)homology at a free Z/2 position: the complex is a complex of
-    GF(2) vector spaces, so the dimension is dim - rank(out) - rank(in)
-    and every summand is Z/2."""
-    dim = dim_here - mod2_rank(d_out) - mod2_rank(d_in)
-    return AbelianGroup.from_cyclic_orders([2] * dim)
 
 
 def _cone(module: GModule, d_in: IntMatrix, d_out: IntMatrix,
@@ -120,15 +115,19 @@ def homology(group: FiniteGroup, module: GModule, n: int,
 def _homology_in_degree(group, module, n, resolution, cochains):
     """Degree n of Hom_G(F, M) (cochains) or of F x_G M: the differential
     d_in into degree n comes from degree n - 1 (n + 1 for chains) and d_out
-    goes to n + 1 (n - 1).  Mod-2 free modules take the GF(2) count, on
-    ``Resolution.cocycle_rows`` for cochains: each delta^n there has the
-    kernel, so the rank, of the full one.  Free and presented modules,
-    the latter through the mapping cone, give a position of free abelian
-    groups.  In degree 0 that takes ``homology_at``.  Above it the group
-    is finite (see the module docstring), so it is the torsion of d_in,
-    and d_out is only checked to compose to zero with it.  The resolution
-    and the module must be over ``group``: the same object or an equal
-    multiplication table."""
+    goes to n + 1 (n - 1).  Mod-2 free modules take the GF(2) count
+    dim - rank(out) - rank(in), every summand Z/2, on the
+    ``Resolution.cocycle_rows`` of delta^n and delta^(n-1): each has the
+    kernel, so the rank, of the full delta.  For chains they are those of
+    the dual module, as d_(n+1) and d_n over M are the transposes of its
+    delta^n and delta^(n-1) (``Resolution.chain_matrix``) and transposing
+    keeps the rank.  Free and presented modules, the latter through the
+    mapping cone, give a position of free abelian groups.  In degree 0
+    that takes ``homology_at``.  Above it the group is finite (see the
+    module docstring), so it is the torsion of d_in, and d_out is only
+    checked to compose to zero with it.  The resolution and the module
+    must be over ``group``: the same object or an equal multiplication
+    table."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     res = resolution if resolution is not None \
@@ -138,18 +137,18 @@ def _homology_in_degree(group, module, n, resolution, cochains):
             raise ValueError(f"resolution and module must be over "
                              f"{group.name}, not {over.name}")
     # the matrix from the degree-(n + 1) boundary, the larger, comes
-    # first, so an oversized request is refused before the other is built;
-    # a GF(2) count needs only ranks, which cocycle_rows keeps
+    # first, so an oversized request is refused before the other is built
+    if module.is_mod2_free:
+        coeffs = module if cochains else module.dual()
+        ranks = [mod2_rank(res.cocycle_rows(coeffs, m)) for m in (n, n - 1)]
+        return AbelianGroup.from_cyclic_orders(
+            [2] * (res.rank(n) * module.ngens - sum(ranks)))
     if cochains:
-        matrix = res.cocycle_rows if module.is_mod2_free \
-            else res.coboundary_matrix
-        d_out = matrix(module, n)
-        d_in = matrix(module, n - 1)
+        d_out = res.coboundary_matrix(module, n)
+        d_in = res.coboundary_matrix(module, n - 1)
     else:
         d_in = res.chain_matrix(module, n + 1)
         d_out = res.chain_matrix(module, n)
-    if module.is_mod2_free:
-        return _mod2_homology_at(d_in, d_out, res.rank(n) * module.ngens)
     if not module.is_free:
         d_in, d_out = _cone(module, d_in, d_out, res.rank(n),
                             res.rank(n + 1 if cochains else n - 1))

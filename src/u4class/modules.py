@@ -100,6 +100,16 @@ class GModule:
         return IntMatrix(m.nrows // k * r, m.ncols, block * r + column[gen],
                          cols, vals // d)
 
+    def dual(self) -> GModule:
+        """The same moduli with g acting by the transpose of A_(g^-1), the
+        contragredient action: d_n x_G M is the transpose of delta^(n-1)
+        over it (``Resolution.chain_matrix``).  Only its action is read,
+        and it need not preserve im f, so it is not validated."""
+        return GModule(self.group, self.moduli,
+                       (zip(*self.actions[h])
+                        for h in self.group.inverse_table.tolist()),
+                       validate=False)
+
     # -- structure queries --------------------------------------------------
 
     @property

@@ -13,7 +13,8 @@ Each construction gives its boundaries in one array form (see
 matrix assembly refuses an oversized matrix before any face is built;
 the bar resolution computes its own faces, so it stays an independent
 check on the others.  ``Resolution`` alone turns that form into
-coboundary and chain matrices for any module and checks d d = 0.  Only
+coboundary matrices for any module, reads a chain matrix as the
+transposed coboundary of the dual action, and checks d d = 0.  Only
 ``BarResolution`` knows how its tuples are numbered, and with it the cut
 of a coboundary to the rows that cut out its kernel, those of the tuples
 that start with a generator (``BarResolution.cocycle_rows``).
@@ -90,8 +91,10 @@ class Resolution:
         generator coordinates (relations are the caller's concern).
 
         The matrix depends on the module only through its action, so it
-        is memoised per (module.actions, n): Z and Z/2 share one matrix.
-        Every row is assembled.  A Z/2 count ranks ``cocycle_rows``
+        is memoised per (module.actions, n): Z and Z/2 share one matrix,
+        and ``chain_matrix`` reads the same memo under the dual's actions,
+        which for Z, Z_w, Z/2 and Z[G] are their own.  Every row is
+        assembled.  A Z/2 (co)homology count ranks ``cocycle_rows``
         instead, which on the bar resolution is a cut with a slot of its
         own, so there Z and Z/2 share no matrix."""
         if n < 0:
@@ -101,7 +104,7 @@ class Resolution:
         if key not in cache:
             cache[key] = self._hom_matrix(
                 self._bounded_boundary(n + 1, module), module,
-                self.rank(n + 1), self.rank(n), cochain=True)
+                self.rank(n + 1), self.rank(n))
         return cache[key]
 
     def cocycle_rows(self, module: GModule, n) -> IntMatrix:
@@ -111,12 +114,13 @@ class Resolution:
         return self.coboundary_matrix(module, n)
 
     def chain_matrix(self, module: GModule, n) -> IntMatrix:
-        """d_n tensored with M: (M x F_n)_G -> (M x F_{n-1})_G."""
-        if n < 1:
-            return IntMatrix.zeros(0, self.rank(0) * module.ngens)
-        return self._hom_matrix(self._bounded_boundary(n, module), module,
-                                self.rank(n - 1), self.rank(n),
-                                cochain=False)
+        """d_n tensored with M: (M x F_n)_G -> (M x F_{n-1})_G, read as the
+        transpose of delta^(n-1) over ``module.dual()``.  A face
+        (r, c, g, v) adds v A_(g^-1) to block (r, c) of d_n x M, and
+        v A_(g^-1)^T, the dual action of g, to block (c, r) of the dual's
+        coboundary; so the two are transposes, with the same entry bound
+        and, over a field, the same rank."""
+        return self.coboundary_matrix(module.dual(), n - 1).transpose()
 
     def face_count(self, n):
         """len(boundary(n)), counted without building the arrays."""
@@ -138,26 +142,22 @@ class Resolution:
                 f"the bound {limit} ({_ENTRIES_PER_GENERATOR} entries per "
                 f"allowed generator; set {_ENV_BOUND} to raise it)")
 
-    def _hom_matrix(self, faces, module, nrow_gens, ncol_gens, *,
-                    cochain):
-        """The matrix of ``faces``, the four arrays of a ``boundary``,
-        over ``module``.  Face (row r, column c, element g, coefficient v)
-        adds v times the action matrix of g to the ngens x ngens block
-        (c, r) of a coboundary (``cochain``), and v times that of g^-1 to
-        block (r, c) of a chain matrix.
+    def _hom_matrix(self, faces, module, nrow_gens, ncol_gens):
+        """The coboundary matrix of ``faces``, the four arrays of a
+        ``boundary``, over ``module``.  Face (row r, column c, element g,
+        coefficient v) adds v times the action matrix of g to the
+        ngens x ngens block (c, r).  Chain matrices are coboundaries of
+        the dual action, transposed (``chain_matrix``).
 
         Each face array is dropped once read, so a caller that passes a
         ``boundary`` it does not keep lets the assembly peak at a few
         arrays of the face count: the block rows and columns reach the
-        canonicaliser as broadcast views.  A coboundary's faces are runs
-        sorted by block row, one per face of a tuple on the bar
-        resolution, which its stable sort merges."""
-        rows, cols, elems, coeffs = faces
+        canonicaliser as broadcast views.  The faces are runs sorted by
+        block row, one per face of a tuple on the bar resolution, which
+        the canonicaliser's stable sort merges."""
+        # a boundary's column generator is a coboundary's row, and back
+        cols, rows, elems, coeffs = faces
         del faces
-        if cochain:
-            rows, cols = cols, rows
-        else:
-            elems = self.group.inverse_table[elems]
         k = module.ngens
         acts = np.array(module.actions).reshape(self.group.order, k, k)
         if acts.dtype != np.int64 or \
@@ -298,12 +298,13 @@ class BarResolution(Resolution):
     def face_count(self, n, firsts=None):
         """len(boundary(n, firsts)) in closed form.  Each tuple has n + 1
         faces less one per inner product g_i g_{i+1} that is the identity,
-        and such a pair leaves g_{i+1} no choice.  With q = |G|-1 that is
-        2 q^n + (n-1)(q^n - q^(n-1)) in all, and len(firsts)/q of it with
-        ``firsts``: every first entry heads as many faces."""
-        blocks, shift = (1, 0) if firsts is None else (len(firsts), 1)
-        return blocks * ((n + 1) * self.rank(n - shift)
-                         - (n - 1) * self.rank(n - 1 - shift))
+        and such a pair leaves g_{i+1} no choice.  Every first entry heads
+        as many faces: with q = |G|-1, (n+1) q^(n-1) - (n-1) q^(n-2) each,
+        so 2 q^n + (n-1)(q^n - q^(n-1)) for all q of them (the default)."""
+        if firsts is None:
+            firsts = range(1, self.group.order)
+        return len(firsts) * ((n + 1) * self.rank(n - 1)
+                              - (n - 1) * self.rank(n - 2))
 
     def cocycle_rows(self, module: GModule, n) -> IntMatrix:
         """The rows of delta^n that cut out its kernel: those of the tuples
@@ -345,7 +346,7 @@ class BarResolution(Resolution):
             self._check_entries(self.face_count(n + 1, firsts), module)
             cache[key] = self._hom_matrix(
                 self.boundary(n + 1, firsts), module,
-                len(firsts) * self.rank(n), self.rank(n), cochain=True)
+                len(firsts) * self.rank(n), self.rank(n))
         return cache[key]
 
     def boundary(self, n, firsts=None):
@@ -353,11 +354,11 @@ class BarResolution(Resolution):
         (-1)^i [...|g_i g_{i+1}|...] for 0 < i < n (dropped when the
         product is the identity), then (-1)^n [g_1|...|g_{n-1}].
 
-        With ``firsts``, an ascending tuple of nonidentity elements, only
-        the tuples with g_1 in firsts get faces, and column c is the c-th
-        of them in numbering order: block b of (|G|-1)^(n-1) columns holds
-        the tuples [firsts[b]|...].  For firsts = (1, ..., k) the columns
-        are the tuples' own numbers.
+        With ``firsts``, an ascending tuple of nonidentity elements (all
+        of them by default), only the tuples with g_1 in firsts get faces,
+        and column c is the c-th of them in numbering order: block b of
+        (|G|-1)^(n-1) columns holds the tuples [firsts[b]|...].  For
+        firsts = (1, ..., k) the columns are the tuples' own numbers.
 
         Each face's number comes from the digits of its tuple's number t
         (see the class docstring): the first face drops the first digit
@@ -370,14 +371,13 @@ class BarResolution(Resolution):
             raise ValueError(f"no boundary in degree {n}")
         q = self.group.order - 1
         lead = q ** (n - 1)              # place value of g_1's digit
-        col = np.arange(self.rank(n) if firsts is None
-                        else len(firsts) * lead, dtype=np.int64)
         if firsts is None:
-            tup = col
-        else:
-            # column c is the tuple [firsts[c div lead]|...]
-            heads = np.asarray(firsts, dtype=np.int64) - 1
-            tup = heads[col // lead] * lead + col % lead
+            firsts = range(1, q + 1)
+        heads = np.asarray(firsts, dtype=np.int64) - 1
+        col = np.arange(len(firsts) * lead, dtype=np.int64)
+        # column c is the tuple [firsts[c div lead]|...]
+        tup = (heads[:, None] * lead
+               + np.arange(lead, dtype=np.int64)).ravel()
         # above[j]: the number of the first j digits, t div q^(n-j)
         above = [tup // q ** (n - j) for j in range(n)] + [tup]
         # products of nonidentity elements, by digit

@@ -21,8 +21,7 @@ def bar_rows_starting_with(res, module, n, firsts):
     assembled from ``boundary(n + 1, firsts)`` as
     ``BarResolution.cocycle_rows`` assembles its own generator blocks."""
     return res._hom_matrix(res.boundary(n + 1, firsts), module,
-                           len(firsts) * res.rank(n), res.rank(n),
-                           cochain=True)
+                           len(firsts) * res.rank(n), res.rank(n))
 
 
 def to_sympy(m: IntMatrix) -> sympy.Matrix:

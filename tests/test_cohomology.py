@@ -122,6 +122,58 @@ class TestHomology:
         m2 = mod2_integers(g)
         assert [str(homology(g, m2, n)) for n in range(4)] == ["Z/2"] * 4
 
+    @pytest.mark.parametrize("spec", [f"C{k}" for k in range(1, 13)]
+                             + ["D3", "D5"])
+    def test_mod2_homology_over_bar(self, spec):
+        # homology ranks the cuts of the dual's coboundaries: the same
+        # counts as cohomology over bar and as the default resolution
+        g = parse_group(spec)
+        res, z2 = BarResolution(g, 4), mod2_integers(g)
+        for n in range(5):
+            got = homology(g, z2, n, res)
+            assert got == cohomology(g, z2, n, res) == homology(g, z2, n), n
+
+    @staticmethod
+    def _involution_module(g):
+        # moduli (2, 2); a reflection acts by [[1, 0], [1, -1]], whose
+        # dual [[1, 1], [0, -1]] differs
+        flip = orientation_characters(g)[0]
+        acts = [[[1, 0], [1, -1]] if flip.value(h) else [[1, 0], [0, 1]]
+                for h in range(g.order)]
+        return module_from_abelian_group(g, AbelianGroup(0, (2, 2)),
+                                         action_matrices=acts)
+
+    @staticmethod
+    def _augmentation_ideal(g):
+        # the ideal of Z/2[G] on the e_g = g - 1, g != 1, where
+        # h e_g = e_hg - e_h (e_1 = 0); for C2xC2 it is not self-dual,
+        # so its homology is not its cohomology
+        k = g.order - 1
+        acts = []
+        for h in range(g.order):
+            a = [[0] * k for _ in range(k)]
+            for j in range(1, g.order):
+                if g.mul[h, j]:
+                    a[g.mul[h, j] - 1][j - 1] += 1
+                if h:
+                    a[h - 1][j - 1] -= 1
+            acts.append(a)
+        return GModule(g, (2,) * k, acts)
+
+    @pytest.mark.parametrize("spec, make", [
+        ("D3", "_involution_module"), ("C2xC2", "_augmentation_ideal")])
+    def test_mod2_homology_of_a_non_symmetric_action(self, spec, make):
+        # homology ranks cuts of the dual module's coboundaries.  Two
+        # routes: the cut count against the GF(2) ranks of the full chain
+        # matrices.
+        g = parse_group(spec)
+        m = getattr(self, make)(g)
+        assert m.is_mod2_free and m.dual().actions != m.actions
+        res = BarResolution(g, 3)
+        for n in range(4):
+            full = [mod2_rank(res.chain_matrix(m, k)) for k in (n + 1, n)]
+            want = res.rank(n) * m.ngens - sum(full)
+            assert homology(g, m, n, res).torsion == (2,) * want, n
 
 class TestMod2Ring:
     def test_c2_polynomial_ring(self):

@@ -1274,19 +1274,23 @@ class TestRankMemo:
             True) == 1
         assert not any(m is cut4 for m, mod2 in eliminations if not mod2)
 
+    @pytest.mark.parametrize("which", ["cohomology", "homology"])
     @pytest.mark.parametrize("spec, dims", [
         ("C6", (1, 1, 1, 1, 1)), ("D3", (1, 1, 1, 1, 1)),
         ("C2xC2", (1, 2, 3, 4, 5))], ids=["C6", "D3", "C2xC2"])
     def test_mod2_cohomology_ranks_only_cuts(self, eliminations,
-                                             monkeypatch, spec, dims):
-        """Over bar, H^n(G; Z/2) for n = 0..4 assembles no full
-        coboundary (``Resolution.coboundary_matrix`` sees only the empty
-        delta^-1), ranks each cut delta^n over GF(2) exactly once, and
-        runs no integer pre-pass."""
-        from u4class.cohomology import cohomology
+                                             monkeypatch, spec, dims,
+                                             which):
+        """Over bar, H^n(G; Z/2) and H_n(G; Z/2) for n = 0..4 assemble no
+        full coboundary or chain matrix (``Resolution.coboundary_matrix``
+        sees only the empty delta^-1), rank each cut delta^n over GF(2)
+        exactly once, and run no integer pre-pass.  Homology ranks the
+        cuts of the dual module, which for Z/2 are the same matrices."""
+        from u4class.cohomology import cohomology, homology
         from u4class.groups import parse_group
         from u4class.modules import mod2_integers
         from u4class.resolutions import BarResolution, Resolution
+        count = {"cohomology": cohomology, "homology": homology}[which]
         assembled, prepassed = [], []
         assemble, prepass = Resolution.coboundary_matrix, linalg._prepass
 
@@ -1302,7 +1306,7 @@ class TestRankMemo:
         monkeypatch.setattr(linalg, "_prepass", prepassing)
         group = parse_group(spec)
         res, z2 = BarResolution(group, 4), mod2_integers(group)
-        got = [cohomology(group, z2, n, res).torsion for n in range(5)]
+        got = [count(group, z2, n, res).torsion for n in range(5)]
         assert got == [(2,) * d for d in dims]
         assert assembled == [-1]
         assert all(len(key) == 3 for key in res._cob_cache)

@@ -361,6 +361,44 @@ class TestAssemblyPins:
         assert h.hexdigest() == digest
 
 
+class TestDual:
+    """``GModule.dual``: g acts by the transpose of A_(g^-1), and chain
+    matrices are the dual's coboundaries, transposed."""
+
+    @pytest.mark.parametrize("spec", ["C4", "D3", "C2xC2"])
+    def test_dual_is_an_involution(self, spec):
+        group = parse_group(spec)
+        for module in _pin_modules(group, regular=True):
+            twice = module.dual().dual()
+            assert twice.actions == module.actions
+            assert twice.moduli == module.moduli
+
+    def test_self_dual_actions(self):
+        # Z, Z/2, Z_w, the two involution modules, Z[G]: only the
+        # non-symmetric involutions have another dual action
+        group = parse_group("D3")
+        mods = _pin_modules(group, regular=True)
+        assert [m.dual().actions == m.actions for m in mods] == [
+            True, True, True, False, False, True]
+
+    def test_homology_reads_the_coboundary_memo(self, monkeypatch):
+        from u4class.cohomology import cohomology, homology
+        group = parse_group("D3")
+        res, z = BarResolution(group, 3), trivial_integers(group)
+        assert [str(cohomology(group, z, n, res)) for n in range(4)] == [
+            "Z", "0", "Z/2", "0"]
+        assembled = []
+        assemble = Resolution._hom_matrix
+
+        def spy(self, *args):
+            assembled.append(args[2:])
+            return assemble(self, *args)
+        monkeypatch.setattr(Resolution, "_hom_matrix", spy)
+        assert [str(homology(group, z, n, res)) for n in range(3)] == [
+            "Z", "Z/2", "0"]
+        assert assembled == []
+
+
 class TestAssemblyMemory:
     """Assembly reads its faces as position keys and drops each face array
     once read, so a bar coboundary's traced peak stays within a small
