@@ -45,7 +45,13 @@ M, |G| kills H^n(G; M) and H_n(G; M) (Brown, *Cohomology of Groups*,
 III.10.2), so the free rank is 0 and rank(d_out) = c - rank(d_in): the
 group is the torsion of d_in alone, and d_out is formed only for the
 composition check.  Degree 0, where M^G and M_G may have free rank,
-eliminates both (``homology_at``).
+eliminates both (``homology_at``).  For free coefficients that torsion is
+read off the generator cut of d_in, delta^(n-1) or the dual's delta^n
+(``Resolution.cocycle_rows``).  The action of a free module is a
+homomorphism, so every row of the full matrix is an integer combination
+of the cut's rows (the lemma there): the two have one row lattice, so one
+nontrivial Smith diagonal.  A presented module acts as a homomorphism
+only modulo f, so the lemma fails for it and its cone keeps the full d_in.
 
 Cup products use the Alexander-Whitney diagonal on the normalized bar
 complex.  Mod-2 cochains in degree n are stored as bit integers over the
@@ -121,13 +127,15 @@ def _homology_in_degree(group, module, n, resolution, cochains):
     kernel, so the rank, of the full delta.  For chains they are those of
     the dual module, as d_(n+1) and d_n over M are the transposes of its
     delta^n and delta^(n-1) (``Resolution.chain_matrix``) and transposing
-    keeps the rank.  Free and presented modules, the latter through the
-    mapping cone, give a position of free abelian groups.  In degree 0
-    that takes ``homology_at``.  Above it the group is finite (see the
-    module docstring), so it is the torsion of d_in, and d_out is only
-    checked to compose to zero with it.  The resolution and the module
-    must be over ``group``: the same object or an equal multiplication
-    table."""
+    keeps the rank.  Their column masks are bounded first
+    (``Resolution.check_mask_bytes``).  Free and presented modules, the
+    latter through the mapping cone, give a position of free abelian
+    groups.  In degree 0 that takes ``homology_at``.  Above it the group
+    is finite (see the module docstring), so it is the torsion of d_in;
+    d_out is only checked to compose to zero with it, and for a free
+    module the torsion is the Smith form of the cut of d_in, the same
+    matrix the mod-2 count ranks.  The resolution and the module must be
+    over ``group``: the same object or an equal multiplication table."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     res = resolution if resolution is not None \
@@ -138,9 +146,10 @@ def _homology_in_degree(group, module, n, resolution, cochains):
                              f"{group.name}, not {over.name}")
     # the matrix from the degree-(n + 1) boundary, the larger, comes
     # first, so an oversized request is refused before the other is built
+    coeffs = module if cochains else module.dual()
     if module.is_mod2_free:
-        coeffs = module if cochains else module.dual()
-        ranks = [mod2_rank(res.cocycle_rows(coeffs, m)) for m in (n, n - 1)]
+        ranks = [mod2_rank(res.check_mask_bytes(res.cocycle_rows(coeffs, m)))
+                 for m in (n, n - 1)]
         return AbelianGroup.from_cyclic_orders(
             [2] * (res.rank(n) * module.ngens - sum(ranks)))
     if cochains:
@@ -155,6 +164,9 @@ def _homology_in_degree(group, module, n, resolution, cochains):
     if n == 0:
         return homology_at(d_in, d_out)
     check_composition(d_in, d_out)
+    if module.is_free:
+        # d_in is delta^(n-1), or the dual's delta^n transposed
+        d_in = res.cocycle_rows(coeffs, n - 1 if cochains else n)
     return AbelianGroup.from_cyclic_orders(smith_normal_form(d_in).nontrivial)
 
 
@@ -189,11 +201,13 @@ class BarMod2Complex:
         self.res = BarResolution(group, max_degree)
         free = trivial_integers(group)
         # columns of delta^n as masks over the degree-(n+1) tuples, those
-        # of the top delta over the cut rows only
+        # of the top delta over the cut rows only; that cut has the most
+        # cells, so it is assembled and its masks bounded first
+        top = self.res.check_mask_bytes(
+            self.res.cocycle_rows(free, max_degree))
         self._delta = [self.res.coboundary_matrix(free, n).mod2_column_masks()
                        for n in range(max_degree)]
-        self._delta.append(
-            self.res.cocycle_rows(free, max_degree).mod2_column_masks())
+        self._delta.append(top.mod2_column_masks())
         # per degree n: the basis, and the echelon of delta^(n-1) extended
         # by the cocycles with the positions at which the basis went in
         self._basis, self._classes = [], []

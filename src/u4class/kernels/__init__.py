@@ -1,9 +1,9 @@
 """Elimination kernels: the unit-pivot phase and GF(2) linear algebra.
 
 ``unit_pivot_phase`` is the arbitrary-precision pure-Python engine in
-``pure``, over Z only; ``linalg`` runs its int64 structural pre-pass in
-front of it.  ``gf2`` is the one GF(2) engine, and ranks a matrix's
-column masks with no pre-pass.
+``pure``, over Z only; ``linalg`` hands it each matrix whole and reduces
+the remainder it leaves densely.  ``gf2`` is the one GF(2) engine, and
+ranks a matrix's column masks.
 """
 
 from . import gf2, pure

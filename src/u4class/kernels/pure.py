@@ -1,9 +1,11 @@
 """Pure-Python sparse elimination: the unit-pivot phase.
 
 This is the arbitrary-precision implementation of the unit-pivot phase;
-entries are Python ints, so no input can overflow it.  It works over Z
-only: a GF(2) rank goes to ``gf2.rank`` instead (see
-``linalg.mod2_rank``).
+entries are Python ints, so no input can overflow it.  Every integer
+Smith form starts here on the whole matrix (``linalg._snf_diagonal``):
+in (co)homology over the bar resolution, the generator cut of a
+coboundary (``Resolution.cocycle_rows``).  It works over Z only: a GF(2)
+rank goes to ``gf2.rank`` instead (see ``linalg.mod2_rank``).
 """
 
 import heapq

@@ -10,28 +10,27 @@ largest |value| times the number of values is at most ``_INT64_SAFE``;
 ``IntMatrix`` products, which go through scipy while the inner dimension
 times both largest |entries| is at most ``_INT64_SAFE`` and otherwise
 form every product in Python integers and sum them with the
-canonicaliser; the structural-pivot pre-pass in front of the unit-pivot
-phase, which forms Schur complements of large matrices and abandons a
-round whose bound fails; and the dense two-row step of the lattice
-echelon behind ``integer_kernel`` and ``ColumnLattice`` and of the Smith
-form of the remainder the unit-pivot phase leaves, which checks a bound
-before every row (or column) operation and goes on in Python integers
-once one fails.  The integer stack works over Z alone.  A GF(2) rank
-runs on ``kernels.gf2`` alone, the GF(2) engine of the ring code too,
-from the column masks of the matrix.
+canonicaliser; and the dense two-row step of the lattice echelon behind
+``integer_kernel`` and ``ColumnLattice`` and of the Smith form of the
+remainder the unit-pivot phase leaves, which checks a bound before every
+row (or column) operation and goes on in Python integers once one fails.
+The integer stack works over Z alone: a Smith form is the unit-pivot
+phase (``kernels.unit_pivot_phase``, Python integers throughout) followed
+by the dense remainder.  A GF(2) rank runs on ``kernels.gf2`` alone, the
+GF(2) engine of the ring code too, from the column masks of the matrix.
 
 An ``IntMatrix`` holds its canonical triplets in read-only numpy arrays,
 with int64 values when every value lies within +-``_INT64_SAFE`` and
 Python integers (dtype=object) otherwise, and each step above reads
 those arrays directly.  The canonicaliser sorts once, stably, on the
 int64 position key row * ncols + col, so an ``IntMatrix`` refuses a shape
-whose nrows * ncols exceeds 2^63 - 1 before any sort runs.  The
-pre-pass takes one and leaves its core as one for the unit-pivot phase.
+whose nrows * ncols exceeds 2^63 - 1 before any sort runs.
 Its ``rows``, ``cols`` and ``vals`` are list views, built afresh on every
 call, for the pure-Python unit-pivot phase and for callers that walk a
 small matrix entry by entry.  Its GF(2) rank is memoised on it, its Smith
-diagonal not: above degree 0 a (co)homology call eliminates d_in alone,
-so one matrix is seldom eliminated twice.  The module keeps no cache.
+diagonal not: above degree 0 a (co)homology call eliminates one cut of
+d_in alone, so one matrix is seldom eliminated twice.  The module keeps
+no cache.
 """
 
 from __future__ import annotations
@@ -87,7 +86,8 @@ class IntMatrix:
 
     With ``canonical=True`` the triplets must already be canonical; arrays
     passed so are taken over, not copied, and made read-only.
-    ``_rank2`` memoises the GF(2) rank; equality ignores it.
+    ``_rank2`` memoises the GF(2) rank; equality ignores it.  Products
+    (``matmul``) are the one step that goes through scipy.
     """
 
     __slots__ = ("nrows", "ncols", "_rows", "_cols", "_vals", "_rank2")
@@ -378,8 +378,11 @@ class SmithForm:
 
 
 def _snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """Smith diagonal of m, zeros last."""
-    npiv, rr, rc, rv = _eliminate_units(m)
+    """Smith diagonal of m, zeros last: the unit-pivot phase
+    (``kernels.unit_pivot_phase``) clears the +-1 pivots of m by unimodular
+    steps, and the remainder it leaves goes to ``_remainder_snf``."""
+    npiv, rr, rc, rv = kernels.unit_pivot_phase(m.nrows, m.ncols, m.rows,
+                                                m.cols, m.vals)
     diag = [1] * npiv + _remainder_snf(rr, rc, rv)
     diag += [0] * (min(m.nrows, m.ncols) - len(diag))
     return tuple(diag)
@@ -391,16 +394,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
 def rank(m: IntMatrix) -> int:
     return sum(1 for d in _snf_diagonal(m) if d)
-
-
-def _eliminate_units(m: IntMatrix):
-    """Unit pivots of m cleared by unimodular steps, with the contract of
-    ``kernels.unit_pivot_phase``: ``_prepass``, then the unit-pivot phase
-    on the core it leaves."""
-    npiv, core = _prepass(m)
-    more, rr, rc, rv = kernels.unit_pivot_phase(m.nrows, m.ncols, core.rows,
-                                                core.cols, core.vals)
-    return npiv + more, rr, rc, rv
 
 
 def _remainder_snf(rr, rc, rv):
@@ -544,219 +537,6 @@ def _smith_diagonal(a):
 
 
 # ---------------------------------------------------------------------------
-# Structural-pivot pre-pass (Faugere-Lachartre, PASCO 2010; SpaSM,
-# Bouillaguet-Delaplace, CASC 2016)
-
-# smaller matrices go straight to the unit-pivot phase, and a core below
-# this size ends the rounds: timed on the bar coboundaries of C1..C10, D3,
-# C2xC2 and D4, the pre-pass in front took 0.02-0.8x the
-# time on every matrix of 1904 or more entries but D4's delta^4 over Z
-# (1.07x, see below), and all but one of those of 1130 or fewer were
-# slower with it
-_PREPASS_MIN_NNZ = 2000
-# a round may spend on its sparse products at most this many times the
-# input's nnz, counted as the rows plus the multiply-adds of each product
-# before it is formed.  Rounds on the bar coboundaries of C1..C12 spent at
-# most 15.1 times; those of D4's delta^4 up to 32.2, so one of them is
-# abandoned and the unit-pivot phase finishes that matrix
-_PREPASS_WORK = 32
-
-
-def _prepass(m: IntMatrix):
-    """(pivots, core) of the structural pre-pass on a matrix of at least
-    ``_PREPASS_MIN_NNZ`` entries, and (0, m) on a smaller one."""
-    if m.nnz >= _PREPASS_MIN_NNZ:
-        return _structural_prepass(m)
-    return 0, m
-
-
-def _structural_prepass(m: IntMatrix):
-    """Clear structural unit pivots of m in bulk.  Returns (pivots, core)
-    with the contract of ``kernels.unit_pivot_phase``: the core is an
-    ``IntMatrix`` of m's shape, and the rank and invariant factors of m are
-    as many 1s as pivots plus those of the core.
-
-    Each round picks, for every column holding the leftmost entry of some
-    row with value +-1 there, one such row (the shortest).  Ordered by
-    their leading columns, these pivot rows P and columns Q give a unit
-    upper-triangular block A of M = [[A, B], [C, D]], so M is equivalent by
-    unimodular steps to diag(I_|P|, S) with the Schur complement
-    S = D - C A^-1 B.  Writing A = E (I + N) with E = diag(A) = E^-1 and N
-    strictly upper triangular, N is nilpotent and A^-1 B is the finite sum
-    of (-N)^k E B.  Rows of S that are zero or +- another row are dropped,
-    which is unimodular too.  Rounds repeat while the core keeps at least
-    ``_PREPASS_MIN_NNZ`` entries and pivots are found.
-
-    Two guards keep this cheap and exact.  All of it runs in int64, and
-    before each product and sum a bound from the operands' largest
-    entries and row lengths must stay within ``_INT64_SAFE``.  Before each
-    product its work (rows plus multiply-adds, which bounds its nnz) is
-    charged to the round, which may spend ``_PREPASS_WORK`` times the
-    input's nnz; this bounds the fill and the number of sweeps of the sum.
-    A round that fails either guard is abandoned and the core as it stood
-    is returned for the arbitrary-precision path.  A matrix with Python-int
-    values (one beyond the int64 bound) comes back as (0, m).
-
-    Every step is unimodular over Z, so the pivots and the core would
-    serve any modulus as they serve Z, as a local Smith form modulo a
-    prime power would need.  Only the integer elimination uses them;
-    ``mod2_rank`` runs no pre-pass.
-    """
-    if m.arrays[2].dtype == object:
-        return 0, m
-    core = m._csr()
-    row_ids = np.arange(m.nrows)
-    col_ids = np.arange(m.ncols)
-    budget = _PREPASS_WORK * core.nnz
-    npiv = 0
-    while True:
-        core, row_ids = _drop_duplicate_rows(core, row_ids)
-        step = _schur_round(core, budget)
-        if step is None:
-            break
-        pivot_count, keep_rows, keep_cols, core = step
-        npiv += pivot_count
-        row_ids = row_ids[keep_rows]
-        col_ids = col_ids[keep_cols]
-        if core.nnz < _PREPASS_MIN_NNZ:
-            break
-    core = core.tocoo()
-    # the kept row and column ids increase, so CSR order stays canonical
-    return npiv, IntMatrix(m.nrows, m.ncols, row_ids[core.row],
-                           col_ids[core.col], core.data, canonical=True)
-
-
-def _scale_rows(a, signs):
-    """Multiply the rows of a CSR matrix in place by +-1 signs."""
-    a.data *= np.repeat(signs, np.diff(a.indptr))
-
-
-def _max_abs(a):
-    return int(np.abs(a.data).max()) if a.nnz else 0
-
-
-def _row_l1_bound(a):
-    """Upper bound on every row's sum of absolute values."""
-    return int(np.diff(a.indptr).max(initial=0)) * _max_abs(a)
-
-
-def _product_work(a, b):
-    """Rows plus multiply-adds of the CSR product a @ b, an upper bound on
-    its nnz and on the work scipy does for it."""
-    return a.shape[0] + int(np.diff(b.indptr)[a.indices].sum())
-
-
-def _schur_round(core, budget):
-    """One pre-pass round on a canonical CSR core without empty rows.
-
-    Returns (pivots, kept row positions, kept column positions, Schur
-    complement), or None when no pivot is found or the round is abandoned
-    because its products would cost more than ``budget`` (see
-    ``_structural_prepass``).
-    """
-    starts = core.indptr[:-1]
-    lead_col = core.indices[starts]
-    lead_val = core.data[starts]
-    lengths = np.diff(core.indptr)
-    cand = np.flatnonzero(np.abs(lead_val) == 1)
-    if not cand.size:
-        return None
-    # shortest candidate per leading column (ties: first row), in column
-    # order, so the pivot block comes out upper triangular
-    cand = cand[np.lexsort((cand, lengths[cand], lead_col[cand]))]
-    first = np.ones(cand.size, dtype=bool)
-    first[1:] = lead_col[cand[1:]] != lead_col[cand[:-1]]
-    piv_rows = cand[first]
-    piv_cols = lead_col[piv_rows]
-    keep_rows = np.ones(core.shape[0], dtype=bool)
-    keep_rows[piv_rows] = False
-    keep_rows = np.flatnonzero(keep_rows)
-    keep_cols = np.ones(core.shape[1], dtype=bool)
-    keep_cols[piv_cols] = False
-    keep_cols = np.flatnonzero(keep_cols)
-
-    top = core[piv_rows]
-    bottom = core[keep_rows]
-    a = top[:, piv_cols].tocsr()
-    c = bottom[:, piv_cols].tocsr()
-    d = bottom[:, keep_cols].tocsr()
-    signs = a.diagonal()
-    n = a.copy()
-    n.setdiag(0)
-    n.eliminate_zeros()
-    _scale_rows(n, signs)  # N = E (A - E)
-    term = top[:, keep_cols].tocsr()
-    _scale_rows(term, signs)  # E B
-    x = term
-    n_bound = _row_l1_bound(n)
-    # N is nilpotent, so the sum ends; the budget, charged at least |P|
-    # per sweep, ends it sooner when it is long
-    while True:
-        budget -= _product_work(n, term)
-        if budget < 0 or n_bound * _max_abs(term) > _INT64_SAFE:
-            return None
-        term = -(n @ term)
-        term.eliminate_zeros()
-        if not term.nnz:
-            break
-        if _max_abs(x) + _max_abs(term) > _INT64_SAFE:
-            return None
-        x = x + term
-    if (_product_work(c, x) > budget
-            or _max_abs(d) + _row_l1_bound(c) * _max_abs(x) > _INT64_SAFE):
-        return None
-    schur = (d - c @ x).tocsr()
-    schur.eliminate_zeros()
-    schur.sort_indices()
-    return piv_rows.size, keep_rows, keep_cols, schur
-
-
-def _row_hashes(indices, data, starts):
-    """A 64-bit hash of each CSR row's (column, value) pairs."""
-    with np.errstate(over="ignore"):
-        h = (indices.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             ^ data.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
-        h *= (h >> np.uint64(29)) | np.uint64(1)
-        return np.add.reduceat(h, starts)
-
-
-def _drop_duplicate_rows(core, row_ids):
-    """Drop the empty rows of a canonical CSR matrix and every row equal to
-    an earlier row up to sign.  Rows are grouped by a hash of their sign-
-    normalised entries, and a row is dropped only after an exact
-    comparison, so hash collisions cost a missed drop, never a wrong one."""
-    lengths = np.diff(core.indptr)
-    live = np.flatnonzero(lengths)
-    core, row_ids, lengths = core[live], row_ids[live], lengths[live]
-    count = core.shape[0]
-    if count < 2:
-        return core, row_ids
-    starts = core.indptr[:-1]
-    data = core.data * np.repeat(np.sign(core.data[starts]), lengths)
-    row_hash = _row_hashes(core.indices, data, starts)
-    order = np.lexsort((np.arange(count), row_hash, lengths))
-    first = np.ones(count, dtype=bool)
-    first[1:] = ((row_hash[order[1:]] != row_hash[order[:-1]])
-                 | (lengths[order[1:]] != lengths[order[:-1]]))
-    rep = order[first][np.cumsum(first) - 1]
-    dup, rep = order[~first], rep[~first]
-    if dup.size:
-        n = lengths[dup]
-        begin = np.cumsum(n) - n
-        offset = np.arange(n.sum()) - np.repeat(begin, n)
-        i = np.repeat(starts[dup], n) + offset
-        j = np.repeat(starts[rep], n) + offset
-        same = (core.indices[i] == core.indices[j]) & (data[i] == data[j])
-        dup = dup[np.logical_and.reduceat(same, begin)]
-    if not dup.size:
-        return core, row_ids
-    keep = np.ones(count, dtype=bool)
-    keep[dup] = False
-    keep = np.flatnonzero(keep)
-    return core[keep], row_ids[keep]
-
-
-# ---------------------------------------------------------------------------
 # Homology of complexes
 
 
@@ -792,13 +572,10 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroup:
 
 def mod2_rank(m: IntMatrix) -> int:
     """Rank over GF(2), memoised on m: ``gf2.rank`` of its column masks,
-    which read Python-int values exactly.
-
-    No integer pre-pass runs in front.  Cohomology ranks the generator
-    cuts of bar coboundaries (``Resolution.cocycle_rows``), on which the
-    pre-pass costs more than it saves: C12's cut delta^4 (14641 x 14641)
-    ranks in 0.18 s on gf2 alone against 0.29 s with it.  It saved time
-    only on full cyclic coboundaries, which are no longer ranked.
+    which read Python-int values exactly.  Nothing runs in front of it;
+    cohomology ranks the generator cuts of bar coboundaries
+    (``Resolution.cocycle_rows``), C12's cut delta^4 (14641 x 14641) in
+    0.18 s, and bounds their masks first (``Resolution.check_mask_bytes``).
     """
     if m._rank2 is None:
         m._rank2 = kernels.gf2.rank(m.mod2_column_masks())

@@ -51,6 +51,10 @@ _DEFAULT_BOUND = 10**6
 # elimination grows past memory; the largest matrix the tests assemble
 # has 1.3M entries (bar C10 with a rank-2 module).
 _ENTRIES_PER_GENERATOR = 2
+# bytes of one entry's int64 (row, column, value) triplet: GF(2) column
+# masks may take as many bytes as the triplets of the largest matrix
+# assembly allows (48 MB at the default bound)
+_TRIPLET_BYTES = 24
 
 
 def max_generators() -> int:
@@ -95,8 +99,9 @@ class Resolution:
         and ``chain_matrix`` reads the same memo under the dual's actions,
         which for Z, Z_w, Z/2 and Z[G] are their own.  Every row is
         assembled.  A Z/2 (co)homology count ranks ``cocycle_rows``
-        instead, which on the bar resolution is a cut with a slot of its
-        own, so there Z and Z/2 share no matrix."""
+        instead, and integer torsion over a free module reads its Smith
+        form; on the bar resolution that is a cut with a slot of its own,
+        which Z and Z/2 share as well."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
         cache = self._cob_cache
@@ -109,8 +114,10 @@ class Resolution:
 
     def cocycle_rows(self, module: GModule, n) -> IntMatrix:
         """Rows of delta^n with the kernel of delta^n, over any
-        coefficients, so with its rank over any field too: all of them
-        (``coboundary_matrix``) unless a resolution knows a cut."""
+        coefficients, so with its rank over any field too, and, when the
+        module's action is a homomorphism, with its row lattice over Z, so
+        its Smith diagonal less zeros: all of them (``coboundary_matrix``)
+        unless a resolution knows a cut."""
         return self.coboundary_matrix(module, n)
 
     def chain_matrix(self, module: GModule, n) -> IntMatrix:
@@ -141,6 +148,21 @@ class Resolution:
                 f"a {self.group.name} matrix of {entries} entries exceeds "
                 f"the bound {limit} ({_ENTRIES_PER_GENERATOR} entries per "
                 f"allowed generator; set {_ENV_BOUND} to raise it)")
+
+    def check_mask_bytes(self, m: IntMatrix) -> IntMatrix:
+        """m, once its GF(2) column masks (``IntMatrix.mod2_column_masks``,
+        a bit per cell) fit in the bytes that the entry bound allows the
+        int64 triplets of an assembled matrix; else FeasibilityError
+        before any mask is built."""
+        nbytes = m.ncols * ((m.nrows + 7) // 8)
+        limit = _TRIPLET_BYTES * _ENTRIES_PER_GENERATOR * max_generators()
+        if nbytes > limit:
+            raise FeasibilityError(
+                f"the GF(2) column masks of a {self.group.name} matrix "
+                f"({m.nrows} x {m.ncols}) take {nbytes} bytes, past the "
+                f"bound {limit} ({_TRIPLET_BYTES} bytes per allowed entry; "
+                f"set {_ENV_BOUND} to raise it)")
+        return m
 
     def _hom_matrix(self, faces, module, nrow_gens, ncol_gens):
         """The coboundary matrix of ``faces``, the four arrays of a
@@ -331,12 +353,17 @@ class BarResolution(Resolution):
         and for any action.
 
         The same induction, read as an identity in f, writes each row
-        [g|t] of delta^n as an integer combination of the rows [s_i|...].
-        The greedy S puts every g outside S in the group generated by
-        the s in S with s < g, so each of its rows is a combination of
-        earlier rows of S blocks: between two generators as after the
-        last.  The lower coboundaries need all their rows, since their
-        columns span the coboundaries."""
+        block [g|t] of delta^n as an integer combination of the blocks
+        [s_i|...], with the action matrices as coefficients, when the
+        action is a homomorphism (A_ab = A_a A_b): so for any free module,
+        while a presented one acts so only modulo its relations.  The cut
+        then has the row lattice of delta^n, so its nonzero Smith
+        diagonal, which integer (co)homology reads off it.  The greedy S
+        puts every g outside S in the group generated by the s in S with
+        s < g, so each of its rows is a combination of earlier rows of S
+        blocks: between two generators as after the last.  The lower
+        coboundaries need all their rows, since their columns span the
+        coboundaries."""
         if n < 0:
             return super().cocycle_rows(module, n)
         cache = self._cob_cache

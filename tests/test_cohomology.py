@@ -22,14 +22,15 @@ from u4class.cohomology import (BarMod2Complex, _pullback_cochain,
                                 homology)
 from u4class.groups import Character2, GroupHom, cyclic_group, \
     odd_normal_complement, orientation_characters, parse_group
-from u4class.linalg import AbelianGroup, IntMatrix, mod2_rank
+from u4class.linalg import AbelianGroup, IntMatrix, mod2_rank, \
+    smith_normal_form
 from u4class.modules import (GModule, mod2_integers,
                              module_from_abelian_group, trivial_integers,
                              twisted_integers)
 from u4class.kernels import gf2
 from u4class.resolutions import BarResolution, FeasibilityError
 
-from helpers import bar_rows_starting_with
+from helpers import bar_rows_starting_with, record_composition_checks
 
 
 def w_module(spec):
@@ -132,6 +133,14 @@ class TestHomology:
         for n in range(5):
             got = homology(g, z2, n, res)
             assert got == cohomology(g, z2, n, res) == homology(g, z2, n), n
+
+    def test_d5_degree_four_over_bar(self):
+        # torsion of the cuts of the dual's delta^4 (13122 x 6561); the
+        # full chain matrices (6561 x 59049) are only checked to compose
+        g, zw = w_module("D5")
+        res = BarResolution(g, 4)
+        assert str(homology(g, trivial_integers(g), 4, res)) == "0"
+        assert str(homology(g, zw, 4, res)) == "Z/2"
 
     @staticmethod
     def _involution_module(g):
@@ -388,6 +397,125 @@ class TestGeneratorRowsLemma:
                 assert cut.nrows < full.nrows or g.order == 2
                 assert mod2_rank(cut) == gf2.rank(full.mod2_column_masks()), \
                     (spec, module.moduli, n)
+
+    @staticmethod
+    def _free_modules(g):
+        """Z, and where g has an orientation character w, Z_w and Z^2 with
+        w acting by [[1, 0], [1, -1]], whose dual acts by its transpose."""
+        out = [trivial_integers(g)]
+        chars = orientation_characters(g)
+        if chars:
+            flip = [[1, 0], [1, -1]]
+            acts = [flip if chars[0].value(h) else [[1, 0], [0, 1]]
+                    for h in range(g.order)]
+            out += [twisted_integers(chars[0]),
+                    module_from_abelian_group(g, AbelianGroup(2, ()),
+                                              action_matrices=acts)]
+        return out
+
+    @staticmethod
+    def _smith(m):
+        return tuple(d for d in smith_normal_form(m).diagonal if d)
+
+    INTEGER_SPECS = ([(f"C{k}", 4) for k in range(2, 9)]
+                     + [(f"C{k}", 3) for k in range(9, 13)]
+                     + [("D3", 4), ("C2xC2", 4), ("D4", 3), ("D5", 3),
+                        ("C2xC4", 3)])
+
+    @pytest.mark.parametrize("spec, top", INTEGER_SPECS,
+                             ids=[spec for spec, _ in INTEGER_SPECS])
+    def test_cut_has_the_full_smith_diagonal(self, spec, top):
+        """Over free coefficients, whose action is a homomorphism, each
+        row block [g|t] of delta^n is an integer combination of the cut's
+        (the lemma of ``BarResolution.cocycle_rows``), so the cut has the
+        row lattice, hence the nonzero Smith diagonal, of delta^n: the
+        torsion that integer (co)homology reads off it.  The same holds
+        over the dual module, which chains read; for Z and Z_w it acts
+        as the module does, so its matrices are the same objects."""
+        g = parse_group(spec)
+        res = BarResolution(g, top)
+        compared, modules = set(), self._free_modules(g)[:2]
+        for module in modules:
+            for coeffs in (module, module.dual()):
+                for n in range(top + 1):
+                    cut = res.cocycle_rows(coeffs, n)
+                    if id(cut) in compared:
+                        continue
+                    compared.add(id(cut))
+                    full = res.coboundary_matrix(coeffs, n)
+                    assert cut.nrows < full.nrows or g.order == 2
+                    assert self._smith(cut) == self._smith(full), \
+                        (spec, coeffs.actions[1], n)
+        assert len(compared) == (top + 1) * len(modules)
+
+    @pytest.mark.parametrize("spec", ["D3", "C2xC2", "C6"])
+    def test_cut_smith_diagonal_of_a_non_symmetric_action(self, spec):
+        """The same for Z^2 with a reflection acting by [[1, 0], [1, -1]]:
+        its dual is another module, with another cut."""
+        g = parse_group(spec)
+        module = self._free_modules(g)[2]
+        dual = module.dual()
+        assert dual.actions != module.actions
+        res = BarResolution(g, 3)
+        for coeffs in (module, dual):
+            for n in range(4):
+                assert self._smith(res.cocycle_rows(coeffs, n)) == \
+                    self._smith(res.coboundary_matrix(coeffs, n)), n
+
+    @pytest.mark.parametrize("spec, firsts", [
+        ("D3", (3,)), ("C6", (3,)), ("C2xC2", (1,))])
+    def test_non_generating_rows_lose_the_smith_diagonal(self, spec, firsts):
+        """Rows [s|...] for s in a set that does not generate change the
+        rank or the torsion of delta^1 over Z, and of some delta^n,
+        n <= 2, over Z_w."""
+        g = parse_group(spec)
+        assert g.closure(firsts) != tuple(range(g.order))
+        res = BarResolution(g, 2)
+        z, zw = self._free_modules(g)[:2]
+        changed = {module: [
+            self._smith(bar_rows_starting_with(res, module, n, firsts))
+            != self._smith(res.coboundary_matrix(module, n))
+            for n in range(3)] for module in (z, zw)}
+        assert changed[z][1] and any(changed[zw]), changed
+
+    @pytest.mark.parametrize("spec", ["C6", "D3"])
+    def test_integer_torsion_reads_only_cuts(self, monkeypatch, spec):
+        """Over bar, H^n and H_n with Z, Z_w and the reflection module,
+        n = 1..4, hand ``smith_normal_form`` only the cut of delta^(n-1)
+        (cochains) or of the dual's delta^n (chains), while the
+        composition check still gets the full d_in and d_out; the answers
+        are those of the default resolution."""
+        from u4class import cohomology as engine
+        pairs = record_composition_checks(monkeypatch)
+        eliminated, snf = [], engine.smith_normal_form
+
+        def eliminating(m):
+            eliminated.append(m)
+            return snf(m)
+        monkeypatch.setattr(engine, "smith_normal_form", eliminating)
+        g = parse_group(spec)
+        res = BarResolution(g, 4)
+        for module in self._free_modules(g):
+            for n in range(1, 5):
+                for degree in (cohomology, homology):
+                    want = degree(g, module, n)
+                    eliminated.clear()
+                    pairs.clear()
+                    got = degree(g, module, n, res)
+                    assert got == want, (module.actions[1], n, degree)
+                    if degree is cohomology:
+                        coeffs, m = module, n - 1
+                        full = [res.coboundary_matrix(module, k)
+                                for k in (n - 1, n)]
+                    else:
+                        coeffs, m = module.dual(), n
+                        full = [res.chain_matrix(module, k)
+                                for k in (n + 1, n)]
+                    cut = res.cocycle_rows(coeffs, m)
+                    assert cut is not res.coboundary_matrix(coeffs, m)
+                    assert len(eliminated) == 1 and eliminated[0] is cut
+                    (d_in, d_out), = pairs
+                    assert [d_in, d_out] == full
 
     @pytest.mark.parametrize("spec", ["C6", "D3", "C10"])
     def test_top_degree_cocycle_check_keeps_its_strength(self, spec):

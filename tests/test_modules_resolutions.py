@@ -749,11 +749,12 @@ class TestEntryBound:
         import sys
         src = os.path.dirname(os.path.dirname(resolutions.__file__))
         code = (
-            "from u4class.cohomology import cohomology, homology\n"
+            "from u4class.cohomology import (BarMod2Complex, cohomology, "
+            "homology)\n"
             "from u4class.groups import orientation_characters, "
             "parse_group\n"
-            "from u4class.modules import trivial_integers, "
-            "twisted_integers\n"
+            "from u4class.modules import (mod2_integers, trivial_integers, "
+            "twisted_integers)\n"
             "from u4class.resolutions import FeasibilityError\n"
             f"g = parse_group({spec!r})\n"
             "ch = orientation_characters(g)[0]\n"
@@ -784,6 +785,51 @@ class TestEntryBound:
         peak = self._refusal_peak_kb(
             "D5xC3", "cohomology(g, trivial_integers(g), 5)")
         assert peak < 60 * 1024
+
+    MASK_CALLS = {"cohomology": "cohomology(g, mod2_integers(g), 5)",
+                  "homology": "homology(g, mod2_integers(g), 5)",
+                  "ring": "BarMod2Complex(g, 5)"}
+
+    @pytest.mark.parametrize("which", list(MASK_CALLS))
+    def test_d5_mask_refusal(self, monkeypatch, which):
+        # the cut delta^5 of D5 has 761076 entries, inside the entry
+        # bound, but its GF(2) masks would take 871 MB (48 MB allowed)
+        from u4class.cohomology import BarMod2Complex, cohomology, homology
+        monkeypatch.delenv("U4CLASS_MAX_GENERATORS", raising=False)
+        g = parse_group("D5")
+        call = {"cohomology": lambda: cohomology(g, mod2_integers(g), 5),
+                "homology": lambda: homology(g, mod2_integers(g), 5),
+                "ring": lambda: BarMod2Complex(g, 5)}[which]
+        with pytest.raises(FeasibilityError, match=r"\(118098 x 59049\) "
+                           "take 871740387 bytes, past the bound 48000000"):
+            call()
+
+    @pytest.mark.parametrize("which", list(MASK_CALLS))
+    def test_d5_mask_refusal_peak_memory(self, which):
+        # refused once the cut is assembled (about 79 MB with the
+        # interpreter), before any of the 871 MB of masks is built
+        peak = self._refusal_peak_kb("D5", self.MASK_CALLS[which])
+        assert peak < 100 * 1024
+
+    def test_mask_bytes_just_above_and_below(self, monkeypatch):
+        # 24 bytes per entry of the bound B, so 48 B bytes of masks, a
+        # column taking ceil(nrows / 8) bytes
+        res = BarResolution(parse_group("C2"), 1)
+        monkeypatch.setenv("U4CLASS_MAX_GENERATORS", "10")
+        m = IntMatrix(8 * 48, 10)
+        assert res.check_mask_bytes(m) is m
+        with pytest.raises(FeasibilityError, match="490 bytes"):
+            res.check_mask_bytes(IntMatrix(8 * 48 + 1, 10))
+
+    @pytest.mark.parametrize("spec, nbytes", [("C12", 26807671),
+                                              ("D5", 10766601)])
+    def test_top_cuts_fit_the_mask_bound(self, monkeypatch, spec, nbytes):
+        # the largest cut delta^4 of the cyclic oracle and D5's
+        monkeypatch.delenv("U4CLASS_MAX_GENERATORS", raising=False)
+        g = parse_group(spec)
+        cut = BarResolution(g, 4).cocycle_rows(trivial_integers(g), 4)
+        assert cut.ncols * ((cut.nrows + 7) // 8) == nbytes
+        assert BarResolution(g, 4).check_mask_bytes(cut) is cut
 
     @pytest.mark.parametrize("name", ["C6", "C3xC6", "D3xC5",
                                       "C3xC3<C3xC6"])

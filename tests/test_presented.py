@@ -71,7 +71,7 @@ def _power_module(group, m, a):
 # on the generator Z the action is a homomorphism only modulo m
 @pytest.mark.parametrize("spec, m, a, top", [
     ("C2", 15, 4, 4), ("C2", 8, 3, 4), ("C4", 5, 2, 3), ("C6", 7, 3, 2),
-    ("C6", 7, 3, 3), ("C4", 5, 2, 4)])
+    ("C6", 7, 3, 3), ("C4", 5, 2, 4), ("C6", 7, 3, 4)])
 def test_power_action_bar_matches_periodic(spec, m, a, top):
     g = parse_group(spec)
     module = _power_module(g, m, a)
