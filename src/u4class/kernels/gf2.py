@@ -9,6 +9,15 @@ whole width per lookup, and every reduction step clears the top bit, so
 the vector being reduced also gets shorter as it goes.  No answer depends
 on the pivot rule: the rank, the ``insert`` results, the kernel basis and
 ``coordinates`` are determined by the sequence of inserted columns alone.
+
+A caller that knows a column lies in the span of the columns before it
+may skip it (``Echelon.skip`` in its place): it keeps its place in the
+combination bits but is neither reduced nor given a kernel vector.
+Since a dependent column stores nothing, the rank, pivots, stored
+columns, combinations and ``coordinates`` are those of inserting it, and
+the kernel is the full kernel less the skipped columns' vectors.
+Skipping a column that is not dependent is the caller's error, and is
+not detected.
 """
 
 __all__ = ["Echelon", "rank", "kernel"]
@@ -27,6 +36,9 @@ class Echelon:
     independent of the columns before it, the kernel vector of a dependent
     column j is the unique sum of e_j and earlier independent columns, and
     a vector in the span has unique coordinates in the independent columns.
+
+    A column known to be dependent may be skipped (``skip``): the echelon
+    is then that of inserting it, less its kernel vector.
     """
 
     def __init__(self, columns=()):
@@ -60,6 +72,12 @@ class Echelon:
             return True
         self.kernel.append(combo)
         return False
+
+    def skip(self):
+        """Take the place of a column known to lie in the span of the
+        columns before it: its combination bit is used, and nothing else
+        changes, so its kernel vector is left out.  Not checked."""
+        self.ninserted += 1
 
     @property
     def rank(self):

@@ -575,7 +575,8 @@ def mod2_rank(m: IntMatrix) -> int:
     which read Python-int values exactly.  Nothing runs in front of it;
     cohomology ranks the generator cuts of bar coboundaries
     (``Resolution.cocycle_rows``), C12's cut delta^4 (14641 x 14641) in
-    0.18 s, and bounds their masks first (``Resolution.check_mask_bytes``).
+    0.18 s, and bounds their masks before assembly
+    (``Resolution.mod2_cocycle_rows``).
     """
     if m._rank2 is None:
         m._rank2 = kernels.gf2.rank(m.mod2_column_masks())

@@ -23,6 +23,7 @@ that start with a generator (``BarResolution.cocycle_rows``).
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -154,15 +155,35 @@ class Resolution:
         a bit per cell) fit in the bytes that the entry bound allows the
         int64 triplets of an assembled matrix; else FeasibilityError
         before any mask is built."""
-        nbytes = m.ncols * ((m.nrows + 7) // 8)
+        self._check_mask_shape(m.nrows, m.ncols)
+        return m
+
+    def mod2_cocycle_rows(self, module: GModule, n) -> IntMatrix:
+        """``cocycle_rows(module, n)`` for a count over GF(2), refused
+        from its shape before it is assembled: past the entry bound first,
+        then when its column masks would pass the mask bound
+        (``check_mask_bytes``)."""
+        if n >= 0:
+            row_gens, nfaces = self._cut_size(n)
+            self._check_entries(nfaces, module)
+            k = module.ngens
+            self._check_mask_shape(row_gens * k, self.rank(n) * k)
+        return self.cocycle_rows(module, n)
+
+    def _cut_size(self, n):
+        """Row generators and faces of ``cocycle_rows(., n)``, n >= 0,
+        counted without building it: all of delta^n here."""
+        return self.rank(n + 1), self.face_count(n + 1)
+
+    def _check_mask_shape(self, nrows, ncols):
+        nbytes = ncols * ((nrows + 7) // 8)
         limit = _TRIPLET_BYTES * _ENTRIES_PER_GENERATOR * max_generators()
         if nbytes > limit:
             raise FeasibilityError(
                 f"the GF(2) column masks of a {self.group.name} matrix "
-                f"({m.nrows} x {m.ncols}) take {nbytes} bytes, past the "
+                f"({nrows} x {ncols}) take {nbytes} bytes, past the "
                 f"bound {limit} ({_TRIPLET_BYTES} bytes per allowed entry; "
                 f"set {_ENV_BOUND} to raise it)")
-        return m
 
     def _hom_matrix(self, faces, module, nrow_gens, ncol_gens):
         """The coboundary matrix of ``faces``, the four arrays of a
@@ -369,12 +390,23 @@ class BarResolution(Resolution):
         cache = self._cob_cache
         key = (module.actions, n, "cut")
         if key not in cache:
-            firsts = self.group.generating_set()
-            self._check_entries(self.face_count(n + 1, firsts), module)
+            row_gens, nfaces = self._cut_size(n)
+            self._check_entries(nfaces, module)
             cache[key] = self._hom_matrix(
-                self.boundary(n + 1, firsts), module,
-                len(firsts) * self.rank(n), self.rank(n))
+                self.boundary(n + 1, self._firsts), module, row_gens,
+                self.rank(n))
         return cache[key]
+
+    @cached_property
+    def _firsts(self):
+        """S, chosen once: a count over GF(2) sizes the cut on every call,
+        and the greedy choice walks closures of the group."""
+        return self.group.generating_set()
+
+    def _cut_size(self, n):
+        """The |S| blocks of (|G|-1)^n rows and their faces."""
+        return (len(self._firsts) * self.rank(n),
+                self.face_count(n + 1, self._firsts))
 
     def boundary(self, n, firsts=None):
         """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then
@@ -468,31 +500,64 @@ class TensorResolution(Resolution):
         super().__init__(group, degree, [off[-1] for off in self._offsets])
 
     def boundary(self, n):
+        """The faces dx o y then (-1)^i x o dy for i = 0..n, each factor
+        face met by every generator of the other factor: a run of
+        (face, generator) pairs per factor boundary.  The runs are written
+        into four preallocated arrays of ``face_count(n)``, the run of the
+        factor boundary with the most faces first, and that boundary is
+        built before the arrays, so the peak is the output and one factor
+        boundary."""
         if not 1 <= n <= self.degree + 1:
             raise ValueError(f"no boundary in degree {n}")
-        rank_a, rank_b = self.res_a.rank, self.res_b.rank
+        res_a, res_b = self.res_a, self.res_b
         here, below = self._offsets[n], self._offsets[n - 1]
-        nb = self.res_b.group.order
-        parts = []
+        nb = res_b.group.order
+        # (faces of the factor boundary, dx o y or not, the factor, its
+        # degree, degree i of x, generators of the other factor, start of
+        # the run), in face order
+        runs, stop = [], 0
         for i in range(n + 1):
-            j = n - i
-            if i >= 1:
+            for dx, side, d, ngens in ((True, res_a, i, res_b.rank(n - i)),
+                                       (False, res_b, n - i, res_a.rank(i))):
+                if d >= 1:
+                    nfaces = side.face_count(d)
+                    runs.append((nfaces, dx, side, d, i, ngens, stop))
+                    stop += nfaces * ngens
+        runs.sort(key=lambda run: -run[0])
+        faces = runs[0][2].boundary(runs[0][3])
+        out = tuple(np.empty(stop, dtype=np.int64) for _ in range(4))
+        for _, dx, side, d, i, ngens, start in runs:
+            r, c, g, v = faces or side.boundary(d)
+            faces = None
+            # each product is written in place, with no temporary of the
+            # run's size
+            if dx:
                 # dx o y: (i, a, b) -> (i - 1, a', b), element (ga, 0)
-                r, c, g, v = self.res_a.boundary(i)
-                b = np.arange(rank_b(j))
-                parts.append(np.broadcast_arrays(
-                    below[i - 1] + r[:, None] * rank_b(j) + b,
-                    here[i] + c[:, None] * rank_b(j) + b,
-                    g[:, None] * nb, v[:, None]))
-            if j >= 1:
+                rows, cols, elems, coeffs = (
+                    arr[start:start + r.size * ngens].reshape(r.size, ngens)
+                    for arr in out)
+                b = np.arange(ngens)
+                np.multiply(r[:, None], ngens, out=rows)
+                rows += below[i - 1] + b
+                np.multiply(c[:, None], ngens, out=cols)
+                cols += here[i] + b
+                np.multiply(g[:, None], nb, out=elems)
+                coeffs[:] = v[:, None]
+            else:
                 # (-1)^i x o dy: (i, a, b) -> (i, a, b'), element (0, gb)
-                r, c, g, v = self.res_b.boundary(j)
-                a = np.arange(rank_a(i))[:, None]
-                parts.append(np.broadcast_arrays(
-                    below[i] + a * rank_b(j - 1) + r,
-                    here[i] + a * rank_b(j) + c, g, v * (-1) ** i))
-        return tuple(np.concatenate([a.ravel() for a in part])
-                     for part in zip(*parts))
+                rows, cols, elems, coeffs = (
+                    arr[start:start + ngens * r.size].reshape(ngens, r.size)
+                    for arr in out)
+                a = np.arange(ngens)[:, None]
+                rows[:] = r
+                rows += below[i] + a * res_b.rank(d - 1)
+                cols[:] = c
+                cols += here[i] + a * res_b.rank(d)
+                elems[:] = g
+                np.multiply(v, (-1) ** i, out=coeffs)
+            # freed before the next factor boundary is built
+            del r, c, g, v
+        return out
 
     def face_count(self, n):
         """dx o y and x o dy: each face of one factor in degree i meets

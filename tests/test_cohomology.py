@@ -539,6 +539,81 @@ class TestGeneratorRowsLemma:
             assert cx.coordinates(top, rep ^ coboundary) == unit
 
 
+def _mod2_complex_inserting_every_column(group, degree):
+    """The mod-2 bar complex built without the skip, over the full
+    coboundaries: each degree's echelon takes every column of delta^n,
+    and its kernel, every cocycle k_j, is filtered through the echelon
+    of delta^(n-1), keeping the k_j that enlarge it.  Per degree: the
+    basis, that extended echelon with the basis positions in it, the
+    pivots of the echelon of delta^(n-1), and the columns of delta^n."""
+    out = []
+    below = gf2.Echelon()
+    for _, cols, _ in _bar_masks(group, degree):
+        ech = gf2.Echelon(cols)
+        pinned = set(below.pivots)
+        reps, positions = [], []
+        for z in ech.kernel:
+            pos = below.ninserted
+            if below.insert(z):
+                reps.append(z)
+                positions.append(pos)
+        out.append((reps, below, positions, pinned, cols))
+        below = ech
+    return out
+
+
+class TestMod2SkipOracle:
+    """``BarMod2Complex`` skips the columns of delta^n that the echelon of
+    delta^(n-1) pivots on and keeps its echelon's kernel as the basis.
+    The complex that inserts every column and filters the kernel gives
+    the same bases, labels and coordinates."""
+
+    SPECS = [(f"C{n}", 4) for n in range(2, 9)] + \
+        [("D3", 4), ("D4", 4), ("C2xC2", 4), ("C2xC4", 4),
+         ("C2xC2xC2", 4)]
+
+    @pytest.mark.parametrize("spec, top", SPECS)
+    def test_matches_inserting_every_column(self, spec, top):
+        g = parse_group(spec)
+        cx = BarMod2Complex(g, top)
+        oracle = _mod2_complex_inserting_every_column(g, top)
+        rng = random.Random(spec)
+        for n, (reps, ech, positions, pinned, cols) in enumerate(oracle):
+            assert cx.basis(n) == reps, n
+            assert cx.basis_labels(n) == tuple(
+                cx.tuple_label(n, (m & -m).bit_length() - 1) for m in reps)
+            # the kernel of the echelon that skips the pinned columns is
+            # the basis, with no vector to spare
+            ech_skipping = gf2.Echelon()
+            for j, c in enumerate(cols):
+                if j in pinned:
+                    ech_skipping.skip()
+                else:
+                    ech_skipping.insert(c)
+            assert len(ech_skipping.kernel) == cx.dimension(n) == \
+                len(reps), n
+            # a class plus a coboundary: a random sum of basis vectors
+            # and of columns of delta^(n-1)
+            lower = oracle[n - 1][4] if n else []
+            for _ in range(5):
+                mask = 0
+                for v in reps + lower:
+                    if rng.random() < 0.5:
+                        mask ^= v
+                combo = ech.coordinates(mask)
+                assert cx.coordinates(n, mask) == \
+                    tuple((combo >> p) & 1 for p in positions)
+        for p in range(top + 1):
+            for q in range(top + 1 - p):
+                reps, ech, positions, _, _ = oracle[p + q]
+                for a in cx.basis(p):
+                    for b in cx.basis(q):
+                        cup = cx.cup(p, q, a, b)
+                        combo = ech.coordinates(cup)
+                        assert cx.coordinates(p + q, cup) == tuple(
+                            (combo >> k) & 1 for k in positions), (p, q)
+
+
 class TestMod2Dimensions:
     def test_matches_bar_complex(self):
         for spec in ["C2", "C4", "C6", "C2xC2", "D3"]:

@@ -1265,3 +1265,47 @@ class TestGF2Echelon:
                     (want is not None)
             for vec in members:
                 assert ech.coordinates(vec) is not None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_skipping_dependent_columns(self, seed):
+        # a skipped column keeps its combination bit and nothing else:
+        # the echelon is that of inserting it, less its kernel vector
+        rng = random.Random(seed)
+        for width in (1, 2, 7, 63, 64, 65, 130, 200):
+            cols = self._columns(rng, width)
+            full = gf2.Echelon(cols)
+            # a kernel vector's highest bit is its dependent column
+            dependent = [combo.bit_length() - 1 for combo in full.kernel]
+            skip = {j for j in dependent if rng.random() < 0.6}
+            ech = gf2.Echelon()
+            results = []
+            for j, c in enumerate(cols):
+                if j in skip:
+                    ech.skip()
+                else:
+                    results.append(ech.insert(c))
+            assert results == [j not in dependent for j in range(len(cols))
+                               if j not in skip]
+            assert ech.ninserted == len(cols)
+            assert ech.rank == full.rank
+            assert ech.pivots == full.pivots
+            assert ech.cols == full.cols
+            assert ech.combos == full.combos
+            assert ech.kernel == [combo for combo, j in
+                                  zip(full.kernel, dependent)
+                                  if j not in skip]
+            members = []
+            for _ in range(5):
+                vec = 0
+                for c in cols:
+                    if rng.random() < 0.5:
+                        vec ^= c
+                members.append(vec)
+            independent = [i for i in range(len(cols)) if i not in dependent]
+            basis = [cols[i] for i in independent]
+            for vec in members + [rng.getrandbits(width) for _ in range(5)]:
+                coeffs = _dense_gf2_solve(basis, vec, width)
+                want = None if coeffs is None else sum(
+                    1 << i for i, a in zip(independent, coeffs) if a)
+                assert ech.coordinates(vec) == want
+                assert full.coordinates(vec) == want

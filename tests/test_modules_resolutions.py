@@ -422,6 +422,26 @@ class TestAssemblyMemory:
         assert m.nnz > 5 * 10**4
         assert peak <= 3 * kept, (peak, kept)
 
+    @pytest.mark.parametrize("spec, n", [("D5xC3", 3), ("D3xC5", 4)])
+    def test_tensor_coboundary_peak_within_3x_kept(self, spec, n):
+        # broadcast, raveled and concatenated, the tensor faces took the
+        # coboundary to 3.7x what it keeps; written into preallocated
+        # arrays, the bar factor's faces built first, about 2.6x
+        import tracemalloc
+        group = parse_group(spec)
+        module = trivial_integers(group)
+        res = default_resolution(group, n)
+        assert isinstance(res, TensorResolution)
+        tracemalloc.start()
+        try:
+            m = res.coboundary_matrix(module, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in m.arrays)
+        assert m.nnz > 10**4
+        assert peak <= 3 * kept, (peak, kept)
+
 
 class _Rewired(Resolution):
     """Another resolution's boundaries, passed through ``edit`` and read
@@ -805,11 +825,43 @@ class TestEntryBound:
             call()
 
     @pytest.mark.parametrize("which", list(MASK_CALLS))
+    def test_d5_mask_refused_before_the_faces_are_built(self, monkeypatch,
+                                                        which):
+        from u4class.cohomology import BarMod2Complex, cohomology, homology
+        monkeypatch.delenv("U4CLASS_MAX_GENERATORS", raising=False)
+        built = []
+        boundary = BarResolution.boundary
+
+        def spy(res, n, firsts=None):
+            built.append(n)
+            return boundary(res, n, firsts)
+        monkeypatch.setattr(BarResolution, "boundary", spy)
+        g = parse_group("D5")
+        call = {"cohomology": lambda: cohomology(g, mod2_integers(g), 5),
+                "homology": lambda: homology(g, mod2_integers(g), 5),
+                "ring": lambda: BarMod2Complex(g, 5)}[which]
+        with pytest.raises(FeasibilityError, match="871740387 bytes"):
+            call()
+        assert built == []
+
+    def test_mod2_cut_past_both_bounds_meets_the_entry_bound(
+            self, monkeypatch):
+        # D3's cut delta^4 over (Z/2)^2 has 26000 entries (7812 allowed at
+        # 3906 generators) and 391250 bytes of masks (187488 allowed)
+        monkeypatch.setenv("U4CLASS_MAX_GENERATORS", "3906")
+        g = parse_group("D3")
+        module = module_from_abelian_group(
+            g, AbelianGroup.from_cyclic_orders([2, 2]))
+        with pytest.raises(FeasibilityError, match="26000 entries"):
+            BarResolution(g, 4).mod2_cocycle_rows(module, 4)
+
+    @pytest.mark.parametrize("which", list(MASK_CALLS))
     def test_d5_mask_refusal_peak_memory(self, which):
-        # refused once the cut is assembled (about 79 MB with the
-        # interpreter), before any of the 871 MB of masks is built
+        # refused from the cut's shape, before the 761076-entry cut (79 MB
+        # with the interpreter once assembled) or any of the 871 MB of
+        # masks is built
         peak = self._refusal_peak_kb("D5", self.MASK_CALLS[which])
-        assert peak < 100 * 1024
+        assert peak < 60 * 1024
 
     def test_mask_bytes_just_above_and_below(self, monkeypatch):
         # 24 bytes per entry of the bound B, so 48 B bytes of masks, a
