@@ -10,10 +10,15 @@ largest |value| times the number of values is at most ``_INT64_SAFE``;
 ``IntMatrix`` products, which go through scipy while the inner dimension
 times both largest |entries| is at most ``_INT64_SAFE`` and otherwise
 form every product in Python integers and sum them with the
-canonicaliser; and the dense two-row step of the lattice echelon behind
-``integer_kernel`` and ``ColumnLattice`` and of the Smith form of the
-remainder the unit-pivot phase leaves, which checks a bound before every
-row (or column) operation and goes on in Python integers once one fails.
+canonicaliser; and the lattice echelon behind ``integer_kernel`` and
+``ColumnLattice`` and the Smith form of the remainder the unit-pivot
+phase leaves, which check a bound before every row (or column) operation
+and go on in Python integers once one fails.  Both go through one
+dense two-row step (``_two_row_step``): the Smith form for every step,
+the echelon for its gcd steps, failing bounds and Python-int arrays.
+The echelon subtracts a multiple of a pivot row in place, and every step
+of it reads and writes only the live window of its two rows, the
+columns that can hold a nonzero.
 The integer stack works over Z alone: a Smith form is the unit-pivot
 phase (``kernels.unit_pivot_phase``, Python integers throughout) followed
 by the dense remainder.  A GF(2) rank runs on ``kernels.gf2`` alone, the
@@ -435,12 +440,14 @@ def _row_bounds(a):
                       -a.min(axis=1, initial=0)).tolist()
 
 
-def _two_row_step(a, bound, p, i, c, pair=None):
+def _two_row_step(a, bound, p, i, c, pair=None, end=None):
     """One unimodular step on rows p and i of a 2-D integer array, both
-    zero left of column c; returns (array, bound).
+    zero left of column c and, given ``end``, from column ``end`` on;
+    returns (array, bound).
 
-    The step is (p, i) <- (x p + y i, u p + v i) for pair = (x, y, u, v).
-    By default it clears a[i, c] against the pivot s = a[p, c]: with
+    The step is (p, i) <- (x p + y i, u p + v i) for pair = (x, y, u, v),
+    on columns c to ``end`` alone (to the last column by default).  By
+    default it clears a[i, c] against the pivot s = a[p, c]: with
     t = a[i, c], by row i -= (t // s) p when s divides t, otherwise by the
     extended-gcd pair (x p + y i, (s/g) i - (t/g) p), which leaves
     g = gcd(s, t) > 0 in the pivot row.  Given a transpose view, it acts on
@@ -462,19 +469,20 @@ def _two_row_step(a, bound, p, i, c, pair=None):
             g, x, y = _gcdex(s, t)
             pair = x, y, -(t // g), s // g
     x, y, u, v = pair
+    piv, row = a[p, c:end], a[i, c:end]
     if bound is not None:
         bp, bi = bound[p], bound[i]
         grown = (abs(x) * bp + abs(y) * bi, abs(u) * bp + abs(v) * bi)
         if max(grown) > _INT64_SAFE:
-            bp, bi = int(np.abs(a[p]).max()), int(np.abs(a[i]).max())
+            bp, bi = int(np.abs(piv).max()), int(np.abs(row).max())
             grown = (abs(x) * bp + abs(y) * bi, abs(u) * bp + abs(v) * bi)
         if max(grown) > _INT64_SAFE:
             a, bound = a.astype(object), None
+            piv, row = a[p, c:end], a[i, c:end]
         else:
             bound[p], bound[i] = grown
-    piv, row = a[p, c:], a[i, c:]
     if y:
-        a[p, c:], a[i, c:] = x * piv + y * row, u * piv + v * row
+        a[p, c:end], a[i, c:end] = x * piv + y * row, u * piv + v * row
     else:
         row += u * piv
     return a, bound
@@ -601,44 +609,84 @@ def _lattice_array(m: IntMatrix, cols, width):
     return a
 
 
-def _echelon(a):
+def _echelon(a, ends=None):
     """Row-echelon the rows of a 2-D integer array in order by unimodular
     row operations; returns (array, {pivot column: row index}).
 
     Each row in turn is reduced at its leading nonzero column c against
-    the pivot row p already holding c by ``_two_row_step``, which leaves
-    a gcd of p[c] and row[c] in the pivot row and 0 in the row.  A row whose
-    leading column holds no pivot yet becomes its pivot; a row that
-    vanishes stays zero.  The array is worked in int64 under the step's
-    carried row bounds and promoted to Python ints (dtype=object) once a
-    bound fails, so the answer never depends on which arithmetic ran.
+    the pivot row p already holding c, which leaves a gcd of p[c] and
+    row[c] in the pivot row and 0 in the row.  A row whose leading column
+    holds no pivot yet becomes its pivot; a row that vanishes stays zero.
+
+    A step reads and writes only the live window of its two rows: columns
+    c to e, e the larger of the two rows' ends.  Row k is zero from
+    ``ends[k]`` on (from the last column by default), and a row's end
+    grows to e when a step writes it.  Each pivot value is carried beside
+    its row, not read back.  A step that subtracts a multiple of the pivot
+    row under a passing carried bound runs in place; a gcd step, a failing
+    bound and an object array go through ``_two_row_step``.  The array is
+    worked in int64 under the carried row bounds and promoted to Python
+    ints (dtype=object) once one fails, so the answer never depends on
+    which arithmetic ran.
     """
     bound = _row_bounds(a)
-    pivots = {}
+    ends = [a.shape[1]] * a.shape[0] if ends is None else list(ends)
+    pivots = {}         # pivot column: (row, pivot value)
     for i in range(a.shape[0]):
-        c = 0
-        while True:
-            c += int((a[i, c:] != 0).argmax())
-            if not a[i, c]:
+        c, e = 0, ends[i]
+        while c < e:
+            t = a.item(i, c)
+            if not t:
+                c += int((a[i, c:e] != 0).argmax())
+                t = a.item(i, c)
+                if not t:
+                    break
+            if c not in pivots:
+                pivots[c] = i, t
+                ends[i] = e
                 break
-            p = pivots.setdefault(c, i)
-            if p == i:
-                break
-            a, bound = _two_row_step(a, bound, p, i, c)
-    return a, pivots
+            p, s = pivots[c]
+            e = max(e, ends[p])
+            q, r = divmod(t, s)
+            if r or bound is None or \
+                    abs(q) * bound[p] + bound[i] > _INT64_SAFE:
+                if r:
+                    g, x, y = _gcdex(s, t)
+                    pair = x, y, -(t // g), s // g
+                    pivots[c] = p, g
+                    ends[p] = e
+                else:
+                    pair = 1, 0, -q, 1
+                a, bound = _two_row_step(a, bound, p, i, c, pair, e)
+            else:
+                bound[i] += abs(q) * bound[p]
+                row, piv = a[i, c:e], a[p, c:e]
+                if q == 1:
+                    row -= piv
+                elif q == -1:
+                    row += piv
+                else:
+                    row -= q * piv
+            c += 1
+    return a, {c: p for c, (p, _) in pivots.items()}
 
 
 def integer_kernel(m: IntMatrix) -> list[list[int]]:
     """Saturated basis of the integral kernel of m, as coordinate vectors
-    of length m.ncols.  Row-echelons [m^T | I] with ``_echelon``, so only
-    the column count drives the cost; suitable for tall sparse matrices.
-    The array holds m.ncols x (m.nrows + m.ncols) cells, 8 bytes each in
-    int64, so callers bound that product."""
+    of length m.ncols; suitable for tall sparse matrices.  Row-echelons
+    [m^T | I] with ``_echelon``.  Row k, column k of m with its identity
+    1 at m.nrows + k, ends at that 1, so each step on row k reads and
+    writes only the live window from its pivot column through column
+    m.nrows + k, never the identity columns right of it: the cost is the
+    sum of the steps' window widths, at most m.nrows + k + 1 for a step
+    on row k.  The kernel is the rows whose pivot lies in the identity
+    part.  The array holds m.ncols x (m.nrows + m.ncols) cells, 8 bytes
+    each in int64, so callers bound that product."""
     n = m.ncols
     a = _lattice_array(m, np.arange(n), m.nrows + n)
     a[np.arange(n), m.nrows + np.arange(n)] = 1
-    a, _ = _echelon(a)
-    free = ~(a[:, :m.nrows] != 0).any(axis=1)
+    a, pivots = _echelon(a, range(m.nrows + 1, m.nrows + n + 1))
+    free = sorted(p for c, p in pivots.items() if c >= m.nrows)
     return a[free, m.nrows:].tolist()
 
 

@@ -4,6 +4,8 @@ The Smith-form oracle runs on sympy.  The homology oracle does its own
 extended-gcd integer elimination and enumerates the subquotient element by
 element, so agreement with the library is a genuinely two-route check.
 ``record_composition_checks`` is a spy on the (co)homology dispatch.
+``reference_echelon`` is the lattice echelon done plainly, full width,
+for comparing with ``linalg._echelon`` step for step.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import math
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from u4class import linalg
 from u4class.linalg import AbelianGroup, IntMatrix
 
 
@@ -189,3 +192,68 @@ def record_composition_checks(monkeypatch):
 
     monkeypatch.setattr(cohomology, "check_composition", checking)
     return pairs
+
+
+def _gcdex(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0, by the extended
+    Euclidean algorithm, signs fixed at the end."""
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def reference_echelon(a):
+    """Row echelon of a copy of the 2-D integer array a, as
+    ``linalg._echelon`` runs it but with no windows and no carried pivot
+    values; returns (array, {pivot column: row index}).
+
+    Each row in turn is cleared at its leading column c against the pivot
+    row p holding c: row -= (t // s) p when the pivot s = a[p, c] divides
+    t = a[i, c], else (p, i) <- (x p + y i, (s/g) i - (t/g) p).  Both rows
+    are rewritten from column c to the last.  An int64 array carries a
+    bound on each row's largest |entry|; a step whose bounds would pass
+    ``linalg._INT64_SAFE`` takes the two rows' true maxima instead, and if
+    those fail too the array becomes Python ints (dtype=object) for good.
+    """
+    a = a.copy()
+    safe = linalg._INT64_SAFE
+    bound = None if a.dtype == object else \
+        [max((abs(int(x)) for x in row), default=0) for row in a]
+    pivots = {}
+    for i in range(a.shape[0]):
+        c = 0
+        while True:
+            c += int((a[i, c:] != 0).argmax())
+            if not a[i, c]:
+                break
+            p = pivots.setdefault(c, i)
+            if p == i:
+                break
+            s, t = int(a[p, c]), int(a[i, c])
+            if t % s == 0:
+                x, y, u, v = 1, 0, -(t // s), 1
+            else:
+                g, x, y = _gcdex(s, t)
+                u, v = -(t // g), s // g
+            if bound is not None:
+                grown = (abs(x) * bound[p] + abs(y) * bound[i],
+                         abs(u) * bound[p] + abs(v) * bound[i])
+                if max(grown) > safe:
+                    bp = max(abs(int(z)) for z in a[p])
+                    bi = max(abs(int(z)) for z in a[i])
+                    grown = (abs(x) * bp + abs(y) * bi,
+                             abs(u) * bp + abs(v) * bi)
+                if max(grown) > safe:
+                    a, bound = a.astype(object), None
+                else:
+                    bound[p], bound[i] = grown
+            piv, row = a[p, c:].copy(), a[i, c:].copy()
+            a[p, c:] = x * piv + y * row
+            a[i, c:] = u * piv + v * row
+    return a, pivots

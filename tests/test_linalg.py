@@ -12,7 +12,7 @@ from u4class.linalg import AbelianGroup, IntMatrix
 
 from helpers import (group_counts, oracle_homology, oracle_invariant_factors,
                      random_unimodular, record_composition_checks,
-                     saturated_kernel_basis)
+                     reference_echelon, saturated_kernel_basis)
 
 
 class TestAbelianGroup:
@@ -694,6 +694,43 @@ class TestLatticeEchelon:
         assert hashlib.sha256(json.dumps(z).encode()).hexdigest() == \
             "d0c122dcdbbacce96ee80d36249e7abc1b0b2f31b5618f239645611d955ee364"
 
+    # the two largest catalog witness cuts, BarResolution.cocycle_rows of
+    # the kernel C21 in degree 2 (|S| = 1 and 2 generator blocks), and the
+    # witness strings of the three order-42 rows; sha256 of
+    # json.dumps(integer_kernel(cut)), recorded before the echelon steps
+    # ran on live row windows
+    @pytest.mark.parametrize("spec, shape, digest", [
+        ("D21", (400, 400), "13d75c06b26d8346687d1c8fac03bb54"
+                            "c14f3bb393a57bd08be268f5a2b98408"),
+        ("D3xC7", (800, 400), "1686f8678c0b8f73aa75b1192509c0c3"
+                              "78d884b6617ecdfe6f9c9146177d90ef")],
+        ids=["D21", "D3xC7"])
+    def test_catalog_witness_kernel_pinned(self, spec, shape, digest):
+        import hashlib
+        import json
+        from u4class import groups
+        from u4class.modules import trivial_integers
+        from u4class.resolutions import BarResolution
+        kernel = groups.odd_normal_complement(groups.parse_group(spec)).kernel
+        cut = BarResolution(kernel, 2).cocycle_rows(
+            trivial_integers(kernel), 2)
+        assert (cut.nrows, cut.ncols) == shape
+        basis = linalg.integer_kernel(cut)
+        assert len(basis) == 20
+        assert hashlib.sha256(
+            json.dumps(basis).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec, witness", [
+        ("D21", "1*e0 + 1*e1 + 1*e2 + 1*e3 + 1*e4 + 1*e5 + ..."),
+        ("D3xC7", "1*e0 + 1*e3 + 1*e8 + 1*e11 + 1*e16 + 1*e19 + ..."),
+        ("D7xC3", "1*e0 + 1*e1 + 1*e2 + 1*e4 + 1*e5 + 1*e6 + ...")])
+    def test_catalog_witness_string_pinned(self, spec, witness):
+        from u4class import groups, hypothesis
+        verdict = hypothesis.thom_simplification_applicable(
+            groups.parse_group(spec)).verdict
+        assert verdict.witness == witness
+        assert verdict.acting_element == 21
+
     @pytest.mark.parametrize("scale", [1, 2**45, 2**70],
                              ids=["1", "2^45", "2^70"])
     def test_dead_rows_leave_the_kernel(self, monkeypatch, scale):
@@ -841,6 +878,117 @@ class TestLatticeEchelon:
         assert linalg.integer_kernel(IntMatrix(2, 2)) == [[1, 0], [0, 1]]
         lattice = linalg.ColumnLattice(IntMatrix(2, 3))
         assert lattice.contains([0, 0]) and not lattice.contains([0, 1])
+
+
+def _row_ends(a):
+    """One past the last nonzero column of each row of a (0 if none)."""
+    return [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0
+            for row in a]
+
+
+class TestEchelonWindows:
+    """``_echelon`` against the plain full-width ``reference_echelon``:
+    the same array, dtype and pivot dict, whatever windows it is given."""
+
+    @staticmethod
+    def _random_array(rng, entries, scale=1):
+        """An int64 array with a few all-zero rows and columns, and the
+        exact end of each row (one past its last nonzero)."""
+        nr, nc = rng.randint(1, 9), rng.randint(1, 11)
+        a = np.array([[rng.choice(entries) * scale if rng.random() < 0.5
+                       else 0 for _ in range(nc)] for _ in range(nr)],
+                     dtype=np.int64)
+        a[rng.randrange(nr)] = 0
+        a[:, rng.randrange(nc)] = 0
+        return a, _row_ends(a)
+
+    def _check(self, a, ends=None):
+        want, want_pivots = reference_echelon(a)
+        got, got_pivots = linalg._echelon(a.copy(), ends)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got_pivots == want_pivots
+        return got
+
+    @staticmethod
+    def _count_gcd_steps(monkeypatch):
+        calls = []
+        gcdex = linalg._gcdex
+        monkeypatch.setattr(linalg, "_gcdex",
+                            lambda a, b: calls.append(1) or gcdex(a, b))
+        return calls
+
+    def test_matches_reference(self, monkeypatch):
+        calls = self._count_gcd_steps(monkeypatch)
+        rng = random.Random(53)
+        for _ in range(150):
+            a, ends = self._random_array(rng, [-6, -4, -3, -1, 1, 2, 3, 5])
+            self._check(a, ends)
+            self._check(a)
+            loose = [min(a.shape[1], e + rng.randint(0, 3)) for e in ends]
+            self._check(a, loose)
+        assert calls    # the extended-gcd combination ran
+
+    def test_kernel_array_matches_reference(self, monkeypatch):
+        # [m^T | I] with the ends integer_kernel gives it
+        calls = self._count_gcd_steps(monkeypatch)
+        rng = random.Random(59)
+        for _ in range(60):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 8)
+            m = IntMatrix.from_dense(
+                _random_dense(rng, nr, nc, [-6, -4, -3, -1, 1, 2, 3, 5]))
+            a = linalg._lattice_array(m, np.arange(nc), nr + nc)
+            a[np.arange(nc), nr + np.arange(nc)] = 1
+            self._check(a, range(nr + 1, nr + nc + 1))
+        assert calls
+
+    def test_nonzero_at_the_windows_last_column(self):
+        # row 1 ends at column 1; clearing it against row 0 widens its
+        # window to 4 and leaves its one nonzero in the last column, 3
+        a = np.array([[1, 0, 0, 2], [1, 0, 0, 0], [0, 0, 0, 4]],
+                     dtype=np.int64)
+        out = self._check(a, [4, 1, 4])
+        assert out[1].tolist() == [0, 0, 0, -2]
+        assert out[2].tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("scale", [2**40, 2**45, 2**58],
+                             ids=["2^40", "2^45", "2^58"])
+    def test_promotion_midway_matches_reference(self, scale):
+        rng = random.Random(scale % 1013)
+        promoted = 0
+        for _ in range(60):
+            a, ends = self._random_array(rng, [-6, -4, -3, -1, 1, 2, 3, 5],
+                                         scale)
+            promoted += self._check(a, ends).dtype == object
+        assert promoted
+        # the growth chain of test_growth_promotes_midway: small entries,
+        # and the array turns to Python ints only after many int64 steps
+        n = 80
+        dense = [[0] * (n + 1) for _ in range(n)]
+        for i in range(n):
+            dense[i][i], dense[i][i + 1] = 1, 1 if i == n - 1 else 2
+        m = IntMatrix.from_dense(dense)
+        a = linalg._lattice_array(m, np.arange(n + 1), 2 * n + 1)
+        a[np.arange(n + 1), n + np.arange(n + 1)] = 1
+        assert self._check(a, range(n + 1, 2 * n + 2)).dtype == object
+
+    def test_object_input_matches_reference(self, monkeypatch):
+        calls = self._count_gcd_steps(monkeypatch)
+        rng = random.Random(67)
+        for big in (2**20, 2**70):
+            for _ in range(40):
+                a, ends = self._random_array(rng, [-6, -4, -3, -1, 1, 2, 5])
+                a = a.astype(object) * big
+                self._check(a, ends)
+        assert calls
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+    def test_empty(self, shape):
+        a = np.zeros(shape, dtype=np.int64)
+        got, pivots = linalg._echelon(a.copy())
+        assert pivots == {} and np.array_equal(got, a)
+        if shape[1]:
+            self._check(a)
 
 
 class TestHomologyAt:
