@@ -36,7 +36,8 @@ chain matrices, with d_r = f^-1 d_k f and f_(n-1) going out.  A chain
 matrix d_n x M is the transposed coboundary delta^(n-1) of the dual
 action g -> A_(g^-1)^T (``GModule.dual``), and a Z/2 (co)homology count
 ranks the generator cut of that coboundary (``Resolution.cocycle_rows``),
-whose rank over GF(2) is the full one's.
+whose rank over GF(2) is the full one's, passing over the columns that
+the cut one degree down pins (``Resolution.mod2_coboundary_rank``).
 
 At a position of free abelian groups, Z^c between d_in and d_out, the
 homology has free rank c - rank(d_out) - rank(d_in) and torsion the
@@ -68,7 +69,7 @@ import numpy as np
 from .abelian import AbelianGroup
 from .groups import FiniteGroup, GroupHom
 from .kernels import gf2
-from .linalg import (IntMatrix, check_composition, homology_at, mod2_rank,
+from .linalg import (IntMatrix, check_composition, homology_at,
                      smith_normal_form)
 from .modules import GModule, mod2_integers, trivial_integers
 from .resolutions import (BarResolution, FeasibilityError, Resolution,
@@ -122,21 +123,26 @@ def _homology_in_degree(group, module, n, resolution, cochains):
     """Degree n of Hom_G(F, M) (cochains) or of F x_G M: the differential
     d_in into degree n comes from degree n - 1 (n + 1 for chains) and d_out
     goes to n + 1 (n - 1).  Mod-2 free modules take the GF(2) count
-    dim - rank(out) - rank(in), every summand Z/2, on the
-    ``Resolution.cocycle_rows`` of delta^n and delta^(n-1): each has the
-    kernel, so the rank, of the full delta.  For chains they are those of
-    the dual module, as d_(n+1) and d_n over M are the transposes of its
-    delta^n and delta^(n-1) (``Resolution.chain_matrix``) and transposing
-    keeps the rank.  Each is refused from its shape, past the entry bound
-    or with column masks past the mask bound, before it is assembled
-    (``Resolution.mod2_cocycle_rows``).  Free and presented modules, the
-    latter through the mapping cone, give a position of free abelian
-    groups.  In degree 0 that takes ``homology_at``.  Above it the group
-    is finite (see the module docstring), so it is the torsion of d_in;
-    d_out is only checked to compose to zero with it, and for a free
-    module the torsion is the Smith form of the cut of d_in, the same
-    matrix the mod-2 count ranks.  The resolution and the module must be
-    over ``group``: the same object or an equal multiplication table."""
+    dim - rank(out) - rank(in), every summand Z/2, with the ranks of
+    delta^n and delta^(n-1) read off one chain of echelons
+    (``Resolution.mod2_coboundary_rank``): each degree ranks its
+    ``Resolution.cocycle_rows``, which has the kernel, so the rank, of
+    the full delta, and passes over the columns that the degree below
+    pins, as the mod-2 ring does (the skip lemma in ``kernels.gf2``).
+    For chains they are those of the dual module, as d_(n+1) and d_n over
+    M are the transposes of its delta^n and delta^(n-1)
+    (``Resolution.chain_matrix``) and transposing keeps the rank.  The
+    cut of delta^n is refused from its shape, past the entry bound or
+    with column masks past the mask bound, before it or any lower cut is
+    built (``Resolution.mod2_cocycle_rows``).  Free and presented
+    modules, the latter through the mapping cone, give a position of
+    free abelian groups.  In degree 0 that takes ``homology_at``.  Above
+    it the group is finite (see the module docstring), so it is the
+    torsion of d_in; d_out is only checked to compose to zero with it,
+    and for a free module the torsion is the Smith form of the cut of
+    d_in, the same matrix the mod-2 count ranks.  The resolution and the
+    module must be over ``group``: the same object or an equal
+    multiplication table."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     res = resolution if resolution is not None \
@@ -149,8 +155,7 @@ def _homology_in_degree(group, module, n, resolution, cochains):
     # first, so an oversized request is refused before the other is built
     coeffs = module if cochains else module.dual()
     if module.is_mod2_free:
-        ranks = [mod2_rank(res.mod2_cocycle_rows(coeffs, m))
-                 for m in (n, n - 1)]
+        ranks = [res.mod2_coboundary_rank(coeffs, m) for m in (n, n - 1)]
         return AbelianGroup.from_cyclic_orders(
             [2] * (res.rank(n) * module.ngens - sum(ranks)))
     if cochains:
@@ -202,11 +207,12 @@ class BarMod2Complex:
     of the echelon of delta^(n-1), the highest bits of a basis of B^n.
     (1) P lies in D: an element e_p + (lower bits) of B^n is a cocycle
     (delta delta = 0, Brown III.1), so column p of delta^n is the sum of
-    columns below it.  (2) Extending that echelon by the k_j in order,
-    k_j enlarges it iff j is in D less P: with E_j the span of
-    e_0..e_j, B + (Z meet E_j) is spanned by B and the k_i with i <= j,
-    and as B lies in Z its dimension is dim B + dim(Z meet E_j) -
-    dim(B meet E_j), which steps by [j in D] - [j in P] at j.  So the
+    columns below it (the skip lemma in ``kernels.gf2``, in its order
+    form, with R every coordinate).  (2) Extending that echelon by the
+    k_j in order, k_j enlarges it iff j is in D less P: with E_j the
+    span of e_0..e_j, B + (Z meet E_j) is spanned by B and the k_i with
+    i <= j, and as B lies in Z its dimension is dim B + dim(Z meet E_j)
+    - dim(B meet E_j), which steps by [j in D] - [j in P] at j.  So the
     first lexicographic basis of Z^n modulo B^n, chosen by inserting
     every k_j and keeping those that enlarge, is the k_j for j in D
     less P: the kernel of the echelon that skips P, which (1) allows.

@@ -17,10 +17,33 @@ Since a dependent column stores nothing, the rank, pivots, stored
 columns, combinations and ``coordinates`` are those of inserting it, and
 the kernel is the full kernel less the skipped columns' vectors.
 Skipping a column that is not dependent is the caller's error, and is
-not detected.
+not detected.  A rank alone needs no combinations: ``pivots`` returns
+the highest bits of an echelon, one per dimension of the span, passing
+over a given set of columns, and ``rank`` counts them.
+
+Skip lemma, in order form.  Let delta' and delta be GF(2) matrices with
+delta delta' = 0, so the rows of delta' are the coordinates that the
+columns of delta are indexed by.  Let delta'_R keep the rows of delta' in
+a set R of those coordinates, and P be the highest bits of an echelon of
+delta'_R.  Order the columns of delta with every coordinate outside R
+first, then those in R in the order of the rows of delta'_R.  Then each
+column p in P is the sum of columns before it: the column space of
+delta'_R is the R-part of im delta', so some b in im delta' has an R-part
+whose top bit is p, and delta b = 0 makes column p the sum of the other
+columns in b's support, each outside R or in R below p.  By induction
+along the order, the columns outside P span what all the columns span.
+That span, so its rank and its set of highest bits, does not depend on
+the order the columns are reduced in: a rank may skip P and reduce the
+rest in their own order.  |P| is the rank of delta'_R.  The relation
+holds on any rows of delta, so delta may be cut to some of its rows too.
+With R every coordinate the order is the natural one, so each p in P
+lies in the span of the columns before it, as ``Echelon.skip`` asks, and
+P is the pivot set of delta' (``cohomology.BarMod2Complex``).  With R the
+rows of a generator cut, P is the pivot set of that cut, and only the
+rank is read (``resolutions.Resolution.mod2_coboundary_rank``).
 """
 
-__all__ = ["Echelon", "rank", "kernel"]
+__all__ = ["Echelon", "pivots", "rank", "kernel"]
 
 
 class Echelon:
@@ -89,8 +112,29 @@ class Echelon:
         return None if vec else combo
 
 
+def pivots(columns, skip=()):
+    """The highest bits of an echelon of ``columns``, one bit per
+    dimension of their span, so a set whose size is their rank and which
+    depends on the span alone.  The columns whose index is in ``skip`` are
+    passed over: together they must add nothing to the span of the
+    others (the skip lemma above), which is not checked.  No combination
+    is tracked."""
+    tops = {}   # highest set bit -> the reduced column keyed by it
+    for j, vec in enumerate(columns):
+        if j in skip:
+            continue
+        while vec:
+            top = vec.bit_length() - 1
+            other = tops.get(top)
+            if other is None:
+                tops[top] = vec
+                break
+            vec ^= other
+    return set(tops)
+
+
 def rank(columns):
-    return Echelon(columns).rank
+    return len(pivots(columns))
 
 
 def kernel(columns):

@@ -5,7 +5,7 @@ entries are Python ints, so no input can overflow it.  Every integer
 Smith form starts here on the whole matrix (``linalg._snf_diagonal``):
 in (co)homology over the bar resolution, the generator cut of a
 coboundary (``Resolution.cocycle_rows``).  It works over Z only: a GF(2)
-rank goes to ``gf2.rank`` instead (see ``linalg.mod2_rank``).
+rank goes to ``gf2`` instead (``Resolution.mod2_coboundary_rank``).
 """
 
 import heapq

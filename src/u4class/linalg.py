@@ -32,10 +32,13 @@ int64 position key row * ncols + col, so an ``IntMatrix`` refuses a shape
 whose nrows * ncols exceeds 2^63 - 1 before any sort runs.
 Its ``rows``, ``cols`` and ``vals`` are list views, built afresh on every
 call, for the pure-Python unit-pivot phase and for callers that walk a
-small matrix entry by entry.  Its GF(2) rank is memoised on it, its Smith
-diagonal not: above degree 0 a (co)homology call eliminates one cut of
-d_in alone, so one matrix is seldom eliminated twice.  The module keeps
-no cache.
+small matrix entry by entry.  ``mod2_rank`` memoises the GF(2) rank of a
+lone matrix on it; a Z/2 (co)homology count does not call it, as it
+ranks each cut once in a chain that the resolution memoises
+(``Resolution.mod2_coboundary_rank``).  The Smith diagonal is not
+memoised: above degree 0 a (co)homology call eliminates one cut of d_in
+alone, so one matrix is seldom eliminated twice.  The module keeps no
+cache.
 """
 
 from __future__ import annotations
@@ -580,11 +583,9 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroup:
 
 def mod2_rank(m: IntMatrix) -> int:
     """Rank over GF(2), memoised on m: ``gf2.rank`` of its column masks,
-    which read Python-int values exactly.  Nothing runs in front of it;
-    cohomology ranks the generator cuts of bar coboundaries
-    (``Resolution.cocycle_rows``), C12's cut delta^4 (14641 x 14641) in
-    0.18 s, and bounds their masks before assembly
-    (``Resolution.mod2_cocycle_rows``).
+    which read Python-int values exactly.  A (co)homology count ranks its
+    cuts through ``Resolution.mod2_coboundary_rank`` instead, which
+    passes over the columns the degree below pins.
     """
     if m._rank2 is None:
         m._rank2 = kernels.gf2.rank(m.mod2_column_masks())

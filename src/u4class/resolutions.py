@@ -17,7 +17,9 @@ coboundary matrices for any module, reads a chain matrix as the
 transposed coboundary of the dual action, and checks d d = 0.  Only
 ``BarResolution`` knows how its tuples are numbered, and with it the cut
 of a coboundary to the rows that cut out its kernel, those of the tuples
-that start with a generator (``BarResolution.cocycle_rows``).
+that start with a generator (``BarResolution.cocycle_rows``).  GF(2)
+ranks of the cuts form one chain, each degree passing over the columns
+that the echelon one degree down pins (``mod2_coboundary_rank``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import FeasibilityError
 from .groups import FiniteGroup
+from .kernels import gf2
 from .linalg import (_INT64_SAFE, IntMatrix, _array_max_abs,
                      _sorted_join)
 from .modules import GModule
@@ -79,8 +82,9 @@ class Resolution:
         self.group = group
         self.degree = degree
         self.ranks = ranks
-        # coboundary matrices memoised by coboundary_matrix, and the bar
-        # resolution's cuts by cocycle_rows
+        # coboundary matrices memoised by coboundary_matrix, the bar
+        # resolution's cuts by cocycle_rows, and the GF(2) (rank, pins)
+        # of each cut by mod2_coboundary_rank
         self._cob_cache = {}
 
     def rank(self, n):
@@ -100,9 +104,9 @@ class Resolution:
         and ``chain_matrix`` reads the same memo under the dual's actions,
         which for Z, Z_w, Z/2 and Z[G] are their own.  Every row is
         assembled.  A Z/2 (co)homology count ranks ``cocycle_rows``
-        instead, and integer torsion over a free module reads its Smith
-        form; on the bar resolution that is a cut with a slot of its own,
-        which Z and Z/2 share as well."""
+        instead (``mod2_coboundary_rank``), and integer torsion over a
+        free module reads its Smith form; on the bar resolution that is a
+        cut with a slot of its own, which Z and Z/2 share as well."""
         if n < 0:
             return IntMatrix.zeros(self.rank(0) * module.ngens, 0)
         cache = self._cob_cache
@@ -118,7 +122,9 @@ class Resolution:
         coefficients, so with its rank over any field too, and, when the
         module's action is a homomorphism, with its row lattice over Z, so
         its Smith diagonal less zeros: all of them (``coboundary_matrix``)
-        unless a resolution knows a cut."""
+        unless a resolution knows a cut.  Its rows are the coordinates of
+        delta^(n + 1)'s columns that a GF(2) rank of delta^(n + 1) may
+        pass over by its pins (``mod2_coboundary_rank``)."""
         return self.coboundary_matrix(module, n)
 
     def chain_matrix(self, module: GModule, n) -> IntMatrix:
@@ -162,7 +168,8 @@ class Resolution:
         """``cocycle_rows(module, n)`` for a count over GF(2), refused
         from its shape before it is assembled: past the entry bound first,
         then when its column masks would pass the mask bound
-        (``check_mask_bytes``)."""
+        (``check_mask_bytes``).  ``mod2_coboundary_rank`` calls it before
+        it ranks any lower degree, so a refused cut builds none."""
         if n >= 0:
             row_gens, nfaces = self._cut_size(n)
             self._check_entries(nfaces, module)
@@ -174,6 +181,38 @@ class Resolution:
         """Row generators and faces of ``cocycle_rows(., n)``, n >= 0,
         counted without building it: all of delta^n here."""
         return self.rank(n + 1), self.face_count(n + 1)
+
+    def mod2_coboundary_rank(self, module: GModule, n) -> int:
+        """Rank of delta^n over GF(2), for a module whose action is a
+        homomorphism modulo 2, read off ``mod2_cocycle_rows(module, n)``,
+        so refused from that cut's shape before any lower cut is built.
+        The ranks form one chain: the cut of delta^n is reduced once,
+        passing over the columns that the echelon of the cut of
+        delta^(n-1) pins, its highest bits read as columns of delta^n
+        (``_cut_rows_as_columns``); they add nothing to the span (the skip
+        lemma in ``kernels.gf2``, with R the rows of that cut).  Each
+        degree's (rank, pins) is memoised in ``_cob_cache`` per
+        (module.actions, n, "gf2"), beside the cut."""
+        return self._mod2_echelon(module, n)[0]
+
+    def _mod2_echelon(self, module, n):
+        if n < 0:
+            return 0, frozenset()
+        cache = self._cob_cache
+        key = (module.actions, n, "gf2")
+        if key not in cache:
+            cut = self.mod2_cocycle_rows(module, n)
+            pinned = self._cut_rows_as_columns(
+                self._mod2_echelon(module, n - 1)[1], n - 1, module.ngens)
+            pins = gf2.pivots(cut.mod2_column_masks(), pinned)
+            cache[key] = (len(pins), pins)
+        return cache[key]
+
+    def _cut_rows_as_columns(self, rows, n, k):
+        """Rows of ``cocycle_rows(., n)`` over k generators, as the columns
+        of delta^(n + 1) of the same generators: the same numbers when the
+        cut keeps every row."""
+        return rows
 
     def _check_mask_shape(self, nrows, ncols):
         nbytes = ncols * ((nrows + 7) // 8)
@@ -407,6 +446,16 @@ class BarResolution(Resolution):
         """The |S| blocks of (|G|-1)^n rows and their faces."""
         return (len(self._firsts) * self.rank(n),
                 self.face_count(n + 1, self._firsts))
+
+    def _cut_rows_as_columns(self, rows, n, k):
+        """Block b of the cut's rows, the (|G|-1)^n tuples [s|...] for the
+        b-th s of S, is the range of delta^(n + 1)'s columns that s heads,
+        shifted by (s - 1 - b) blocks."""
+        block = self.rank(n) * k
+        shifts = [(s - 1 - b) * block for b, s in enumerate(self._firsts)]
+        if not any(shifts):
+            return rows
+        return {r + shifts[r // block] for r in rows}
 
     def boundary(self, n, firsts=None):
         """The faces of [g_1|...|g_n]: g_1 [g_2|...|g_n], then

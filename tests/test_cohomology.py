@@ -28,7 +28,8 @@ from u4class.modules import (GModule, mod2_integers,
                              module_from_abelian_group, trivial_integers,
                              twisted_integers)
 from u4class.kernels import gf2
-from u4class.resolutions import BarResolution, FeasibilityError
+from u4class.resolutions import (BarResolution, FeasibilityError,
+                                 default_resolution)
 
 from helpers import bar_rows_starting_with, record_composition_checks
 
@@ -612,6 +613,106 @@ class TestMod2SkipOracle:
                         combo = ech.coordinates(cup)
                         assert cx.coordinates(p + q, cup) == tuple(
                             (combo >> k) & 1 for k in positions), (p, q)
+
+
+def _swap_module(group):
+    """(Z/2)^2 with g swapping the two generators when the first
+    orientation character of G is 1 at g: the permutation module of G
+    over the kernel of that character, so H^n(G; M) = H^n(ker; Z/2) by
+    Shapiro's lemma."""
+    chi = orientation_characters(group)[0]
+    return module_from_abelian_group(
+        group, AbelianGroup.from_cyclic_orders([2, 2]),
+        action_matrices=[[[0, 1], [1, 0]] if v else [[1, 0], [0, 1]]
+                         for v in chi.values])
+
+
+class TestMod2RankChain:
+    """A Z/2 (co)homology count ranks the cut of delta^n passing over the
+    columns that the echelon of the cut of delta^(n-1) pins
+    (``Resolution.mod2_coboundary_rank``).  Each cut's chained rank is an
+    independent ``gf2.rank`` of all its columns, the skip set is as large
+    as the rank below, and every skipped column lies in the span of the
+    columns kept."""
+
+    TOP = 4
+    SPECS = [spec for spec, _ in TestMod2SkipOracle.SPECS] + ["D5"]
+
+    @staticmethod
+    def _resolutions(g):
+        """The bar resolution, and the default one when it is not bar:
+        periodic for cyclic groups, tensor for the products."""
+        bar, default = BarResolution(g, 4), default_resolution(g, 4)
+        return [bar] if isinstance(default, BarResolution) \
+            else [bar, default]
+
+    def _chain(self, monkeypatch, g, module, res, count):
+        """The counts of degrees 0..TOP, and per ``gf2.pivots`` call the
+        matrix whose column masks it reduced, the columns, the skip set
+        and the pins, bottom up."""
+        calls, masks = [], {}
+        read, reduce = IntMatrix.mod2_column_masks, gf2.pivots
+
+        def reading(m):
+            columns = read(m)
+            masks[id(columns)] = m
+            return columns
+
+        def reducing(columns, skip=()):
+            pins = reduce(columns, skip)
+            calls.append((masks[id(columns)], columns, skip, pins))
+            return pins
+
+        monkeypatch.setattr(IntMatrix, "mod2_column_masks", reading)
+        monkeypatch.setattr(gf2, "pivots", reducing)
+        got = [count(g, module, n, res) for n in range(self.TOP + 1)]
+        monkeypatch.undo()
+        return got, calls
+
+    @pytest.mark.parametrize("which", ["cohomology", "homology"])
+    @pytest.mark.parametrize("spec, module", [(s, "Z2") for s in SPECS] +
+                             [("D3", "swap"), ("C2xC2", "swap")])
+    def test_chained_ranks_match_every_column(self, monkeypatch, spec,
+                                              module, which):
+        g = parse_group(spec)
+        m = mod2_integers(g) if module == "Z2" else _swap_module(g)
+        count = {"cohomology": cohomology, "homology": homology}[which]
+        coeffs = m if which == "cohomology" else m.dual()
+        for res in self._resolutions(g):
+            got, calls = self._chain(monkeypatch, g, m, res, count)
+            cuts = [res.cocycle_rows(coeffs, n) for n in range(self.TOP + 1)]
+            # each cut reduced once, from the bottom up
+            assert [id(c[0]) for c in calls] == [id(c) for c in cuts]
+            ranks = [gf2.rank(c.mod2_column_masks()) for c in cuts]
+            below = 0
+            for n, (_, columns, skip, pins) in enumerate(calls):
+                assert len(pins) == ranks[n], (res, n)
+                assert len(skip) == below, (res, n)
+                assert all(0 <= j < len(columns) for j in skip)
+                below = ranks[n]
+            for n in range(self.TOP + 1):
+                dim = res.rank(n) * m.ngens - ranks[n] - \
+                    (ranks[n - 1] if n else 0)
+                assert got[n].torsion == (2,) * dim, (res, n)
+
+    @pytest.mark.parametrize("spec", ["C6", "D3", "C2xC2"])
+    def test_skipped_columns_add_nothing(self, monkeypatch, spec):
+        g = parse_group(spec)
+        skipped = {}
+        for m in (mod2_integers(g), _swap_module(g)):
+            for res in self._resolutions(g):
+                _, calls = self._chain(monkeypatch, g, m, res, cohomology)
+                for n, (_, columns, skip, pins) in enumerate(calls):
+                    kept = gf2.Echelon(c for j, c in enumerate(columns)
+                                       if j not in skip)
+                    assert set(kept.pivots) == pins
+                    for j in sorted(skip):
+                        assert not kept.insert(columns[j]), (res, n, j)
+                    assert kept.rank == len(pins)
+                    name = type(res).__name__
+                    skipped[name] = skipped.get(name, 0) + len(skip)
+        # Z/2 has zero periodic coboundaries; the swap module does not
+        assert all(skipped.values()), skipped
 
 
 class TestMod2Dimensions:

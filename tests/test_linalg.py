@@ -1169,33 +1169,32 @@ class TestRankMemo:
     @pytest.fixture
     def eliminations(self, monkeypatch):
         """(matrix, mod2) for every integer elimination (mod2 False) and
-        every GF(2) rank computed (mod2 True): a ``gf2.rank`` call made
-        for the matrix ``mod2_rank`` was asked for."""
-        from u4class import cohomology
-        calls, asked = [], []
-        eliminate, ask, finish = linalg._snf_diagonal, linalg.mod2_rank, \
-            gf2.rank
+        every GF(2) rank computed (mod2 True): a ``gf2.pivots`` call, the
+        rank loop behind ``gf2.rank`` and the Z/2 count's chain
+        (``Resolution.mod2_coboundary_rank``), made on the column masks of
+        the matrix."""
+        calls, masks = [], {}
+        eliminate, read, reduce = linalg._snf_diagonal, \
+            IntMatrix.mod2_column_masks, gf2.pivots
 
         def eliminating(m):
             calls.append((m, False))
             return eliminate(m)
 
-        def asking(m):
-            asked.append(m)
-            try:
-                return ask(m)
-            finally:
-                asked.pop()
+        def reading(m):
+            columns = read(m)
+            # the list is kept, so its id is not reused
+            masks[id(columns)] = (columns, m)
+            return columns
 
-        def finishing(columns):
-            if asked:
-                calls.append((asked[-1], True))
-            return finish(columns)
+        def reducing(columns, skip=()):
+            if id(columns) in masks:
+                calls.append((masks[id(columns)][1], True))
+            return reduce(columns, skip)
 
         monkeypatch.setattr(linalg, "_snf_diagonal", eliminating)
-        monkeypatch.setattr(linalg, "mod2_rank", asking)
-        monkeypatch.setattr(cohomology, "mod2_rank", asking)
-        monkeypatch.setattr(gf2, "rank", finishing)
+        monkeypatch.setattr(IntMatrix, "mod2_column_masks", reading)
+        monkeypatch.setattr(gf2, "pivots", reducing)
         return calls
 
     def test_memo_per_instance(self, eliminations):
@@ -1244,6 +1243,10 @@ class TestRankMemo:
         assert [m is cut4 for m, mod2 in eliminations if mod2].count(
             True) == 1
         assert not any(m is cut4 for m, mod2 in eliminations if not mod2)
+        # the Z/2 count's chain ranks each cut delta^0..delta^4 once, from
+        # the bottom up
+        assert [id(m) for m, mod2 in eliminations if mod2] == \
+            [id(res.cocycle_rows(z2, k)) for k in range(5)]
 
     @pytest.mark.parametrize("which", ["cohomology", "homology"])
     @pytest.mark.parametrize("spec, dims", [
@@ -1254,9 +1257,10 @@ class TestRankMemo:
                                              which):
         """Over bar, H^n(G; Z/2) and H_n(G; Z/2) for n = 0..4 assemble no
         full coboundary or chain matrix (``Resolution.coboundary_matrix``
-        sees only the empty delta^-1), rank each cut delta^n over GF(2)
-        exactly once, and eliminate nothing over Z.  Homology ranks the
-        cuts of the dual module, which for Z/2 are the same matrices."""
+        is never called: the chain takes the empty delta^-1 as rank 0),
+        rank each cut delta^n over GF(2) exactly once, and eliminate
+        nothing over Z.  Homology ranks the cuts of the dual module, which
+        for Z/2 are the same matrices."""
         from u4class.cohomology import cohomology, homology
         from u4class.groups import parse_group
         from u4class.modules import mod2_integers
@@ -1274,14 +1278,13 @@ class TestRankMemo:
         res, z2 = BarResolution(group, 4), mod2_integers(group)
         got = [count(group, z2, n, res).torsion for n in range(5)]
         assert got == [(2,) * d for d in dims]
-        assert assembled == [-1]
+        assert assembled == []
         assert all(len(key) == 3 for key in res._cob_cache)
         cuts = [res.cocycle_rows(z2, n) for n in range(5)]
         ranked = [m for m, mod2 in eliminations if mod2]
         assert not [m for m, mod2 in eliminations if not mod2]
-        # delta^0 and the empty delta^-1 at n = 0, then one new cut per n
-        assert [id(m) for m in ranked if m.ncols] == [id(m) for m in cuts]
-        assert len(ranked) == 6 and ranked[1].ncols == 0
+        # delta^0 at n = 0, then one new cut per n
+        assert [id(m) for m in ranked] == [id(m) for m in cuts]
 
     def test_positive_degree_leaves_d_out_alone(self, eliminations,
                                                 monkeypatch):
@@ -1413,6 +1416,25 @@ class TestGF2Echelon:
                     (want is not None)
             for vec in members:
                 assert ech.coordinates(vec) is not None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rank_only_loop_matches_echelon(self, seed):
+        # gf2.rank and gf2.pivots track no combinations; their rank and
+        # highest bits are those of the combination-tracking Echelon, on
+        # columns with zeros, repeats and sums of earlier columns
+        rng = random.Random(seed)
+        for width in (1, 2, 7, 63, 64, 65, 130, 200):
+            cols = self._columns(rng, width)
+            ech = gf2.Echelon(cols)
+            assert gf2.rank(cols) == ech.rank
+            assert gf2.pivots(cols) == set(ech.pivots)
+            # the highest bits are the span's, so any dependent columns
+            # may be skipped
+            dependent = [combo.bit_length() - 1 for combo in ech.kernel]
+            skip = {j for j in dependent if rng.random() < 0.6}
+            assert gf2.pivots(cols, skip) == set(ech.pivots)
+        assert gf2.rank([]) == 0 and gf2.pivots([]) == set()
+        assert gf2.rank([0, 0]) == 0 and gf2.rank([5, 5, 5]) == 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_skipping_dependent_columns(self, seed):
